@@ -82,8 +82,7 @@ def complex_step_jacobian(
         r_probe[i] += h
         y = _evaluate(channel_map, r_probe, f"perturbed column {i}") @ x
         jac[:, i] = (y - y0) / h
-    sv = np.linalg.svd(jac, compute_uv=False)
-    return Jacobian(matrix=jac, singular_values=sv)
+    return Jacobian(jac)
 
 
 def discrete_toggle_jacobian(
@@ -117,8 +116,7 @@ def discrete_toggle_jacobian(
         else:
             denom = r_flip[i] - r0[i]
         jac[:, i] = (y - y0) / denom
-    sv = np.linalg.svd(jac, compute_uv=False)
-    return Jacobian(matrix=jac, singular_values=sv)
+    return Jacobian(jac)
 
 
 def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray, step: float = 1e-2) -> np.ndarray:

@@ -9,6 +9,10 @@ rank-1 matrix and reaches the dimensional cap N~ = min(rows, cols) exactly
 when all N~ singular values are equal and nonzero.  Applied to the
 end-to-end channel it gives the conventional MIMO DOF count; applied to the
 load-to-output Jacobian it gives the local DOF count of load modulation.
+
+Stacks of Jacobians are reduced without an SVD per matrix through the Gram
+form M = ||J||_F^4 / ||J J^H||_F^2, which equals the singular-value form
+identically (sum sigma^2 = tr J J^H and sum sigma^4 = ||J J^H||_F^2).
 """
 
 from dataclasses import dataclass
@@ -57,6 +61,21 @@ def participation_number(matrix: np.ndarray) -> ParticipationResult:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
     sigma = np.linalg.svd(matrix, compute_uv=False)
     return participation_from_singular_values(sigma, n_tilde=min(matrix.shape))
+
+
+def participation_from_jacobians(jac: np.ndarray, valid=True) -> np.ndarray:
+    """Participation numbers of a stack (..., rows, cols) through the Gram form.
+
+    Raises DegenerateInputError for a zero Jacobian where valid (a boolean
+    mask over the stack) holds; entries outside valid are meaningless.
+    """
+    trace = (np.abs(jac) ** 2).sum(axis=(-2, -1))
+    if np.any((trace == 0.0) & valid):
+        raise DegenerateInputError("zero Jacobian; participation undefined")
+    gram = jac @ jac.conj().swapaxes(-1, -2)
+    fro2 = (np.abs(gram) ** 2).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return trace * trace / fro2
 
 
 def conventional_eemdof(h: np.ndarray) -> ParticipationResult:

@@ -13,18 +13,24 @@ closed form
     J(r0, x) = S_RS G(r0) diag(W(r0) x),
     W(r)     = S_SS G(r) diag(r) S_ST + S_ST,
 
-with W x the wave incident on the loads under illumination x.  Single-load
-changes update G and H at O(N_S^2) cost through a rank-1 Sherman-Morrison
-step instead of a fresh O(N_S^3) factorization.
+with W x the wave incident on the loads under illumination x.  Each of these
+formulas has one batched implementation over loads of shape (..., N_S):
+resolvent, jacobian_factors, incident_drive and load_jacobian.  The scalar
+APIs (coupling_resolvent, illumination_matrix, b_factor,
+closed_form_jacobian) are thin wrappers around them.  Single-load changes
+update G and H at O(N_S^2) cost through a rank-1 Sherman-Morrison step
+instead of a fresh O(N_S^3) factorization.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PartitionError, PassivityError, SingularityError
+from .loads import LOAD_MAG_TOL
 
 # Spectral-norm slack when validating passivity of a loaded matrix.
 PASSIVITY_TOL = 1e-9
@@ -37,24 +43,18 @@ UNIT_NORM_TOL = 1e-12
 
 
 def validate_loads(r: np.ndarray, n_s: int | None = None) -> np.ndarray:
-    """Coerce and validate a load reflection-coefficient vector.
+    """Coerce and validate loads of shape (..., n_s).
 
-    Entries must have magnitude <= 1 (unit modulus allowed).  Returns the
-    coerced complex array.
+    Every magnitude must be at most 1 + LOAD_MAG_TOL.  The one comparison
+    of the largest magnitude also rejects NaN and inf.  Returns the coerced
+    complex array.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=complex))
-    if r.ndim != 1:
-        raise ValueError(f"load vector must be 1-d, got shape {r.shape}")
-    if n_s is not None and r.size != n_s:
-        raise ValueError(f"expected {n_s} load entries, got {r.size}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("load vector contains non-finite entries")
-    mags = np.abs(r)
-    if np.any(mags > 1.0 + 1e-4):  # slack for rounded measured coefficients
-        worst = int(np.argmax(mags))
-        raise ValueError(
-            f"load magnitude {mags[worst]:.6g} at index {worst} exceeds 1"
-        )
+    r = np.asarray(r, dtype=complex)
+    if r.ndim == 0 or (n_s is not None and r.shape[-1] != n_s):
+        raise ValueError(f"expected loads of shape (..., {n_s}), got {r.shape}")
+    top = np.abs(r).max()
+    if not top <= 1.0 + LOAD_MAG_TOL:
+        raise ValueError(f"load magnitudes must be finite and at most 1, largest is {top:.6g}")
     return r
 
 
@@ -174,16 +174,14 @@ class ScatteringBlocks:
 
 @dataclass
 class Jacobian:
-    """A load-to-output Jacobian together with its singular spectrum."""
+    """A load-to-output Jacobian; its singular spectrum is computed on first use."""
 
     matrix: np.ndarray
-    singular_values: np.ndarray
 
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        self.singular_values = np.asarray(self.singular_values, dtype=float)
-        if np.any(np.diff(self.singular_values) > 0):
-            raise ValueError("singular values must be nonincreasing")
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Nonincreasing singular values of the matrix."""
+        return np.linalg.svd(self.matrix, compute_uv=False)
 
 
 def extract_blocks(system: ScatteringSystem) -> ScatteringBlocks:
@@ -203,28 +201,63 @@ def extract_blocks(system: ScatteringSystem) -> ScatteringBlocks:
     )
 
 
-def coupling_resolvent(s_ss: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """G(r) = (I - diag(r) S_SS)^-1 via LU with partial pivoting.
+def resolvent(s_ss: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G(r) = (I - diag(r) S_SS)^-1 and its reciprocal condition number.
 
-    Raises SingularityError when the system matrix is singular or its
-    reciprocal condition number falls below RCOND_MIN.  The reciprocal
-    condition number is the exact 1-norm value 1 / (||A||_1 ||A^-1||_1),
-    which is free once the dense inverse is in hand.
+    Loads of shape (..., n_s) give G of shape (..., n_s, n_s) and rcond of
+    shape (...).  G comes from LU with partial pivoting, and rcond is the
+    exact 1-norm value 1 / (||A||_1 ||A^-1||_1), which is free once the
+    dense inverse is in hand.  An exactly singular configuration gets
+    rcond 0 and a zero G.
     """
     s_ss = np.asarray(s_ss, dtype=complex)
-    r = np.asarray(r, dtype=complex)
-    n = s_ss.shape[0]
-    eye = np.eye(n, dtype=complex)
-    a = eye - r[:, None] * s_ss
+    r = validate_loads(r, s_ss.shape[0])
+    eye = np.eye(s_ss.shape[0], dtype=complex)
+    a = eye - r[..., :, None] * s_ss
+    # numpy < 2 would read a 2-d right-hand side of a stacked solve as vectors
+    b = eye if a.ndim == 2 else np.broadcast_to(eye, a.shape)
     try:
-        g = np.linalg.solve(a, eye)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("coupling resolvent is exactly singular", rcond=0.0) from exc
-    rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(g, 1))
-    if rcond < RCOND_MIN:
+        g = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        # numpy fails the whole stack for one singular matrix
+        if a.ndim == 2:
+            return np.zeros_like(a), np.float64(0.0)
+        parts = [resolvent(s_ss, row) for row in r]
+        return np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])
+    rcond = 1.0 / (np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(g).sum(axis=-2).max(axis=-1))
+    return g, rcond
+
+
+def jacobian_factors(
+    blocks: ScatteringBlocks, g: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The factor pair (S_RS G, W) of J = S_RS G diag(W x), batched like resolvent.
+
+    W(r) = S_SS G(r) diag(r) S_ST + S_ST maps the illumination to the wave
+    incident on the loads, including all re-scattering.
+    """
+    w = blocks.s_ss @ (g * r[..., None, :]) @ blocks.s_st + blocks.s_st
+    return blocks.s_rs @ g, w
+
+
+def incident_drive(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W x for stacks w (..., n_s, n_t) and x (n_t,) or (..., n_t)."""
+    return (w @ x[..., None])[..., 0]
+
+
+def load_jacobian(rx_factor: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J = S_RS G diag(W x) from the factor pair, batched like incident_drive."""
+    return rx_factor * incident_drive(w, x)[..., None, :]
+
+
+def coupling_resolvent(s_ss: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """G(r), raising SingularityError where rcond falls below RCOND_MIN."""
+    g, rcond = resolvent(s_ss, r)
+    worst = rcond.min()
+    if not worst >= RCOND_MIN:
         raise SingularityError(
-            f"coupling resolvent ill-conditioned: rcond {rcond:.3e} < {RCOND_MIN:.0e}",
-            rcond=rcond,
+            f"coupling resolvent singular: rcond {worst:.3e} < {RCOND_MIN:.0e}",
+            rcond=float(worst),
         )
     return g
 
@@ -239,8 +272,7 @@ def end_to_end_channel(blocks: ScatteringBlocks, r: np.ndarray) -> np.ndarray:
     At r = 0 the loaded term vanishes identically and H equals S_RT.
     """
     r = np.asarray(r, dtype=complex)
-    g = coupling_resolvent(blocks.s_ss, r)
-    return _channel_from_resolvent(blocks, g, r)
+    return _channel_from_resolvent(blocks, coupling_resolvent(blocks.s_ss, r), r)
 
 
 def output_wavefront(h: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -250,13 +282,9 @@ def output_wavefront(h: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def illumination_matrix(blocks: ScatteringBlocks, r: np.ndarray) -> np.ndarray:
-    """W(r) = S_SS G(r) diag(r) S_ST + S_ST.
-
-    W(r) x is the wave incident on the loads, including all re-scattering.
-    """
+    """W(r) = S_SS G(r) diag(r) S_ST + S_ST, the incident-wave map."""
     r = np.asarray(r, dtype=complex)
-    g = coupling_resolvent(blocks.s_ss, r)
-    return blocks.s_ss @ (g * r[None, :]) @ blocks.s_st + blocks.s_st
+    return jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, r), r)[1]
 
 
 def closed_form_jacobian(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray) -> Jacobian:
@@ -270,11 +298,7 @@ def closed_form_jacobian(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray
     r0 = np.asarray(r0, dtype=complex)
     x = validate_illumination(x, n_t=blocks.n_tx)
     g = coupling_resolvent(blocks.s_ss, r0)
-    w = blocks.s_ss @ (g * r0[None, :]) @ blocks.s_st + blocks.s_st
-    drive = w @ x
-    jac = (blocks.s_rs @ g) * drive[None, :]
-    sv = np.linalg.svd(jac, compute_uv=False)
-    return Jacobian(matrix=jac, singular_values=sv)
+    return Jacobian(load_jacobian(*jacobian_factors(blocks, g, r0), x))
 
 
 def b_factor(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -282,8 +306,7 @@ def b_factor(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray) -> np.ndar
     r0 = np.asarray(r0, dtype=complex)
     x = validate_illumination(x, n_t=blocks.n_tx)
     g = coupling_resolvent(blocks.s_ss, r0)
-    w = blocks.s_ss @ (g * r0[None, :]) @ blocks.s_st + blocks.s_st
-    return g * (w @ x)[None, :]
+    return g * incident_drive(jacobian_factors(blocks, g, r0)[1], x)[None, :]
 
 
 def woodbury_channel_update(

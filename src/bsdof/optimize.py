@@ -17,15 +17,22 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegenerateInputError, OptimizationFailedError, SingularityError
-from .loads import LOAD_MAG_TOL, LoadConstraint, sample_loads
-from .network import ScatteringSystem, coupling_resolvent, extract_blocks
-from .sampling import sample_random_illumination
+from .loads import LoadConstraint, sample_loads
+from .metrics import participation_from_jacobians
+from .network import (
+    RCOND_MIN,
+    ScatteringSystem,
+    extract_blocks,
+    jacobian_factors,
+    load_jacobian,
+    resolvent,
+)
+from .sampling import MAX_REDRAWS_PER_SAMPLE, sample_random_illumination
 from .streams import substream
 
 # Substream key namespaces under the optimization seed.
 _LOADSET_KEY = 0
 _START_KEY = 1
-_REDRAW_KEY = 2
 
 # Raw iterates shorter than this cannot be projected onto the sphere.
 DEGENERATE_NORM = 1e-30
@@ -42,7 +49,6 @@ class OptimizationConfig:
     x_tolerance: float = 1e-6
     f_tolerance: float = 1e-8
     seed: int = 0
-    redraw_per_evaluation: bool = False
 
     def __post_init__(self):
         if self.direction not in _DIRECTIONS:
@@ -85,38 +91,6 @@ def project(v: np.ndarray) -> np.ndarray:
     return x / norm
 
 
-def _resolvent_ok(s_ss: np.ndarray | None, r: np.ndarray) -> bool:
-    if s_ss is None:
-        return True
-    try:
-        coupling_resolvent(s_ss, r)
-    except SingularityError:
-        return False
-    return True
-
-
-def _draw_members(
-    gen: np.random.Generator,
-    constraint: LoadConstraint,
-    n_s: int,
-    n_members: int,
-    s_ss: np.ndarray | None,
-    first: int = 0,
-) -> np.ndarray:
-    members = np.empty((n_members, n_s), dtype=complex)
-    for i in range(n_members):
-        for _ in range(1001):
-            r = sample_loads(constraint, n_s, gen)
-            if _resolvent_ok(s_ss, r):
-                members[i] = r
-                break
-        else:
-            raise SingularityError(
-                f"load-set member {first + i} kept drawing singular configurations"
-            )
-    return members
-
-
 def sample_load_set(
     constraint: LoadConstraint,
     n_s: int,
@@ -130,40 +104,38 @@ def sample_load_set(
     redrawn from their own stream at construction time, so downstream
     evaluation never trips on them.
     """
-    members = np.empty((int(n_members), int(n_s)), dtype=complex)
-    for i in range(int(n_members)):
-        gen = substream(seed, _LOADSET_KEY, i)
-        members[i] = _draw_members(gen, constraint, int(n_s), 1, s_ss, first=i)[0]
-    return members
+    gens = [substream(seed, _LOADSET_KEY, i) for i in range(int(n_members))]
+    members = np.array([sample_loads(constraint, int(n_s), gen) for gen in gens])
+    if s_ss is None:
+        return members
+    pending = np.arange(len(gens))
+    for _ in range(MAX_REDRAWS_PER_SAMPLE + 1):
+        pending = pending[resolvent(s_ss, members[pending])[1] < RCOND_MIN]
+        if pending.size == 0:
+            return members
+        for i in pending:
+            members[i] = sample_loads(constraint, int(n_s), gens[i])
+    raise SingularityError(
+        f"load-set member {pending[0]} kept drawing singular configurations"
+    )
 
 
 class _FrozenObjective:
     """Mean participation number over a fixed load set, batch-evaluated.
 
-    Per member the resolvent-dependent factors are precomputed once; each
-    call only forms the Jacobian stack for the candidate illumination and
-    reduces it through the Gram-trace identity
-    M = ||J||_F^4 / ||J J^H||_F^2.
+    Per member the factor pair (S_RS G, W) is precomputed once; each call
+    only forms the Jacobian stack for the candidate illumination and
+    reduces it through the Gram form.
     """
 
     def __init__(self, blocks, load_set: np.ndarray):
         r = np.asarray(load_set, dtype=complex)
-        eye = np.eye(blocks.n_bs, dtype=complex)
-        a = eye[None, :, :] - r[:, :, None] * blocks.s_ss[None, :, :]
-        g = np.linalg.solve(a, np.broadcast_to(eye, a.shape))
-        self.rx_factor = blocks.s_rs @ g
-        self.incident = blocks.s_ss @ (g * r[:, None, :]) @ blocks.s_st + blocks.s_st
-        self.n_tx = blocks.n_tx
+        g, _ = resolvent(blocks.s_ss, r)
+        self.rx_factor, self.incident = jacobian_factors(blocks, g, r)
 
     def __call__(self, x: np.ndarray) -> float:
-        drive = self.incident @ x
-        jac = self.rx_factor * drive[:, None, :]
-        trace = (np.abs(jac) ** 2).sum(axis=(1, 2))
-        if np.any(trace == 0.0):
-            raise DegenerateInputError("zero Jacobian for a load-set member")
-        gram = jac @ jac.conj().swapaxes(1, 2)
-        fro2 = (np.abs(gram) ** 2).sum(axis=(1, 2))
-        return float(np.mean(trace * trace / fro2))
+        jac = load_jacobian(self.rx_factor, self.incident, x)
+        return float(np.mean(participation_from_jacobians(jac)))
 
 
 def mean_dof_objective(
@@ -171,9 +143,6 @@ def mean_dof_objective(
 ) -> float:
     """Mean DOF metric of illumination x over an explicit frozen load set."""
     blocks = extract_blocks(system) if isinstance(system, ScatteringSystem) else system
-    load_set = np.asarray(load_set, dtype=complex)
-    if np.any(np.abs(load_set) > 1.0 + LOAD_MAG_TOL):
-        raise ValueError("load set contains entries with magnitude above 1")
     x = np.asarray(x, dtype=complex)
     return _FrozenObjective(blocks, load_set)(x / np.linalg.norm(x))
 
@@ -194,22 +163,10 @@ def optimize_illumination(
     sign = -1.0 if config.direction == "MAX" else 1.0
 
     eval_count = 0
-    if config.redraw_per_evaluation:
-        draw_counter = iter(range(10**12))
-
-        def objective(x):
-            # fresh load set per evaluation, keyed by the running counter
-            gen = substream(config.seed, _REDRAW_KEY, next(draw_counter))
-            members = _draw_members(
-                gen, constraint, blocks.n_bs, config.n_objective_samples, blocks.s_ss
-            )
-            return _FrozenObjective(blocks, members)(x)
-    else:
-        load_set = sample_load_set(
-            constraint, blocks.n_bs, config.n_objective_samples, config.seed,
-            s_ss=blocks.s_ss,
-        )
-        objective = _FrozenObjective(blocks, load_set)
+    load_set = sample_load_set(
+        constraint, blocks.n_bs, config.n_objective_samples, config.seed, s_ss=blocks.s_ss
+    )
+    objective = _FrozenObjective(blocks, load_set)
 
     def wrapped(v):
         nonlocal eval_count

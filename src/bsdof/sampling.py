@@ -7,10 +7,9 @@ sample index makes the run embarrassingly parallel and bit-reproducible for
 any worker count: a redraw after a singular draw simply continues sample
 i's own stream.
 
-Evaluation is vectorized over fixed-size chunks.  The participation number
-is computed from the Gram matrix as ||J||_F^4 / ||J J^H||_F^2, which equals
-the singular-value form identically (sum sigma^2 = tr J J^H and
-sum sigma^4 = ||J J^H||_F^2) while avoiding one SVD per sample.
+Evaluation is vectorized over fixed-size chunks through the batched network
+kernel and the Gram-form reduction of metrics.participation_from_jacobians,
+which avoids one SVD per sample.
 """
 
 import json
@@ -21,9 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, SingularityError, UnsupportedOperationError
+from .errors import SingularityError, UnsupportedOperationError
 from .loads import LoadConstraint, sample_loads
-from .network import RCOND_MIN, ScatteringBlocks, extract_blocks, validate_illumination
+from .metrics import participation_from_jacobians
+from .network import (
+    RCOND_MIN,
+    ScatteringBlocks,
+    extract_blocks,
+    jacobian_factors,
+    load_jacobian,
+    resolvent,
+    validate_illumination,
+)
 from .streams import standard_complex_gaussian, substream
 
 # Samples per vectorized evaluation chunk.  Fixed (never derived from the
@@ -122,30 +130,9 @@ def _chunk_m_values(
     toggle mode, any toggled resolvent) is singular at the working
     threshold.  Values at not-ok positions are meaningless.
     """
-    count = r.shape[0]
-    eye = np.eye(blocks.n_bs, dtype=complex)
-    a = eye[None, :, :] - r[:, :, None] * blocks.s_ss[None, :, :]
-    try:
-        g = np.linalg.solve(a, np.broadcast_to(eye, a.shape))
-    except np.linalg.LinAlgError:
-        if count == 1:
-            return np.zeros(1), np.zeros(1, dtype=bool)
-        values = np.empty(count)
-        ok = np.empty(count, dtype=bool)
-        for i in range(count):
-            values[i : i + 1], ok[i : i + 1] = _chunk_m_values(
-                blocks, r[i : i + 1], x[i : i + 1], mode, constraint
-            )
-        return values, ok
-    norm_a = np.abs(a).sum(axis=1).max(axis=1)
-    norm_g = np.abs(g).sum(axis=1).max(axis=1)
-    with np.errstate(divide="ignore"):
-        rcond = 1.0 / (norm_a * norm_g)
+    g, rcond = resolvent(blocks.s_ss, r)
     ok = rcond >= RCOND_MIN
-
-    w = blocks.s_ss @ (g * r[:, None, :]) @ blocks.s_st + blocks.s_st
-    drive = np.einsum("cst,ct->cs", w, x)
-    jac = (blocks.s_rs @ g) * drive[:, None, :]
+    jac = load_jacobian(*jacobian_factors(blocks, g, r), x)
     if mode == "toggle":
         flipped = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value)
         delta = flipped - r
@@ -154,15 +141,7 @@ def _chunk_m_values(
         ok &= np.abs(denom).min(axis=1) >= RCOND_MIN
         with np.errstate(divide="ignore", invalid="ignore"):
             jac = jac * ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
-
-    trace = (np.abs(jac) ** 2).sum(axis=(1, 2))
-    gram = jac @ jac.conj().swapaxes(1, 2)
-    fro2 = (np.abs(gram) ** 2).sum(axis=(1, 2))
-    if np.any((trace == 0.0) & ok):
-        raise DegenerateInputError("zero Jacobian in a non-singular sample")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = trace * trace / fro2
-    return values, ok
+    return participation_from_jacobians(jac, ok), ok
 
 
 def sample_distribution(
@@ -195,19 +174,15 @@ def sample_distribution(
             f"fixed_x has {policy.fixed_x.size} entries, system has {n_t} tx ports"
         )
 
-    def draw(i: int, skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        # skip > 0 replays and discards earlier draws of sample i's stream,
-        # which is how a redraw continues the stream without storing it.
-        gen = substream(seed, i)
-        for _ in range(skip + 1):
-            r = sample_loads(constraint, n_s, gen)
-            x = sample_random_illumination(n_t, gen) if policy.kind == "RAND" else policy.fixed_x
+    def draw(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        r = sample_loads(constraint, n_s, gen)
+        x = sample_random_illumination(n_t, gen) if policy.kind == "RAND" else policy.fixed_x
         return r, x
 
     r_all = np.empty((n_samples, n_s), dtype=complex)
     x_all = np.empty((n_samples, n_t), dtype=complex)
     for i in range(n_samples):
-        r_all[i], x_all[i] = draw(i)
+        r_all[i], x_all[i] = draw(substream(seed, i))
 
     values = np.empty(n_samples)
 
@@ -216,21 +191,20 @@ def sample_distribution(
         redraws = 0
         for j in np.nonzero(~ok)[0]:
             i = start + int(j)
-            attempt = 0
-            while True:
-                attempt += 1
+            # re-seed sample i's stream, pass its failed draw and continue it
+            gen = substream(seed, i)
+            draw(gen)
+            for _ in range(MAX_REDRAWS_PER_SAMPLE):
                 redraws += 1
-                if attempt > MAX_REDRAWS_PER_SAMPLE:
-                    raise SingularityError(
-                        f"sample {i} still singular after {MAX_REDRAWS_PER_SAMPLE} redraws"
-                    )
-                r_i, x_i = draw(i, skip=attempt)
-                v, good = _chunk_m_values(
-                    blocks, r_i[None, :], x_i[None, :], mode, constraint
-                )
+                r_i, x_i = draw(gen)
+                v, good = _chunk_m_values(blocks, r_i[None, :], x_i[None, :], mode, constraint)
                 if good[0]:
                     vals[j] = v[0]
                     break
+            else:
+                raise SingularityError(
+                    f"sample {i} still singular after {MAX_REDRAWS_PER_SAMPLE} redraws"
+                )
         values[start:stop] = vals
         return redraws
 

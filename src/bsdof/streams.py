@@ -22,11 +22,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def uniforms(stream: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. uniforms on [0, 1)."""
-    return stream.random(n)
-
-
 def standard_complex_gaussian(stream: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. CN(0, 1) samples of the given shape via polar Box-Muller.
 

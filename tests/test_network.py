@@ -10,8 +10,9 @@ import pytest
 
 from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import PartitionError, PassivityError, SingularityError
-from bsdof.loads import LoadConstraint, sample_loads, toggle
+from bsdof.loads import PIN_OFF, LoadConstraint, sample_loads, toggle
 from bsdof.network import (
+    RCOND_MIN,
     Jacobian,
     ScatteringBlocks,
     ScatteringSystem,
@@ -23,6 +24,7 @@ from bsdof.network import (
     illumination_matrix,
     load_system,
     output_wavefront,
+    resolvent,
     save_system,
     system_from_dict,
     system_to_dict,
@@ -91,6 +93,43 @@ def test_resolvent_singular_loop_fails_fast():
     assert err.value.rcond < 1e-12
 
 
+def test_batched_resolvent_matches_the_scalar_one_per_configuration():
+    blocks = extract_blocks(coupled_system(2, 2, 6, seed=21))
+    gen = substream(22)
+    r = np.stack([sample_loads(LoadConstraint.uni(), 6, gen) for _ in range(6)]).reshape(2, 3, 6)
+    g, rcond = resolvent(blocks.s_ss, r)
+    assert g.shape == (2, 3, 6, 6) and rcond.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(g[idx], coupling_resolvent(blocks.s_ss, r[idx]))
+        assert np.all(rcond[idx] >= RCOND_MIN)
+
+
+def test_exactly_singular_member_gets_rcond_zero_in_a_stack():
+    s_ss = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    r = np.array([[0.5, 0.5j], [1.0, 1.0], [-0.3, 0.2]], dtype=complex)
+    g, rcond = resolvent(s_ss, r)
+    assert rcond[1] == 0.0 and not g[1].any()
+    for i in (0, 2):
+        assert rcond[i] >= RCOND_MIN
+        assert np.array_equal(g[i], coupling_resolvent(s_ss, r[i]))
+
+
+@pytest.mark.parametrize("bad", [1.01, np.nan])
+def test_loads_outside_the_unit_disk_are_rejected(bad):
+    blocks = extract_blocks(coupled_system(2, 2, 3, seed=23))
+    x = sample_random_illumination(2, substream(24))
+    r = np.array([0.2, bad, -0.4j], dtype=complex)
+    with pytest.raises(ValueError):
+        coupling_resolvent(blocks.s_ss, r)
+    with pytest.raises(ValueError):
+        end_to_end_channel(blocks, r)
+    with pytest.raises(ValueError):
+        closed_form_jacobian(blocks, r, x)
+    # measured coefficients a rounding step above 1 stay admissible
+    assert abs(PIN_OFF) > 1.0
+    closed_form_jacobian(blocks, np.full(3, PIN_OFF), x)
+
+
 def test_channel_zero_loads_is_direct_path():
     blocks = extract_blocks(coupled_system(3, 2, 5, seed=4))
     h = end_to_end_channel(blocks, np.zeros(5))
@@ -156,6 +195,13 @@ def test_jacobian_scalar_hand_derivative():
     hand = (0.45 + 0.2j) * (0.5 + 0.3j) / (1 - rs * (0.35 - 0.05j)) ** 2
     assert abs(jac.matrix[0, 0] - hand) < 1e-13
     assert jac.singular_values[0] == pytest.approx(abs(hand), rel=1e-13)
+
+
+def test_jacobian_spectrum_is_computed_on_first_use():
+    jac = Jacobian(np.array([[3.0, 0.0], [0.0, 4.0j]]))
+    assert "singular_values" not in vars(jac)
+    assert np.allclose(jac.singular_values, [4.0, 3.0], rtol=0, atol=1e-15)
+    assert jac.singular_values is jac.singular_values
 
 
 def test_jacobian_without_coupling_ignores_operating_point():
@@ -279,7 +325,3 @@ def test_passivity_validation():
     ScatteringSystem(n_total=3, matrix=(1 + 5e-10) * np.eye(3), tx_ports=(0,),
                      rx_ports=(1,), bs_ports=(2,))
 
-
-def test_jacobian_type_rejects_increasing_spectrum():
-    with pytest.raises(ValueError):
-        Jacobian(matrix=np.eye(2), singular_values=np.array([1.0, 2.0]))

@@ -138,23 +138,6 @@ def test_multistart_brackets_and_reproduces():
     assert abs(replay - top.best_objective) < 1e-12
 
 
-def test_fresh_noise_per_evaluation_smoke():
-    system = system_for(1, 2, 4, seed=38)
-    config = OptimizationConfig(
-        direction="MAX",
-        n_objective_samples=50,
-        n_starts=1,
-        max_iterations=30,
-        seed=39,
-        redraw_per_evaluation=True,
-    )
-    result = optimize_illumination(system, PIN, config)
-    assert np.isfinite(result.best_objective)
-    assert 1.0 - 1e-9 <= result.best_objective <= 2.0 + 1e-9
-    again = optimize_illumination(system, PIN, config)
-    assert result.best_objective == again.best_objective
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizationConfig(direction="UP")

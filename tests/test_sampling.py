@@ -8,8 +8,11 @@ import pytest
 
 from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
 from bsdof.errors import SingularityError, UnsupportedOperationError
-from bsdof.loads import LoadConstraint
+from bsdof.fd import ChannelMap, discrete_toggle_jacobian
+from bsdof.loads import LoadConstraint, sample_loads
+from bsdof.metrics import bs_eemdof_point, participation_from_singular_values
 from bsdof.sampling import (
+    CHUNK,
     DofDistribution,
     IlluminationPolicy,
     histogram,
@@ -20,7 +23,7 @@ from bsdof.sampling import (
     write_samples_csv,
     write_summary_json,
 )
-from bsdof.network import ScatteringSystem
+from bsdof.network import ScatteringSystem, extract_blocks
 from bsdof.streams import substream
 
 PIN = LoadConstraint.pin()
@@ -124,6 +127,44 @@ def test_thread_override_must_be_an_integer(monkeypatch):
     system = system_for(2, 2, 4, seed=8)
     with pytest.raises(ValueError):
         sample_distribution(system, IlluminationPolicy.rand(), PIN, 8, seed=0)
+
+
+def _scalar_reference(system, policy, constraint, seed, n, mode):
+    """M of every sample from its own substream draws through the SVD forms."""
+    blocks = extract_blocks(system)
+    channel = ChannelMap.from_blocks(blocks)
+    ref = np.empty(n)
+    for i in range(n):
+        gen = substream(seed, i)
+        r = sample_loads(constraint, blocks.n_bs, gen)
+        x = policy.fixed_x
+        if policy.kind == "RAND":
+            x = sample_random_illumination(blocks.n_tx, gen)
+        if mode == "model":
+            ref[i] = bs_eemdof_point(blocks, r, x).m
+        else:
+            jac = discrete_toggle_jacobian(channel, r, x, constraint)
+            ref[i] = participation_from_singular_values(jac.singular_values).m
+    return ref
+
+
+@pytest.mark.parametrize(
+    "mode, constraint",
+    [("model", PIN), ("model", LoadConstraint.uni()), ("toggle", PIN)],
+    ids=["model-PIN", "model-UNI", "toggle-PIN"],
+)
+@pytest.mark.parametrize("policy_kind", ["RAND", "FIXED"])
+def test_every_sample_equals_its_scalar_svd_reference(mode, constraint, policy_kind):
+    system = system_for(3, 4, 8, seed=41)
+    if policy_kind == "RAND":
+        policy = IlluminationPolicy.rand()
+    else:
+        policy = IlluminationPolicy.fixed(sample_random_illumination(3, substream(42)))
+    n = 2 * CHUNK + 37  # two full chunks and a partial one
+    dist = sample_distribution(system, policy, constraint, n, seed=43, mode=mode)
+    assert dist.redraw_count == 0
+    ref = _scalar_reference(system, policy, constraint, 43, n, mode)
+    assert np.allclose(dist.samples, ref, rtol=1e-12, atol=0.0)
 
 
 def test_toggle_mode_tracks_the_model_mode():
