@@ -24,8 +24,10 @@ from .metrics import benchmark_eemdof, column_space_residual
 from .network import (
     ScatteringSystem,
     closed_form_jacobian,
+    complex_to_pairs,
     extract_blocks,
     load_system,
+    pairs_to_complex,
     save_system,
 )
 from .optimize import OptimizationConfig, optimize_illumination
@@ -60,10 +62,6 @@ def _load_config(args, command: str) -> dict | None:
     return config
 
 
-def _constraint_from_config(payload: dict) -> LoadConstraint:
-    return LoadConstraint.from_dict(payload)
-
-
 def _constraint_from_args(args) -> dict:
     kind = args.constraint.upper()
     payload = {"kind": kind}
@@ -73,14 +71,6 @@ def _constraint_from_args(args) -> dict:
         payload["off"] = [float(p) for p in args.off.split(",")]
     LoadConstraint.from_dict(payload)  # validate early
     return payload
-
-
-def _complex_vector_to_pairs(x: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(x, dtype=complex)]
-
-
-def _pairs_to_complex_vector(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
 
 def _ports_arg(raw: str | None) -> list | None:
@@ -185,14 +175,14 @@ def _policy_from_config(config: dict, system: ScatteringSystem) -> IlluminationP
         x = sample_random_illumination(
             len(system.tx_ports), substream(config["seed"], 3, 0)
         )
-        config["fixed_x"] = _complex_vector_to_pairs(x)
+        config["fixed_x"] = complex_to_pairs(x)
         return IlluminationPolicy.fixed(x)
-    return IlluminationPolicy.fixed(_pairs_to_complex_vector(pairs))
+    return IlluminationPolicy.fixed(pairs_to_complex(pairs))
 
 
 def run_bs_dist(config: dict, out_dir: Path) -> int:
     system = load_system(config["system"])
-    constraint = _constraint_from_config(config["constraint"])
+    constraint = LoadConstraint.from_dict(config["constraint"])
     policy = _policy_from_config(config, system)
     started = time.perf_counter()
     dist = sample_distribution(
@@ -236,7 +226,7 @@ def cmd_bs_dist(args) -> int:
 
 def run_optimize_x(config: dict, out_dir: Path) -> int:
     system = load_system(config["system"])
-    constraint = _constraint_from_config(config["constraint"])
+    constraint = LoadConstraint.from_dict(config["constraint"])
     opt_config = OptimizationConfig(
         direction=config["direction"].upper(),
         n_objective_samples=config["n_objective_samples"],
@@ -252,7 +242,7 @@ def run_optimize_x(config: dict, out_dir: Path) -> int:
     _echo_config(config, out_dir)
     _write_json(
         {
-            "best_x": _complex_vector_to_pairs(result.best_x),
+            "best_x": complex_to_pairs(result.best_x),
             "best_objective": result.best_objective,
             "direction": opt_config.direction,
             "seed": opt_config.seed,
@@ -272,7 +262,7 @@ def run_optimize_x(config: dict, out_dir: Path) -> int:
         out_dir / "optimization.json",
     )
     _write_json(
-        _complex_vector_to_pairs(result.best_x), out_dir / "best_x.json"
+        complex_to_pairs(result.best_x), out_dir / "best_x.json"
     )
     # final distribution at the optimum, on a fresh seed
     final_seed = config["seed"] + 1

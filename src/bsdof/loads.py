@@ -8,6 +8,9 @@ Three families cover the practically relevant programmable loads:
 * UNI: continuous loads, magnitude uniform on [0, 1] and phase uniform on
   [0, 2*pi), drawn independently.
 
+validate_loads is the one admissibility check on load values (finite,
+|r| <= 1 + LOAD_MAG_TOL): constraint states pass it, and so does every solve.
+
 Sampling always takes an explicit stream (see streams.substream); nothing
 here touches global RNG state.
 """
@@ -32,6 +35,22 @@ PM_OFF = -1.0 + 0.0j
 _KINDS = ("PIN", "PM", "UNI")
 
 
+def validate_loads(r: np.ndarray, n_s: int | None = None) -> np.ndarray:
+    """Coerce and validate loads of shape (..., n_s).
+
+    Every magnitude must be at most 1 + LOAD_MAG_TOL.  The one comparison
+    of the largest magnitude also rejects NaN and inf.  Returns the coerced
+    complex array.
+    """
+    r = np.asarray(r, dtype=complex)
+    if r.ndim == 0 or (n_s is not None and r.shape[-1] != n_s):
+        raise ValueError(f"expected loads of shape (..., {n_s}), got {r.shape}")
+    top = np.abs(r).max()
+    if not top <= 1.0 + LOAD_MAG_TOL:
+        raise ValueError(f"load magnitudes must be finite and at most 1, largest is {top:.6g}")
+    return r
+
+
 @dataclass(frozen=True)
 class LoadConstraint:
     """A load family: two-state (PIN, PM) or continuous (UNI).
@@ -53,9 +72,7 @@ class LoadConstraint:
             return
         on = complex(self.on_value if self.on_value is not None else _DEFAULTS[self.kind][0])
         off = complex(self.off_value if self.off_value is not None else _DEFAULTS[self.kind][1])
-        for name, value in (("on_value", on), ("off_value", off)):
-            if abs(value) > 1.0 + LOAD_MAG_TOL:
-                raise ValueError(f"{name} magnitude {abs(value):.6g} exceeds 1")
+        validate_loads([on, off])
         if on == off:
             raise ValueError("on_value and off_value must differ")
         object.__setattr__(self, "on_value", on)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PartitionError, PassivityError, SingularityError
-from .loads import LOAD_MAG_TOL
+from .loads import validate_loads
 
 # Spectral-norm slack when validating passivity of a loaded matrix.
 PASSIVITY_TOL = 1e-9
@@ -40,22 +40,6 @@ RCOND_MIN = 1e-12
 
 # Unit-norm slack for illumination vectors.
 UNIT_NORM_TOL = 1e-12
-
-
-def validate_loads(r: np.ndarray, n_s: int | None = None) -> np.ndarray:
-    """Coerce and validate loads of shape (..., n_s).
-
-    Every magnitude must be at most 1 + LOAD_MAG_TOL.  The one comparison
-    of the largest magnitude also rejects NaN and inf.  Returns the coerced
-    complex array.
-    """
-    r = np.asarray(r, dtype=complex)
-    if r.ndim == 0 or (n_s is not None and r.shape[-1] != n_s):
-        raise ValueError(f"expected loads of shape (..., {n_s}), got {r.shape}")
-    top = np.abs(r).max()
-    if not top <= 1.0 + LOAD_MAG_TOL:
-        raise ValueError(f"load magnitudes must be finite and at most 1, largest is {top:.6g}")
-    return r
 
 
 def validate_illumination(x: np.ndarray, n_t: int | None = None) -> np.ndarray:
@@ -118,18 +102,6 @@ class ScatteringSystem:
         if norm > 1.0 + PASSIVITY_TOL:
             raise PassivityError(f"spectral norm {norm:.12g} exceeds 1 (not passive)")
         self.reference_impedance = float(self.reference_impedance)
-
-    @property
-    def n_tx(self) -> int:
-        return len(self.tx_ports)
-
-    @property
-    def n_rx(self) -> int:
-        return len(self.rx_ports)
-
-    @property
-    def n_bs(self) -> int:
-        return len(self.bs_ports)
 
 
 @dataclass
@@ -348,16 +320,25 @@ def woodbury_channel_update(
     return g_new, _channel_from_resolvent(blocks, g_new, r_new)
 
 
+def complex_to_pairs(z: np.ndarray) -> list:
+    """The JSON form of a complex vector: one [re, im] pair per entry."""
+    return [[float(v.real), float(v.imag)] for v in np.asarray(z, dtype=complex)]
+
+
+def pairs_to_complex(pairs) -> np.ndarray:
+    """Inverse of complex_to_pairs."""
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
 def system_to_dict(system: ScatteringSystem) -> dict:
     """JSON-ready dict; complex entries as [re, im] pairs, row-major."""
-    flat = system.matrix.ravel(order="C")
     return {
         "n_total": system.n_total,
         "tx_ports": list(system.tx_ports),
         "rx_ports": list(system.rx_ports),
         "bs_ports": list(system.bs_ports),
         "reference_impedance_ohms": system.reference_impedance,
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
+        "matrix": complex_to_pairs(system.matrix.ravel(order="C")),
     }
 
 
@@ -366,10 +347,9 @@ def system_from_dict(payload: dict) -> ScatteringSystem:
     entries = payload["matrix"]
     if len(entries) != n * n:
         raise ValueError(f"matrix has {len(entries)} entries, expected {n * n}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     return ScatteringSystem(
         n_total=n,
-        matrix=flat.reshape(n, n),
+        matrix=pairs_to_complex(entries).reshape(n, n),
         tx_ports=payload["tx_ports"],
         rx_ports=payload["rx_ports"],
         bs_ports=payload["bs_ports"],

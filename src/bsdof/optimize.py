@@ -16,18 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DegenerateInputError, OptimizationFailedError, SingularityError
+from .errors import DegenerateInputError, OptimizationFailedError
 from .loads import LoadConstraint, sample_loads
 from .metrics import participation_from_jacobians
 from .network import (
     RCOND_MIN,
     ScatteringSystem,
+    coupling_resolvent,
     extract_blocks,
     jacobian_factors,
     load_jacobian,
     resolvent,
 )
-from .sampling import MAX_REDRAWS_PER_SAMPLE, sample_random_illumination
+from .sampling import redraw_until_regular, sample_random_illumination
 from .streams import substream
 
 # Substream key namespaces under the optimization seed.
@@ -104,20 +105,21 @@ def sample_load_set(
     redrawn from their own stream at construction time, so downstream
     evaluation never trips on them.
     """
+
+    def draw(gen: np.random.Generator) -> np.ndarray:
+        return sample_loads(constraint, int(n_s), gen)
+
     gens = [substream(seed, _LOADSET_KEY, i) for i in range(int(n_members))]
-    members = np.array([sample_loads(constraint, int(n_s), gen) for gen in gens])
+    members = np.array([draw(gen) for gen in gens])
     if s_ss is None:
         return members
-    pending = np.arange(len(gens))
-    for _ in range(MAX_REDRAWS_PER_SAMPLE + 1):
-        pending = pending[resolvent(s_ss, members[pending])[1] < RCOND_MIN]
-        if pending.size == 0:
-            return members
-        for i in pending:
-            members[i] = sample_loads(constraint, int(n_s), gens[i])
-    raise SingularityError(
-        f"load-set member {pending[0]} kept drawing singular configurations"
-    )
+
+    def evaluate(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return r, resolvent(s_ss, r)[1] >= RCOND_MIN
+
+    for i in np.nonzero(~evaluate(members)[1])[0]:
+        members[i] = redraw_until_regular(gens[i], draw, evaluate, f"load-set member {i}")[0]
+    return members
 
 
 class _FrozenObjective:
@@ -130,7 +132,7 @@ class _FrozenObjective:
 
     def __init__(self, blocks, load_set: np.ndarray):
         r = np.asarray(load_set, dtype=complex)
-        g, _ = resolvent(blocks.s_ss, r)
+        g = coupling_resolvent(blocks.s_ss, r)
         self.rx_factor, self.incident = jacobian_factors(blocks, g, r)
 
     def __call__(self, x: np.ndarray) -> float:
@@ -141,7 +143,10 @@ class _FrozenObjective:
 def mean_dof_objective(
     system, x: np.ndarray, constraint: LoadConstraint, load_set: np.ndarray
 ) -> float:
-    """Mean DOF metric of illumination x over an explicit frozen load set."""
+    """Mean DOF metric of illumination x over an explicit frozen load set.
+
+    Raises SingularityError when any member's coupling resolvent is singular.
+    """
     blocks = extract_blocks(system) if isinstance(system, ScatteringSystem) else system
     x = np.asarray(x, dtype=complex)
     return _FrozenObjective(blocks, load_set)(x / np.linalg.norm(x))

@@ -104,6 +104,20 @@ def sample_random_illumination(n_t: int, stream: np.random.Generator) -> np.ndar
     return z / norm
 
 
+def redraw_until_regular(gen: np.random.Generator, draw, evaluate, label: str):
+    """Redraw from gen until evaluate accepts, at most MAX_REDRAWS_PER_SAMPLE times.
+
+    draw(gen) makes one draw; evaluate(drawn) returns (value, accepted).
+    Returns the accepted value and the number of redraws it took; raises
+    SingularityError when every redraw is singular.
+    """
+    for count in range(1, MAX_REDRAWS_PER_SAMPLE + 1):
+        value, accepted = evaluate(draw(gen))
+        if accepted:
+            return value, count
+    raise SingularityError(f"{label} still singular after {MAX_REDRAWS_PER_SAMPLE} redraws")
+
+
 def _worker_count(n_tasks: int) -> int:
     raw = os.environ.get("BSDOF_THREADS", "0")
     try:
@@ -186,6 +200,11 @@ def sample_distribution(
 
     values = np.empty(n_samples)
 
+    def evaluate(drawn: tuple[np.ndarray, np.ndarray]) -> tuple[float, bool]:
+        r, x = drawn
+        v, good = _chunk_m_values(blocks, r[None, :], x[None, :], mode, constraint)
+        return v[0], good[0]
+
     def run_span(start: int, stop: int) -> int:
         vals, ok = _chunk_m_values(blocks, r_all[start:stop], x_all[start:stop], mode, constraint)
         redraws = 0
@@ -194,27 +213,14 @@ def sample_distribution(
             # re-seed sample i's stream, pass its failed draw and continue it
             gen = substream(seed, i)
             draw(gen)
-            for _ in range(MAX_REDRAWS_PER_SAMPLE):
-                redraws += 1
-                r_i, x_i = draw(gen)
-                v, good = _chunk_m_values(blocks, r_i[None, :], x_i[None, :], mode, constraint)
-                if good[0]:
-                    vals[j] = v[0]
-                    break
-            else:
-                raise SingularityError(
-                    f"sample {i} still singular after {MAX_REDRAWS_PER_SAMPLE} redraws"
-                )
+            vals[j], count = redraw_until_regular(gen, draw, evaluate, f"sample {i}")
+            redraws += count
         values[start:stop] = vals
         return redraws
 
     spans = [(s, min(s + CHUNK, n_samples)) for s in range(0, n_samples, CHUNK)]
-    workers = _worker_count(len(spans))
-    if workers == 1:
-        redraw_count = sum(run_span(a, b) for a, b in spans)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            redraw_count = sum(pool.map(lambda ab: run_span(*ab), spans))
+    with ThreadPoolExecutor(max_workers=_worker_count(len(spans))) as pool:
+        redraw_count = sum(pool.map(lambda ab: run_span(*ab), spans))
 
     total_draws = n_samples + redraw_count
     if redraw_count > MAX_SINGULAR_FRACTION * total_draws:

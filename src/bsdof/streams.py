@@ -29,11 +29,9 @@ def standard_complex_gaussian(stream: np.random.Generator, shape) -> np.ndarray:
     evenly between the real and imaginary parts.  Consumes two uniform
     arrays per call: magnitudes first, then phases.
     """
-    shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
-    n = int(np.prod(shape)) if shape else 1
-    u_mag = stream.random(n)
-    u_phase = stream.random(n)
+    # a generator gives the same numbers for a shape as for its flat size
+    u_mag = stream.random(shape)
+    u_phase = stream.random(shape)
     # 1 - u_mag lies in (0, 1], so the log never sees zero.
     radius = np.sqrt(-np.log1p(-u_mag))
-    z = radius * np.exp(1j * TWO_PI * u_phase)
-    return z.reshape(shape)
+    return radius * np.exp(1j * TWO_PI * u_phase)

@@ -94,6 +94,18 @@ def test_custom_two_state_values():
         LoadConstraint.pin(on=0.5 + 0j, off=0.5 + 0j)
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), 1.01 + 0j], ids=str)
+def test_inadmissible_state_values_are_rejected(bad):
+    with pytest.raises(ValueError):
+        LoadConstraint.pin(on=bad)
+    with pytest.raises(ValueError):
+        LoadConstraint.from_dict({"kind": "PIN", "on": [bad.real, bad.imag]})
+    with pytest.raises(ValueError):
+        LoadConstraint("PM", off_value=bad)
+    # the default off state, a few 1e-6 above unit magnitude, stays admissible
+    assert LoadConstraint.pin(on=0.5 + 0j).off_value == PIN_OFF
+
+
 def test_dict_roundtrip():
     for constraint in (LoadConstraint.pin(), LoadConstraint.pm(), LoadConstraint.uni()):
         assert LoadConstraint.from_dict(constraint.to_dict()) == constraint

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bsdof.environment import EnvironmentSpec, synth_environment
-from bsdof.errors import DegenerateInputError
+from bsdof.errors import DegenerateInputError, SingularityError
 from bsdof.loads import LoadConstraint
 from bsdof.metrics import bs_eemdof_point
-from bsdof.network import extract_blocks
+from bsdof.network import ScatteringBlocks, extract_blocks
 from bsdof.optimize import (
     OptimizationConfig,
     embed,
@@ -99,6 +99,24 @@ def test_load_set_redraws_members_that_resonate():
     assert not np.any(np.all(members == 1.0 + 0.0j, axis=1))
     unguarded = sample_load_set(LoadConstraint.pm(), 8, 200, seed=33)
     assert np.any(np.all(unguarded == 1.0 + 0.0j, axis=1))
+
+
+def test_objective_rejects_a_singular_member():
+    # the all-ON member of the flat resonant coupling has rcond near 6e-14
+    u = np.ones(8) / np.sqrt(8.0)
+    gen = substream(38)
+    blocks = ScatteringBlocks(
+        s_rt=np.zeros((2, 1)),
+        s_rs=0.1 * gen.standard_normal((2, 8)),
+        s_ss=(1.0 - 1e-13) * np.outer(u, u.conj()),
+        s_st=0.1 * gen.standard_normal((8, 1)),
+    )
+    load_set = sample_load_set(LoadConstraint.pm(), 8, 4, seed=39, s_ss=blocks.s_ss)
+    x = np.array([1.0 + 0.0j])
+    assert np.isfinite(mean_dof_objective(blocks, x, LoadConstraint.pm(), load_set))
+    load_set[2] = 1.0
+    with pytest.raises(SingularityError):
+        mean_dof_objective(blocks, x, LoadConstraint.pm(), load_set)
 
 
 def test_single_input_problem_is_flat():

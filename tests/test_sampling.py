@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+import bsdof.sampling
 from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
 from bsdof.errors import SingularityError, UnsupportedOperationError
 from bsdof.fd import ChannelMap, discrete_toggle_jacobian
 from bsdof.loads import LoadConstraint, sample_loads
 from bsdof.metrics import bs_eemdof_point, participation_from_singular_values
+from bsdof.optimize import sample_load_set
 from bsdof.sampling import (
     CHUNK,
     DofDistribution,
@@ -23,7 +25,7 @@ from bsdof.sampling import (
     write_samples_csv,
     write_summary_json,
 )
-from bsdof.network import ScatteringSystem, extract_blocks
+from bsdof.network import ScatteringSystem, coupling_resolvent, extract_blocks
 from bsdof.streams import substream
 
 PIN = LoadConstraint.pin()
@@ -208,6 +210,58 @@ def test_singular_draws_are_redrawn_from_the_same_stream():
     again = sample_distribution(system, IlluminationPolicy.rand(), PM, 2000, seed=0)
     assert np.array_equal(dist.samples, again.samples)
     assert again.redraw_count == dist.redraw_count
+
+
+def flat_resonant_rank2_system():
+    """PM all-ON resonates, as in the flat resonant_system, but two receive
+    rows orthogonal to the coupling make M vary between samples."""
+    n = 11
+    u = np.ones(8) / math.sqrt(8.0)
+    rows = np.zeros((2, 8))
+    rows[0, :2] = rows[1, 2:4] = [1.0, -1.0]
+    matrix = np.zeros((n, n), dtype=complex)
+    tx, rx, bs = (0,), (1, 2), tuple(range(3, 11))
+    matrix[np.ix_(bs, tx)] = 0.25 * (rows[0] + rows[1])[:, None]
+    matrix[np.ix_(rx, bs)] = np.diag([0.3, 0.4]) @ rows / math.sqrt(2.0)
+    matrix[np.ix_(bs, bs)] = (1.0 - 1e-13) * np.outer(u, u)
+    return ScatteringSystem(n_total=n, matrix=matrix, tx_ports=tx, rx_ports=rx, bs_ports=bs)
+
+
+def test_redrawn_samples_continue_their_own_stream():
+    system = flat_resonant_rank2_system()
+    blocks = extract_blocks(system)
+    n = 2000
+    dist = sample_distribution(system, IlluminationPolicy.rand(), PM, n, seed=0)
+    assert dist.redraw_count > 0
+    ref = np.empty(n)
+    redrawn, redraws = [], 0
+    for i in range(n):
+        gen = substream(0, i)
+        for attempt in range(1000):
+            r = sample_loads(PM, blocks.n_bs, gen)
+            x = sample_random_illumination(blocks.n_tx, gen)
+            try:
+                coupling_resolvent(blocks.s_ss, r)
+                break
+            except SingularityError:
+                pass
+        if attempt:
+            redrawn.append(i)
+            redraws += attempt
+        ref[i] = bs_eemdof_point(blocks, r, x).m
+    assert redraws == dist.redraw_count
+    assert np.ptp(dist.samples[redrawn]) > 0.1
+    assert np.allclose(dist.samples, ref, rtol=1e-12, atol=0.0)
+
+
+def test_redraw_cap_is_shared_by_samples_and_load_sets(monkeypatch):
+    monkeypatch.setattr(bsdof.sampling, "MAX_REDRAWS_PER_SAMPLE", 0)
+    system = flat_resonant_rank2_system()
+    with pytest.raises(SingularityError, match="still singular after 0 redraws"):
+        sample_distribution(system, IlluminationPolicy.rand(), PM, 2000, seed=0)
+    s_ss = extract_blocks(system).s_ss
+    with pytest.raises(SingularityError, match="still singular after 0 redraws"):
+        sample_load_set(PM, 8, 200, seed=33, s_ss=s_ss)
 
 
 def test_mostly_singular_environment_is_rejected():
