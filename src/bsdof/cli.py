@@ -312,8 +312,8 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = 1e-6) -> dic
 
     Each trial draws port counts in {1..4}x{1..4}, a load count in {1..16},
     a scattering strength in {0.3, 0.6, 0.9}, continuous loads and a random
-    illumination, then compares the closed form against the forward
-    complex-step probe and measures the column-space residual.
+    illumination, then compares the closed form against the forward-difference
+    probe (fd.complex_step_jacobian) and measures the column-space residual.
     """
     fd_errors = np.empty(trials)
     residuals = np.empty(trials)
@@ -351,7 +351,7 @@ def run_validate_jacobian(config: dict, out_dir: Path | None) -> int:
         _echo_config(config, out_dir)
         _write_json(report, out_dir / "validation.json")
     print(
-        f"max closed-form vs complex-step relative error: "
+        f"max closed-form vs forward-difference relative error: "
         f"{report['max_fd_relative_error']:.3e} (tolerance {report['fd_tolerance']:.0e})"
     )
     print(

@@ -24,7 +24,7 @@ from .errors import OracleError, UnsupportedOperationError
 from .loads import LoadConstraint, toggle
 from .network import Jacobian, ScatteringBlocks, end_to_end_channel
 
-# Base relative step of the complex-step probe.
+# Base relative step of the forward-difference probe.
 DEFAULT_STEP = 1e-6
 
 

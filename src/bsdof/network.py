@@ -17,9 +17,12 @@ with W x the wave incident on the loads under illumination x.  Each of these
 formulas has one batched implementation over loads of shape (..., N_S):
 resolvent, jacobian_factors, incident_drive and load_jacobian.  The scalar
 APIs (coupling_resolvent, illumination_matrix, b_factor,
-closed_form_jacobian) are thin wrappers around them.  Single-load changes
-update G and H at O(N_S^2) cost through a rank-1 Sherman-Morrison step
-instead of a fresh O(N_S^3) factorization.
+closed_form_jacobian) are thin wrappers around them.  solved_factors gives
+the same factor pair from two LU solves without forming G, for callers that
+need no diagonal of G; rcond_floor is the passivity certificate that lets
+them skip the exact-rcond gate.  Single-load changes update G and H at
+O(N_S^2) cost through a rank-1 Sherman-Morrison step instead of a fresh
+O(N_S^3) factorization.
 """
 
 import json
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PartitionError, PassivityError, SingularityError
-from .loads import validate_loads
+from .loads import LOAD_MAG_TOL, validate_loads
 
 # Spectral-norm slack when validating passivity of a loaded matrix.
 PASSIVITY_TOL = 1e-9
@@ -173,6 +176,34 @@ def extract_blocks(system: ScatteringSystem) -> ScatteringBlocks:
     )
 
 
+def rcond_floor(s_ss: np.ndarray) -> float:
+    """Passivity certificate: a lower bound on the rcond of every admissible A.
+
+    With eta = ||S_SS||_2 and rho = 1 + LOAD_MAG_TOL, every admissible
+    configuration has sigma_min(I - diag(r) S_SS) >= 1 - rho*eta, so its
+    exact 1-norm rcond is at least (1 - rho*eta) / (n_s (1 + rho*eta)).
+    Returns 0 when rho*eta >= 1, where passivity alone proves nothing.
+    """
+    s_ss = np.asarray(s_ss, dtype=complex)
+    bound = (1.0 + LOAD_MAG_TOL) * float(np.linalg.norm(s_ss, 2))
+    if bound >= 1.0:
+        return 0.0
+    return (1.0 - bound) / (s_ss.shape[0] * (1.0 + bound))
+
+
+def _load_matrix(s_ss: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A = I - diag(r) S_SS for loads (..., n_s), without a dense identity.
+
+    Adding 1 through a strided view of the diagonal gives the entries of
+    eye - r S_SS at a fraction of the cost of broadcasting eye over a stack.
+    """
+    n_s = s_ss.shape[0]
+    # C order makes the flattening reshape a view, so the diagonal is written in place
+    a = np.multiply(-r[..., :, None], s_ss, order="C")
+    a.reshape(a.shape[:-2] + (n_s * n_s,))[..., :: n_s + 1] += 1.0
+    return a
+
+
 def resolvent(s_ss: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G(r) = (I - diag(r) S_SS)^-1 and its reciprocal condition number.
 
@@ -184,12 +215,9 @@ def resolvent(s_ss: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     s_ss = np.asarray(s_ss, dtype=complex)
     r = validate_loads(r, s_ss.shape[0])
-    eye = np.eye(s_ss.shape[0], dtype=complex)
-    a = eye - r[..., :, None] * s_ss
-    # numpy < 2 would read a 2-d right-hand side of a stacked solve as vectors
-    b = eye if a.ndim == 2 else np.broadcast_to(eye, a.shape)
+    a = _load_matrix(s_ss, r)
     try:
-        g = np.linalg.solve(a, b)
+        g = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         # numpy fails the whole stack for one singular matrix
         if a.ndim == 2:
@@ -210,6 +238,23 @@ def jacobian_factors(
     """
     w = blocks.s_ss @ (g * r[..., None, :]) @ blocks.s_st + blocks.s_st
     return blocks.s_rs @ g, w
+
+
+def solved_factors(blocks: ScatteringBlocks, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factor pair (S_RS G, W) of jacobian_factors, without forming G.
+
+    S_RS G = solve(A^T, S_RS^T)^T and W = S_SS solve(A, diag(r) S_ST) + S_ST
+    take two LU solves against n_r and n_t right-hand sides instead of the
+    dense inverse and an n_s^3 product.  No rcond is computed, so callers
+    either hold a passing rcond_floor certificate or gate r beforehand.
+    """
+    r = validate_loads(r, blocks.n_bs)
+    a = _load_matrix(blocks.s_ss, r)
+    # numpy < 2 would read a 2-d right-hand side of a stacked solve as vectors
+    rx_rhs = np.broadcast_to(blocks.s_rs.T, a.shape[:-2] + blocks.s_rs.T.shape)
+    rx_t = np.linalg.solve(a.swapaxes(-1, -2), rx_rhs)
+    drive = np.linalg.solve(a, r[..., :, None] * blocks.s_st)
+    return rx_t.swapaxes(-1, -2), blocks.s_ss @ drive + blocks.s_st
 
 
 def incident_drive(w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,11 @@ i's own stream.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
-which avoids one SVD per sample.
+which avoids one SVD per sample.  Model mode takes the Jacobian factors from
+network.solved_factors and never forms G; on a system whose passivity
+certificate (network.rcond_floor) reaches RCOND_MIN no draw can be singular,
+so the per-sample exact-rcond gate is skipped.  Toggle mode needs diag(S_SS G)
+and keeps the dense resolvent.
 """
 
 import json
@@ -29,7 +33,9 @@ from .network import (
     extract_blocks,
     jacobian_factors,
     load_jacobian,
+    rcond_floor,
     resolvent,
+    solved_factors,
     validate_illumination,
 )
 from .streams import standard_complex_gaussian, substream
@@ -137,24 +143,35 @@ def _chunk_m_values(
     x: np.ndarray,
     mode: str,
     constraint: LoadConstraint,
+    certified: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Participation numbers for a stack of draws.
 
     Returns (values, ok); ok is False where the coupling resolvent (or, in
     toggle mode, any toggled resolvent) is singular at the working
-    threshold.  Values at not-ok positions are meaningless.
+    threshold.  Values at not-ok positions are meaningless.  certified says
+    that rcond_floor(blocks.s_ss) >= RCOND_MIN, so model mode needs no gate;
+    otherwise rows that fail the gate are solved with zero loads (A = I), so
+    an exactly singular member cannot abort the stack.
     """
+    if mode == "model":
+        if certified:
+            ok = np.ones(r.shape[0], dtype=bool)
+        else:
+            ok = resolvent(blocks.s_ss, r)[1] >= RCOND_MIN
+            r = np.where(ok[:, None], r, 0.0)
+        jac = load_jacobian(*solved_factors(blocks, r), x)
+        return participation_from_jacobians(jac, ok), ok
     g, rcond = resolvent(blocks.s_ss, r)
     ok = rcond >= RCOND_MIN
     jac = load_jacobian(*jacobian_factors(blocks, g, r), x)
-    if mode == "toggle":
-        flipped = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value)
-        delta = flipped - r
-        t_diag = np.einsum("kj,cjk->ck", blocks.s_ss, g)
-        denom = 1.0 - delta * t_diag
-        ok &= np.abs(denom).min(axis=1) >= RCOND_MIN
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jac = jac * ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
+    flipped = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value)
+    delta = flipped - r
+    t_diag = np.einsum("kj,cjk->ck", blocks.s_ss, g)
+    denom = 1.0 - delta * t_diag
+    ok &= np.abs(denom).min(axis=1) >= RCOND_MIN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = jac * ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
     return participation_from_jacobians(jac, ok), ok
 
 
@@ -183,6 +200,7 @@ def sample_distribution(
         raise ValueError("n_samples must be at least 1")
     blocks = extract_blocks(system)
     n_s, n_t = blocks.n_bs, blocks.n_tx
+    certified = rcond_floor(blocks.s_ss) >= RCOND_MIN
     if policy.kind == "FIXED" and policy.fixed_x.size != n_t:
         raise ValueError(
             f"fixed_x has {policy.fixed_x.size} entries, system has {n_t} tx ports"
@@ -202,11 +220,13 @@ def sample_distribution(
 
     def evaluate(drawn: tuple[np.ndarray, np.ndarray]) -> tuple[float, bool]:
         r, x = drawn
-        v, good = _chunk_m_values(blocks, r[None, :], x[None, :], mode, constraint)
+        v, good = _chunk_m_values(blocks, r[None, :], x[None, :], mode, constraint, certified)
         return v[0], good[0]
 
     def run_span(start: int, stop: int) -> int:
-        vals, ok = _chunk_m_values(blocks, r_all[start:stop], x_all[start:stop], mode, constraint)
+        vals, ok = _chunk_m_values(
+            blocks, r_all[start:stop], x_all[start:stop], mode, constraint, certified
+        )
         redraws = 0
         for j in np.nonzero(~ok)[0]:
             i = start + int(j)

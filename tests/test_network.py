@@ -10,7 +10,7 @@ import pytest
 
 from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import PartitionError, PassivityError, SingularityError
-from bsdof.loads import PIN_OFF, LoadConstraint, sample_loads, toggle
+from bsdof.loads import LOAD_MAG_TOL, PIN_OFF, LoadConstraint, sample_loads, toggle
 from bsdof.network import (
     RCOND_MIN,
     Jacobian,
@@ -22,10 +22,13 @@ from bsdof.network import (
     end_to_end_channel,
     extract_blocks,
     illumination_matrix,
+    jacobian_factors,
     load_system,
     output_wavefront,
+    rcond_floor,
     resolvent,
     save_system,
+    solved_factors,
     system_from_dict,
     system_to_dict,
     woodbury_channel_update,
@@ -128,6 +131,79 @@ def test_loads_outside_the_unit_disk_are_rejected(bad):
     # measured coefficients a rounding step above 1 stay admissible
     assert abs(PIN_OFF) > 1.0
     closed_form_jacobian(blocks, np.full(3, PIN_OFF), x)
+
+
+RHO = 1.0 + LOAD_MAG_TOL
+
+
+def passive_coupling(n_s, eta, gen):
+    """A random S_SS with spectral norm exactly eta."""
+    s_ss = standard_complex_gaussian(gen, (n_s, n_s))
+    return eta * s_ss / np.linalg.norm(s_ss, 2)
+
+
+# |r| = RHO, less the ulps by which rounding a phase factor can overshoot it
+RIM = RHO * (1.0 - 1e-15)
+
+
+def admissible_loads(n_s, gen):
+    """Loads in the disk of radius RHO, a third of them on its rim."""
+    r = np.sqrt(gen.random(n_s)) * RIM * np.exp(2j * np.pi * gen.random(n_s))
+    rim = gen.random(n_s) < 1.0 / 3.0
+    r[rim] = RIM * np.exp(1j * np.angle(r[rim]))
+    return r
+
+
+@pytest.mark.parametrize("n_s", [1, 2, 5, 12])
+def test_passivity_certificate_bounds_rcond_and_toggle_denominators(n_s):
+    gen = substream(60, n_s)
+    for eta in (0.3, 0.9, 0.999, (1.0 - 1e-6) / RHO):
+        s_ss = passive_coupling(n_s, eta, gen)
+        floor = rcond_floor(s_ss)
+        assert floor == pytest.approx((1 - RHO * eta) / (n_s * (1 + RHO * eta)), rel=1e-12)
+        margin = (1 - RHO * eta) / (1 + RHO * eta)
+        for _ in range(20):
+            r = admissible_loads(n_s, gen)
+            g, rcond = resolvent(s_ss, r)
+            assert rcond >= floor
+            # every single-load flip to another admissible value
+            flipped = admissible_loads(n_s, gen)
+            t_diag = np.diag(s_ss @ g)
+            assert np.all(np.abs(1.0 - (flipped - r) * t_diag) >= margin)
+    # every load on the rim of a Hermitian rank-1 coupling: sigma_min(A) = 1 - RIM*eta
+    u = standard_complex_gaussian(gen, n_s)
+    s_ss = eta * np.outer(u, u.conj()) / np.vdot(u, u).real
+    r = np.full(n_s, RIM, dtype=complex)
+    assert np.linalg.svd(np.eye(n_s) - r[:, None] * s_ss, compute_uv=False)[-1] < 2e-6
+    assert resolvent(s_ss, r)[1] >= rcond_floor(s_ss) > 0.0
+
+
+def test_passivity_certificate_is_void_at_the_lossless_limit():
+    assert rcond_floor(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.0
+    assert rcond_floor(np.full((4, 4), 1.0 / (4.0 * RHO))) == 0.0
+    assert rcond_floor(np.zeros((3, 3))) == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_solved_factors_equal_the_resolvent_ones(stacked):
+    blocks = extract_blocks(coupled_system(3, 4, 7, seed=61))
+    gen = substream(62)
+    stack = np.array([sample_loads(LoadConstraint.uni(), 7, gen) for _ in range(5)])
+    r = stack if stacked else stack[0]
+    rx_factor, w = solved_factors(blocks, r)
+    g = resolvent(blocks.s_ss, r)[0]
+    rx_ref, w_ref = jacobian_factors(blocks, g, r)
+    assert rx_factor.shape == rx_ref.shape and w.shape == w_ref.shape
+    for idx in np.ndindex(r.shape[:-1]):
+        for got, ref in ((rx_factor[idx], rx_ref[idx]), (w[idx], w_ref[idx])):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("bad", [1.01, np.nan])
+def test_solved_factors_reject_inadmissible_loads(bad):
+    blocks = extract_blocks(coupled_system(2, 2, 3, seed=63))
+    with pytest.raises(ValueError):
+        solved_factors(blocks, np.array([[0.2, 0.1j, 0.0], [0.2, bad, -0.4j]]))
 
 
 def test_channel_zero_loads_is_direct_path():

@@ -7,7 +7,7 @@ from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import DegenerateInputError, SingularityError
 from bsdof.loads import LoadConstraint
 from bsdof.metrics import bs_eemdof_point
-from bsdof.network import ScatteringBlocks, extract_blocks
+from bsdof.network import RCOND_MIN, ScatteringBlocks, extract_blocks, rcond_floor
 from bsdof.optimize import (
     OptimizationConfig,
     embed,
@@ -117,6 +117,11 @@ def test_objective_rejects_a_singular_member():
     load_set[2] = 1.0
     with pytest.raises(SingularityError):
         mean_dof_objective(blocks, x, LoadConstraint.pm(), load_set)
+
+
+def test_flat_resonant_coupling_is_uncertified():
+    u = np.ones(8) / np.sqrt(8.0)
+    assert rcond_floor((1.0 - 1e-13) * np.outer(u, u.conj())) < RCOND_MIN
 
 
 def test_single_input_problem_is_flat():

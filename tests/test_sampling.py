@@ -17,6 +17,7 @@ from bsdof.sampling import (
     CHUNK,
     DofDistribution,
     IlluminationPolicy,
+    _chunk_m_values,
     histogram,
     sample_distribution,
     sample_random_illumination,
@@ -25,7 +26,14 @@ from bsdof.sampling import (
     write_samples_csv,
     write_summary_json,
 )
-from bsdof.network import ScatteringSystem, coupling_resolvent, extract_blocks
+from bsdof.network import (
+    RCOND_MIN,
+    ScatteringBlocks,
+    ScatteringSystem,
+    coupling_resolvent,
+    extract_blocks,
+    rcond_floor,
+)
 from bsdof.streams import substream
 
 PIN = LoadConstraint.pin()
@@ -262,6 +270,49 @@ def test_redraw_cap_is_shared_by_samples_and_load_sets(monkeypatch):
     s_ss = extract_blocks(system).s_ss
     with pytest.raises(SingularityError, match="still singular after 0 redraws"):
         sample_load_set(PM, 8, 200, seed=33, s_ss=s_ss)
+
+
+def test_resonant_fixtures_are_uncertified():
+    # the couplings of the redraw and rejection tests above and below
+    flat, e = np.ones(8) / math.sqrt(8.0), np.eye(8)
+    for system in (
+        resonant_system(flat, (e[0] - e[1]) / math.sqrt(2.0)),
+        resonant_system(e[0], e[1]),
+        flat_resonant_rank2_system(),
+    ):
+        assert rcond_floor(extract_blocks(system).s_ss) < RCOND_MIN
+
+
+def test_certified_model_mode_forms_no_inverse(monkeypatch):
+    system = system_for(3, 4, 16, seed=44, eta=0.9)
+    assert rcond_floor(extract_blocks(system).s_ss) >= RCOND_MIN
+    policy = IlluminationPolicy.rand()
+    reference = sample_distribution(system, policy, PIN, 300, seed=45)
+
+    def no_inverse(*args):
+        raise AssertionError("the dense resolvent was formed")
+
+    monkeypatch.setattr(bsdof.sampling, "resolvent", no_inverse)
+    dist = sample_distribution(system, policy, PIN, 300, seed=45)
+    assert np.array_equal(dist.samples, reference.samples)
+    with pytest.raises(AssertionError, match="dense resolvent"):
+        sample_distribution(system, policy, PIN, 300, seed=45, mode="toggle")
+
+
+def test_uncertified_model_stack_survives_an_exactly_singular_member():
+    gen = substream(46)
+    blocks = ScatteringBlocks(
+        s_rt=np.zeros((2, 1)),
+        s_rs=0.3 * gen.standard_normal((2, 2)),
+        s_ss=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        s_st=0.3 * gen.standard_normal((2, 1)),
+    )
+    r = np.array([[0.5, 0.5j], [1.0, 1.0], [-0.3, 0.2]], dtype=complex)
+    x = np.ones((3, 1), dtype=complex)
+    values, ok = _chunk_m_values(blocks, r, x, "model", PM, certified=False)
+    assert ok.tolist() == [True, False, True]
+    for i in (0, 2):
+        assert values[i] == pytest.approx(bs_eemdof_point(blocks, r[i], x[i]).m, rel=1e-12)
 
 
 def test_mostly_singular_environment_is_rejected():
