@@ -24,7 +24,6 @@ from .metrics import (
     benchmark_eemdof,
     bs_eemdof_point,
     column_space_residual,
-    conventional_eemdof,
     participation_from_singular_values,
     participation_number,
 )
@@ -32,14 +31,11 @@ from .network import (
     Jacobian,
     ScatteringBlocks,
     ScatteringSystem,
-    b_factor,
     closed_form_jacobian,
     coupling_resolvent,
     end_to_end_channel,
     extract_blocks,
-    illumination_matrix,
     load_system,
-    output_wavefront,
     save_system,
     woodbury_channel_update,
 )

@@ -12,13 +12,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .environment import EnvironmentSpec, synth_environment
 from .errors import BsdofError
-from .fd import ChannelMap, complex_step_jacobian
+from .fd import DEFAULT_STEP, ChannelMap, complex_step_jacobian
 from .loads import LoadConstraint, sample_loads
 from .metrics import benchmark_eemdof, column_space_residual
 from .network import (
@@ -32,6 +33,7 @@ from .network import (
 )
 from .optimize import OptimizationConfig, optimize_illumination
 from .sampling import (
+    HISTOGRAM_BINS,
     IlluminationPolicy,
     sample_distribution,
     sample_random_illumination,
@@ -51,14 +53,47 @@ def _echo_config(config: dict, out_dir: Path) -> None:
     _write_json(config, out_dir / "config.json")
 
 
-def _load_config(args, command: str) -> dict | None:
-    if getattr(args, "config", None) is None:
+# Parsed options that steer the run but are not part of its configuration.
+_NOT_CONFIG = ("out_dir", "config", "func", "on", "off")
+
+
+def _config_keys(args) -> list:
+    """The keys of the subcommand's config.json: its argparse dests, in parser order."""
+    return [key for key in vars(args) if key not in _NOT_CONFIG]
+
+
+def _load_config(args) -> dict | None:
+    if args.config is None:
         return None
     config = json.loads(Path(args.config).read_text())
-    if config.get("command") != command:
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {args.config} does not hold a JSON object")
+    if config.get("command") != args.command:
         raise ValueError(
-            f"config file is for {config.get('command')!r}, not {command!r}"
+            f"config file is for {config.get('command')!r}, not {args.command!r}"
         )
+    expected = set(_config_keys(args))
+    if set(config) != expected:
+        raise ValueError(
+            f"config file {args.config} is missing {sorted(expected - set(config))} "
+            f"and has unexpected {sorted(set(config) - expected)}"
+        )
+    return config
+
+
+def _config_from_args(args) -> dict:
+    """The run's configuration from its command line, in config.json key order."""
+    config = {key: getattr(args, key) for key in _config_keys(args)}
+    if "system" in config and config["system"] is None:
+        raise ValueError("--system is required when no --config is given")
+    if "constraint" in config:
+        config["constraint"] = _constraint_from_args(args)
+    for key in ("tx_ports", "rx_ports", "bs_ports"):
+        if key in config:
+            config[key] = _ports_arg(config[key])
+    if "fixed_x" in config:
+        path = config["fixed_x"]
+        config["fixed_x"] = json.loads(Path(path).read_text()) if path else None
     return config
 
 
@@ -103,20 +138,6 @@ def run_synth_env(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_synth_env(args) -> int:
-    config = _load_config(args, "synth-env") or {
-        "command": "synth-env",
-        "nt": args.nt,
-        "nr": args.nr,
-        "ns": args.ns,
-        "eta": args.eta,
-        "mc": args.mc,
-        "reciprocal": args.reciprocal,
-        "seed": args.seed,
-    }
-    return run_synth_env(config, Path(args.out_dir))
-
-
 # ---------------------------------------------------------------- benchmark
 
 
@@ -143,23 +164,6 @@ def run_benchmark(config: dict, out_dir: Path) -> int:
     )
     print(f"benchmark EEMDOF: {result.m:.6f} (cap {result.n_tilde})")
     return 0
-
-
-def _require_system(args) -> str:
-    if args.system is None:
-        raise ValueError("--system is required when no --config is given")
-    return args.system
-
-
-def cmd_benchmark(args) -> int:
-    config = _load_config(args, "benchmark") or {
-        "command": "benchmark",
-        "system": _require_system(args),
-        "tx_ports": _ports_arg(args.tx_ports),
-        "rx_ports": _ports_arg(args.rx_ports),
-        "bs_ports": _ports_arg(args.bs_ports),
-    }
-    return run_benchmark(config, Path(args.out_dir))
 
 
 # ------------------------------------------------------------------ bs-dist
@@ -206,36 +210,14 @@ def run_bs_dist(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_bs_dist(args) -> int:
-    config = _load_config(args, "bs-dist") or {
-        "command": "bs-dist",
-        "system": _require_system(args),
-        "constraint": _constraint_from_args(args),
-        "policy": args.policy,
-        "fixed_x": json.loads(Path(args.fixed_x).read_text()) if args.fixed_x else None,
-        "n": args.n,
-        "seed": args.seed,
-        "mode": args.mode,
-        "bins": args.bins,
-    }
-    return run_bs_dist(config, Path(args.out_dir))
-
-
 # --------------------------------------------------------------- optimize-x
 
 
 def run_optimize_x(config: dict, out_dir: Path) -> int:
     system = load_system(config["system"])
     constraint = LoadConstraint.from_dict(config["constraint"])
-    opt_config = OptimizationConfig(
-        direction=config["direction"].upper(),
-        n_objective_samples=config["n_objective_samples"],
-        n_starts=config["n_starts"],
-        max_iterations=config["max_iterations"],
-        x_tolerance=config["x_tolerance"],
-        f_tolerance=config["f_tolerance"],
-        seed=config["seed"],
-    )
+    search = {f.name: config[f.name] for f in fields(OptimizationConfig)}
+    opt_config = OptimizationConfig(**search | {"direction": search["direction"].upper()})
     started = time.perf_counter()
     result = optimize_illumination(system, constraint, opt_config)
     elapsed = time.perf_counter() - started
@@ -252,18 +234,12 @@ def run_optimize_x(config: dict, out_dir: Path) -> int:
             ],
             "objective_evaluations": result.objective_evaluations,
             "hyperparameters": {
-                "n_objective_samples": opt_config.n_objective_samples,
-                "n_starts": opt_config.n_starts,
-                "max_iterations": opt_config.max_iterations,
-                "x_tolerance": opt_config.x_tolerance,
-                "f_tolerance": opt_config.f_tolerance,
+                k: v for k, v in asdict(opt_config).items() if k not in ("direction", "seed")
             },
         },
         out_dir / "optimization.json",
     )
-    _write_json(
-        complex_to_pairs(result.best_x), out_dir / "best_x.json"
-    )
+    _write_json(complex_to_pairs(result.best_x), out_dir / "best_x.json")
     # final distribution at the optimum, on a fresh seed
     final_seed = config["seed"] + 1
     dist = sample_distribution(
@@ -286,28 +262,10 @@ def run_optimize_x(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_optimize_x(args) -> int:
-    config = _load_config(args, "optimize-x") or {
-        "command": "optimize-x",
-        "system": _require_system(args),
-        "constraint": _constraint_from_args(args),
-        "direction": args.direction,
-        "n_objective_samples": args.objective_samples,
-        "n_starts": args.starts,
-        "max_iterations": args.max_iterations,
-        "x_tolerance": args.x_tol,
-        "f_tolerance": args.f_tol,
-        "seed": args.seed,
-        "final_n": args.final_n,
-        "bins": args.bins,
-    }
-    return run_optimize_x(config, Path(args.out_dir))
-
-
 # --------------------------------------------------------- validate-jacobian
 
 
-def jacobian_validation_sweep(trials: int, seed: int, step: float = 1e-6) -> dict:
+def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP) -> dict:
     """Cross-validate the closed-form Jacobian on random passive systems.
 
     Each trial draws port counts in {1..4}x{1..4}, a load count in {1..16},
@@ -366,17 +324,6 @@ def run_validate_jacobian(config: dict, out_dir: Path | None) -> int:
     return 0 if passed else 1
 
 
-def cmd_validate_jacobian(args) -> int:
-    config = _load_config(args, "validate-jacobian") or {
-        "command": "validate-jacobian",
-        "trials": args.trials,
-        "seed": args.seed,
-        "step": args.step,
-    }
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    return run_validate_jacobian(config, out_dir)
-
-
 # ------------------------------------------------------------------- parser
 
 
@@ -387,6 +334,7 @@ def _add_constraint_args(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The bsdof parser; each option's dest is its key in config.json."""
     parser = argparse.ArgumentParser(
         prog="bsdof",
         description="Degrees-of-freedom analysis of load-modulated backscatter channels",
@@ -401,18 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", type=float, default=1.0)
     p.add_argument("--reciprocal", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_synth_env)
+    p.set_defaults(func=run_synth_env)
 
     p = sub.add_parser("benchmark", help="conventional EEMDOF benchmark of a system")
     p.add_argument("--system", required=False)
     p.add_argument("--tx-ports", default=None, help="comma-separated override")
     p.add_argument("--rx-ports", default=None, help="comma-separated override")
     p.add_argument("--bs-ports", default=None, help="comma-separated override")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_benchmark)
+    p.set_defaults(func=run_benchmark)
 
     p = sub.add_parser("bs-dist", help="Monte-Carlo distribution of the DOF metric")
     p.add_argument("--system", required=False)
@@ -422,34 +370,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("model", "toggle"), default="model")
-    p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--bins", type=int, default=HISTOGRAM_BINS)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_bs_dist)
+    p.set_defaults(func=run_bs_dist)
 
+    search = OptimizationConfig()
     p = sub.add_parser("optimize-x", help="optimize the illumination for mean DOF")
     p.add_argument("--system", required=False)
     _add_constraint_args(p)
-    p.add_argument("--direction", choices=("max", "min"), default="max")
-    p.add_argument("--objective-samples", type=int, default=1500)
-    p.add_argument("--starts", type=int, default=3)
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--x-tol", type=float, default=1e-6)
-    p.add_argument("--f-tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--direction", choices=("max", "min"), default=search.direction.lower())
+    p.add_argument(
+        "--objective-samples", dest="n_objective_samples", type=int,
+        default=search.n_objective_samples,
+    )
+    p.add_argument("--starts", dest="n_starts", type=int, default=search.n_starts)
+    p.add_argument("--max-iterations", type=int, default=search.max_iterations)
+    p.add_argument("--x-tol", dest="x_tolerance", type=float, default=search.x_tolerance)
+    p.add_argument("--f-tol", dest="f_tolerance", type=float, default=search.f_tolerance)
+    p.add_argument("--seed", type=int, default=search.seed)
     p.add_argument("--final-n", type=int, default=10000)
-    p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--bins", type=int, default=HISTOGRAM_BINS)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_optimize_x)
+    p.set_defaults(func=run_optimize_x)
 
     p = sub.add_parser("validate-jacobian", help="cross-check Jacobian oracles")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-6)
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--out-dir", type=Path, default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_validate_jacobian)
+    p.set_defaults(func=run_validate_jacobian)
 
     return parser
 
@@ -457,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args) or _config_from_args(args)
+        return args.func(config, args.out_dir)
     except (BsdofError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -78,11 +78,6 @@ def participation_from_jacobians(jac: np.ndarray, valid=True) -> np.ndarray:
         return trace * trace / fro2
 
 
-def conventional_eemdof(h: np.ndarray) -> ParticipationResult:
-    """DOF count of a fixed MIMO channel matrix."""
-    return participation_number(h)
-
-
 def benchmark_eemdof(blocks: ScatteringBlocks) -> ParticipationResult:
     """Upper-bound DOF benchmark: participation of the rx-by-bs coupling block.
 

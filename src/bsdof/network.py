@@ -16,8 +16,8 @@ closed form
 with W x the wave incident on the loads under illumination x.  Each of these
 formulas has one batched implementation over loads of shape (..., N_S):
 resolvent, jacobian_factors, incident_drive and load_jacobian.  The scalar
-APIs (coupling_resolvent, illumination_matrix, b_factor,
-closed_form_jacobian) are thin wrappers around them.  solved_factors gives
+APIs (coupling_resolvent, end_to_end_channel, closed_form_jacobian) are thin
+wrappers around them.  solved_factors gives
 the same factor pair from two LU solves without forming G, for callers that
 need no diagonal of G; rcond_floor is the passivity certificate that lets
 them skip the exact-rcond gate.  Single-load changes update G and H at
@@ -292,18 +292,6 @@ def end_to_end_channel(blocks: ScatteringBlocks, r: np.ndarray) -> np.ndarray:
     return _channel_from_resolvent(blocks, coupling_resolvent(blocks.s_ss, r), r)
 
 
-def output_wavefront(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = H x for a unit-norm illumination x."""
-    x = validate_illumination(x, n_t=np.asarray(h).shape[1])
-    return np.asarray(h, dtype=complex) @ x
-
-
-def illumination_matrix(blocks: ScatteringBlocks, r: np.ndarray) -> np.ndarray:
-    """W(r) = S_SS G(r) diag(r) S_ST + S_ST, the incident-wave map."""
-    r = np.asarray(r, dtype=complex)
-    return jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, r), r)[1]
-
-
 def closed_form_jacobian(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray) -> Jacobian:
     """Derivative of r -> H(r) x at r0: J = S_RS G(r0) diag(W(r0) x).
 
@@ -316,14 +304,6 @@ def closed_form_jacobian(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray
     x = validate_illumination(x, n_t=blocks.n_tx)
     g = coupling_resolvent(blocks.s_ss, r0)
     return Jacobian(load_jacobian(*jacobian_factors(blocks, g, r0), x))
-
-
-def b_factor(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The load-side factor B = G(r0) diag(W(r0) x), so that J = S_RS B."""
-    r0 = np.asarray(r0, dtype=complex)
-    x = validate_illumination(x, n_t=blocks.n_tx)
-    g = coupling_resolvent(blocks.s_ss, r0)
-    return g * incident_drive(jacobian_factors(blocks, g, r0)[1], x)[None, :]
 
 
 def woodbury_channel_update(

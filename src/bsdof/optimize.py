@@ -14,7 +14,6 @@ negated objective.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateInputError, OptimizationFailedError
 from .loads import LoadConstraint, sample_loads
@@ -163,6 +162,9 @@ def optimize_illumination(
     sphere-uniform from per-start substreams; the winner is the best final
     objective, ties going to the lowest start index.
     """
+    # scipy.optimize is most of the package's import time; only this search needs it
+    from scipy.optimize import minimize
+
     blocks = extract_blocks(system) if isinstance(system, ScatteringSystem) else system
     n_t = blocks.n_tx
     sign = -1.0 if config.direction == "MAX" else 1.0

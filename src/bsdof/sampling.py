@@ -50,6 +50,9 @@ MAX_REDRAWS_PER_SAMPLE = 1000
 # Fraction of singular draws above which the whole run is rejected.
 MAX_SINGULAR_FRACTION = 0.01
 
+# Bins of the histogram.csv written next to every distribution.
+HISTOGRAM_BINS = 64
+
 _MODES = ("model", "toggle")
 
 
@@ -273,7 +276,7 @@ def summarize(dist) -> tuple[float, float]:
     return float(samples.mean()), float(samples.std())
 
 
-def histogram(dist: DofDistribution, n_bins: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def histogram(dist: DofDistribution, n_bins: int = HISTOGRAM_BINS) -> tuple[np.ndarray, np.ndarray]:
     """Uniform-bin density histogram over [1, n_tilde].
 
     Returns (bin_centers, densities); the densities integrate to 1.  For
@@ -315,7 +318,7 @@ def write_summary_json(dist: DofDistribution, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def write_histogram_csv(dist: DofDistribution, path, n_bins: int = 64) -> None:
+def write_histogram_csv(dist: DofDistribution, path, n_bins: int = HISTOGRAM_BINS) -> None:
     centers, densities = histogram(dist, n_bins)
     lines = ["bin_center,density"]
     lines += [f"{float(c)!r},{float(d)!r}" for c, d in zip(centers, densities)]

@@ -246,3 +246,53 @@ def test_config_command_mismatch_exits_nonzero(tmp_path):
         ["bs-dist", "--config", str(out / "config.json"), "--out-dir", str(tmp_path / "d")]
     )
     assert rc == 1
+
+
+def test_config_keys_and_order_are_pinned(tmp_path):
+    """config.json holds each subcommand's options in parser order, no more and no less."""
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    runs = {
+        "synth-env": (
+            ["--nt", "1", "--nr", "1", "--ns", "2"],
+            ["command", "nt", "nr", "ns", "eta", "mc", "reciprocal", "seed"],
+        ),
+        "benchmark": (
+            ["--system", path],
+            ["command", "system", "tx_ports", "rx_ports", "bs_ports"],
+        ),
+        "bs-dist": (
+            ["--system", path, "--n", "20"],
+            ["command", "system", "constraint", "policy", "fixed_x", "n", "seed", "mode", "bins"],
+        ),
+        "optimize-x": (
+            ["--system", path, "--objective-samples", "10", "--starts", "1",
+             "--max-iterations", "5", "--final-n", "20"],
+            ["command", "system", "constraint", "direction", "n_objective_samples", "n_starts",
+             "max_iterations", "x_tolerance", "f_tolerance", "seed", "final_n", "bins"],
+        ),
+        "validate-jacobian": (
+            ["--trials", "1"],
+            ["command", "trials", "seed", "step"],
+        ),
+    }
+    for command, (flags, keys) in runs.items():
+        out = tmp_path / command
+        assert main([command, *flags, "--out-dir", str(out)]) == 0
+        assert list(read_json(out / "config.json")) == keys, command
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {"command": "validate-jacobian", "trials": 1, "step": 1e-6},
+        {"command": "validate-jacobian", "trials": 1, "seed": 0, "step": 1e-6, "bins": 8},
+    ],
+    ids=["not-an-object", "missing-key", "unexpected-key"],
+)
+def test_malformed_config_exits_nonzero(tmp_path, capsys, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["validate-jacobian", "--config", str(path), "--out-dir", str(tmp_path / "v")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -11,7 +11,6 @@ from bsdof.metrics import (
     benchmark_eemdof,
     bs_eemdof_point,
     column_space_residual,
-    conventional_eemdof,
     participation_from_singular_values,
     participation_number,
 )
@@ -86,16 +85,16 @@ def test_zero_input_is_an_error():
 
 
 def test_conventional_eemdof_matches_eigenvalue_oracle():
-    assert conventional_eemdof(np.eye(4)).m == 4.0
+    assert participation_number(np.eye(4)).m == 4.0
 
     one_row = np.zeros((3, 4), dtype=complex)
     one_row[1] = standard_complex_gaussian(substream(34), 4)
-    assert abs(conventional_eemdof(one_row).m - 1.0) < 1e-12
+    assert abs(participation_number(one_row).m - 1.0) < 1e-12
 
     h = standard_complex_gaussian(substream(35), (4, 3))
     lam = np.clip(np.linalg.eigvalsh(h.conj().T @ h), 0.0, None)
     m_oracle = lam.sum() ** 2 / (lam @ lam)
-    assert abs(conventional_eemdof(h).m - m_oracle) < 1e-12
+    assert abs(participation_number(h).m - m_oracle) < 1e-12
 
 
 def test_benchmark_eemdof_uses_receive_coupling_block():

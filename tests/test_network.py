@@ -16,15 +16,13 @@ from bsdof.network import (
     Jacobian,
     ScatteringBlocks,
     ScatteringSystem,
-    b_factor,
     closed_form_jacobian,
     coupling_resolvent,
     end_to_end_channel,
     extract_blocks,
-    illumination_matrix,
+    incident_drive,
     jacobian_factors,
     load_system,
-    output_wavefront,
     rcond_floor,
     resolvent,
     save_system,
@@ -35,6 +33,17 @@ from bsdof.network import (
 )
 from bsdof.sampling import sample_random_illumination
 from bsdof.streams import standard_complex_gaussian, substream
+
+
+def incident_map(blocks, r):
+    """W(r) from the scalar resolvent and the factor kernel."""
+    return jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, r), r)[1]
+
+
+def load_factor(blocks, r0, x):
+    """B = G(r0) diag(W(r0) x), the load-side factor of J = S_RS B."""
+    g = coupling_resolvent(blocks.s_ss, r0)
+    return g * incident_drive(jacobian_factors(blocks, g, r0)[1], x)[None, :]
 
 
 def coupled_system(n_t, n_r, n_s, seed, eta=0.9):
@@ -234,17 +243,17 @@ def test_channel_no_coupling_reduces_to_single_bounce():
 def test_output_wavefront():
     x = np.zeros(4, dtype=complex)
     x[0] = 1.0
-    assert np.array_equal(output_wavefront(np.eye(4), x), x)
-    assert np.array_equal(output_wavefront(np.zeros((3, 4)), x), np.zeros(3))
+    assert np.array_equal(incident_drive(np.eye(4), x), x)
+    assert np.array_equal(incident_drive(np.zeros((3, 4)), x), np.zeros(3))
 
     h = standard_complex_gaussian(substream(12), (4, 3))
     xu = sample_random_illumination(3, substream(13))
-    y = output_wavefront(h, xu)
+    y = incident_drive(h, xu)
     brute = [sum(h[i, j] * xu[j] for j in range(3)) for i in range(4)]
     assert np.allclose(y, brute, rtol=0, atol=1e-13)
 
     with pytest.raises(ValueError):
-        output_wavefront(h, sample_random_illumination(2, substream(14)))
+        incident_drive(h, sample_random_illumination(2, substream(14)))
 
 
 def test_illumination_matrix_trivial_limits_and_scalar_form():
@@ -253,12 +262,12 @@ def test_illumination_matrix_trivial_limits_and_scalar_form():
         s_rt=blocks.s_rt, s_rs=blocks.s_rs, s_ss=np.zeros((4, 4)), s_st=blocks.s_st
     )
     r = sample_loads(LoadConstraint.uni(), 4, substream(10))
-    assert np.array_equal(illumination_matrix(no_mc, r), blocks.s_st)
-    assert np.array_equal(illumination_matrix(blocks, np.zeros(4)), blocks.s_st)
+    assert np.array_equal(incident_map(no_mc, r), blocks.s_st)
+    assert np.array_equal(incident_map(blocks, np.zeros(4)), blocks.s_st)
 
     rs = 0.7 * np.exp(-1.1j)
     sb = scalar_blocks(0.0, 0.5, 0.25 - 0.15j, 0.6 + 0.1j)
-    w = illumination_matrix(sb, np.array([rs]))
+    w = incident_map(sb, np.array([rs]))
     hand = (0.25 - 0.15j) * rs * (0.6 + 0.1j) / (1 - rs * (0.25 - 0.15j)) + (0.6 + 0.1j)
     assert abs(w[0, 0] - hand) < 1e-14
 
@@ -303,7 +312,7 @@ def test_b_factor_reconstructs_jacobian():
     r0 = sample_loads(LoadConstraint.uni(), 9, substream(18))
     x = sample_random_illumination(3, substream(19))
     jac = closed_form_jacobian(blocks, r0, x)
-    b = b_factor(blocks, r0, x)
+    b = load_factor(blocks, r0, x)
     rel = np.linalg.norm(blocks.s_rs @ b - jac.matrix) / np.linalg.norm(jac.matrix)
     assert rel < 1e-12
 
@@ -315,12 +324,12 @@ def test_b_factor_limits():
     )
     x = np.array([1.0, 0.0], dtype=complex)  # single-port excitation
     r0 = sample_loads(LoadConstraint.uni(), 4, substream(20))
-    assert np.array_equal(b_factor(no_mc, r0, x), np.diag(no_mc.s_st @ x))
+    assert np.array_equal(load_factor(no_mc, r0, x), np.diag(no_mc.s_st @ x))
 
     # coupled case: columns of B scale with the incident wave entries
-    b = b_factor(blocks, r0, x)
+    b = load_factor(blocks, r0, x)
     g = coupling_resolvent(blocks.s_ss, r0)
-    wx = illumination_matrix(blocks, r0) @ x
+    wx = incident_map(blocks, r0) @ x
     for i in range(4):
         assert np.allclose(b[:, i], g[:, i] * wx[i], rtol=0, atol=1e-14)
 
