@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,9 @@ def _echo_config(config: dict, out_dir: Path) -> None:
 # Parsed options that steer the run but are not part of its configuration.
 _NOT_CONFIG = ("out_dir", "config", "func", "on", "off")
 
+# Config keys whose replayed values are checked by their own validators.
+_OWN_VALIDATORS = ("system", "constraint", "tx_ports", "rx_ports", "bs_ports", "fixed_x")
+
 
 def _config_keys(args) -> list:
     """The keys of the subcommand's config.json: its argparse dests, in parser order."""
@@ -78,7 +81,22 @@ def _load_config(args) -> dict | None:
             f"config file {args.config} is missing {sorted(expected - set(config))} "
             f"and has unexpected {sorted(set(config) - expected)}"
         )
+    _check_values(config, args.command)
     return config
+
+
+def _check_values(config: dict, command: str) -> None:
+    """Reject replayed values that the subcommand's argparse actions could not parse to."""
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    for action in commands[command]._actions:
+        if action.dest not in config or action.dest in _OWN_VALIDATORS:
+            continue
+        value, kind = config[action.dest], bool if action.nargs == 0 else action.type or str
+        number = kind is float and isinstance(value, int)
+        if isinstance(value, bool) != (kind is bool) or not (isinstance(value, kind) or number):
+            raise ValueError(f"config {action.dest}={value!r} is not a {kind.__name__}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config {action.dest}={value!r} is not in {list(action.choices)}")
 
 
 def _config_from_args(args) -> dict:
@@ -144,13 +162,11 @@ def run_synth_env(config: dict, out_dir: Path) -> int:
 def run_benchmark(config: dict, out_dir: Path) -> int:
     system = load_system(config["system"])
     if any(config.get(k) for k in ("tx_ports", "rx_ports", "bs_ports")):
-        system = ScatteringSystem(
-            n_total=system.n_total,
-            matrix=system.matrix,
+        system = replace(
+            system,
             tx_ports=config.get("tx_ports") or system.tx_ports,
             rx_ports=config.get("rx_ports") or system.rx_ports,
             bs_ports=config.get("bs_ports") or system.bs_ports,
-            reference_impedance=system.reference_impedance,
         )
     result = benchmark_eemdof(extract_blocks(system))
     _echo_config(config, out_dir)
@@ -329,8 +345,8 @@ def run_validate_jacobian(config: dict, out_dir: Path | None) -> int:
 
 def _add_constraint_args(sub) -> None:
     sub.add_argument("--constraint", choices=("pin", "pm", "uni"), default="pin")
-    sub.add_argument("--on", help="custom on value as re,im", default=None)
-    sub.add_argument("--off", help="custom off value as re,im", default=None)
+    sub.add_argument("--on", help="custom on value as re,im; write --on=re,im if re < 0")
+    sub.add_argument("--off", help="custom off value as re,im; write --off=re,im if re < 0")
 
 
 def build_parser() -> argparse.ArgumentParser:

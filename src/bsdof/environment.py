@@ -86,14 +86,7 @@ def zero_mc(system: ScatteringSystem) -> ScatteringSystem:
     """
     matrix = system.matrix.copy()
     matrix[np.ix_(list(system.bs_ports), list(system.bs_ports))] = 0.0
-    return ScatteringSystem(
-        n_total=system.n_total,
-        matrix=matrix,
-        tx_ports=system.tx_ports,
-        rx_ports=system.rx_ports,
-        bs_ports=system.bs_ports,
-        reference_impedance=system.reference_impedance,
-    )
+    return replace(system, matrix=matrix)
 
 
 def environment_ladder(base_spec: EnvironmentSpec, strengths) -> list[ScatteringSystem]:

@@ -1,18 +1,18 @@
 """Finite-difference Jacobian probes of a channel-prediction map.
 
-These operate on an opaque map r -> H(r), however obtained (closed-form
-model, solver, or measurement playback), and serve as the independent
-cross-check of the closed-form Jacobian:
+These probe an opaque map, however obtained (closed-form model, solver or
+measurement playback), one entry of the base point per column, and serve as
+the independent cross-check of the closed-form Jacobian:
 
 * complex_step_jacobian: forward difference along each complex load
   coordinate.  The map is holomorphic in r, so a plain one-sided step has
   O(step) truncation error and no conjugate terms to cancel.
 * discrete_toggle_jacobian: exact secant across a two-state load flip,
   expressed per unit control step or per unit reflection-coefficient step.
+* linear_map_fd_jacobian: forward difference of a fixed channel x -> H x.
 
-The default differencing is the toggle form when loads are two-state
-hardware (experimental mode) and the closed form when a network model is
-available (model mode); samplers expose that choice as a mode flag.
+Samplers differentiate by toggles when loads are two-state hardware
+(experimental mode) and in closed form when a network model is available.
 """
 
 from dataclasses import dataclass
@@ -33,28 +33,32 @@ class ChannelMap:
     """A pure evaluator from a load configuration to an n_r-by-n_t channel."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    n_s: int
-    n_t: int
-    n_r: int
 
     @classmethod
     def from_blocks(cls, blocks: ScatteringBlocks) -> "ChannelMap":
-        return cls(
-            evaluator=lambda r: end_to_end_channel(blocks, r),
-            n_s=blocks.n_bs,
-            n_t=blocks.n_tx,
-            n_r=blocks.n_rx,
-        )
+        return cls(lambda r: end_to_end_channel(blocks, r))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(r), dtype=complex)
 
 
-def _evaluate(channel_map: ChannelMap, r: np.ndarray, where: str) -> np.ndarray:
+def _evaluate(f: Callable, v: np.ndarray, where: str) -> np.ndarray:
     try:
-        return channel_map(r)
+        return f(v)
     except Exception as exc:
         raise OracleError(f"channel map failed at {where}: {exc}") from exc
+
+
+def _secant_jacobian(f: Callable, v0: np.ndarray, probe: Callable, what: str) -> Jacobian:
+    """Column i is (f(v0 with entry i set to value) - f(v0)) / divisor, where
+    (value, divisor) = probe(i); a failing f raises OracleError naming where."""
+    y0 = _evaluate(f, v0, "base point")
+    jac = np.empty((y0.size, v0.size), dtype=complex)
+    for i in range(v0.size):
+        v = v0.copy()
+        v[i], divisor = probe(i)
+        jac[:, i] = (_evaluate(f, v, f"{what} column {i}") - y0) / divisor
+    return Jacobian(jac)
 
 
 def complex_step_jacobian(
@@ -70,19 +74,13 @@ def complex_step_jacobian(
     probed no more timidly than ones near zero.  Truncation error is
     O(step); halving the step halves the error.
     """
-    r0 = np.asarray(r0, dtype=complex)
-    x = np.asarray(x, dtype=complex)
     if step <= 0:
         raise ValueError("step must be positive")
-    y0 = _evaluate(channel_map, r0, "base point") @ x
-    jac = np.empty((channel_map.n_r, channel_map.n_s), dtype=complex)
-    for i in range(channel_map.n_s):
-        h = step * (1.0 + abs(r0[i]))
-        r_probe = r0.copy()
-        r_probe[i] += h
-        y = _evaluate(channel_map, r_probe, f"perturbed column {i}") @ x
-        jac[:, i] = (y - y0) / h
-    return Jacobian(jac)
+    r0 = np.asarray(r0, dtype=complex)
+    h = step * (1.0 + np.hypot(r0.real, r0.imag))  # np.abs on an array can be an ulp off
+    return _secant_jacobian(
+        lambda r: channel_map(r) @ x, r0, lambda i: (r0[i] + h[i], h[i]), "perturbed"
+    )
 
 
 def discrete_toggle_jacobian(
@@ -105,18 +103,13 @@ def discrete_toggle_jacobian(
     if wrt not in ("controls", "reflection"):
         raise ValueError(f"wrt must be 'controls' or 'reflection', got {wrt!r}")
     r0 = np.asarray(r0, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    y0 = _evaluate(channel_map, r0, "base point") @ x
-    jac = np.empty((channel_map.n_r, channel_map.n_s), dtype=complex)
-    for i in range(channel_map.n_s):
-        r_flip = toggle(r0, i, constraint)
-        y = _evaluate(channel_map, r_flip, f"toggled column {i}") @ x
-        if wrt == "controls":
-            denom = 1.0 if r0[i] == constraint.off_value else -1.0
-        else:
-            denom = r_flip[i] - r0[i]
-        jac[:, i] = (y - y0) / denom
-    return Jacobian(jac)
+
+    def flip(i: int) -> tuple:
+        other = toggle(r0, i, constraint)[i]
+        sign = 1.0 if r0[i] == constraint.off_value else -1.0
+        return other, sign if wrt == "controls" else other - r0[i]
+
+    return _secant_jacobian(lambda r: channel_map(r) @ x, r0, flip, "toggled")
 
 
 def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray, step: float = 1e-2) -> np.ndarray:
@@ -128,10 +121,4 @@ def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray, step: float = 1e-2) ->
     """
     h = np.asarray(h, dtype=complex)
     x0 = np.asarray(x0, dtype=complex)
-    y0 = h @ x0
-    jac = np.empty_like(h)
-    for i in range(h.shape[1]):
-        x_probe = x0.copy()
-        x_probe[i] += step
-        jac[:, i] = (h @ x_probe - y0) / step
-    return jac
+    return _secant_jacobian(lambda x: h @ x, x0, lambda i: (x0[i] + step, step), "probed").matrix

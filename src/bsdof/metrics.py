@@ -35,13 +35,13 @@ class ParticipationResult:
     n_tilde: int
 
 
-def participation_from_singular_values(sigma, n_tilde: int | None = None) -> ParticipationResult:
+def participation_from_singular_values(sigma) -> ParticipationResult:
     """Participation number of an explicit singular spectrum.
 
     Tiny singular values are kept: they contribute negligibly to both sums
     and truncating them would bias M.  The spectrum is normalized by its
     largest value first, which makes the ratio scale-invariant and immune to
-    overflow.
+    overflow.  N~ is the spectrum's length, min(rows, cols) of its matrix.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if np.any(sigma < 0):
@@ -51,16 +51,14 @@ def participation_from_singular_values(sigma, n_tilde: int | None = None) -> Par
         raise DegenerateInputError("all singular values are zero; participation undefined")
     s2 = (sigma / top) ** 2
     m = float(s2.sum() ** 2 / (s2 @ s2))
-    if n_tilde is None:
-        n_tilde = sigma.size
-    return ParticipationResult(m=m, singular_values=sigma, n_tilde=int(n_tilde))
+    return ParticipationResult(m=m, singular_values=sigma, n_tilde=sigma.size)
 
 
 def participation_number(matrix: np.ndarray) -> ParticipationResult:
     """Participation number of a matrix via its full SVD."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
     sigma = np.linalg.svd(matrix, compute_uv=False)
-    return participation_from_singular_values(sigma, n_tilde=min(matrix.shape))
+    return participation_from_singular_values(sigma)
 
 
 def participation_from_jacobians(jac: np.ndarray, valid=True) -> np.ndarray:
@@ -89,10 +87,7 @@ def benchmark_eemdof(blocks: ScatteringBlocks) -> ParticipationResult:
 
 def bs_eemdof_point(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray) -> ParticipationResult:
     """Backscatter DOF count at one operating point (r0, x)."""
-    jac = closed_form_jacobian(blocks, r0, x)
-    return participation_from_singular_values(
-        jac.singular_values, n_tilde=min(jac.matrix.shape)
-    )
+    return participation_from_singular_values(closed_form_jacobian(blocks, r0, x).singular_values)
 
 
 def column_space_residual(jac, s_rs: np.ndarray) -> float:

@@ -341,7 +341,9 @@ def woodbury_channel_update(
             f"rank-1 update denominator {abs(denom):.3e} below {RCOND_MIN:.0e}",
             rcond=abs(denom),
         )
-    g_new = g + (delta / denom) * np.outer(g[:, k], t_row)
+    # one n_s^2 temporary: scale the column, not the outer product
+    g_new = np.outer((delta / denom) * g[:, k], t_row)
+    g_new += g
     return g_new, _channel_from_resolvent(blocks, g_new, r_new)
 
 

@@ -108,8 +108,7 @@ def sample_load_set(
     def draw(gen: np.random.Generator) -> np.ndarray:
         return sample_loads(constraint, int(n_s), gen)
 
-    gens = [substream(seed, _LOADSET_KEY, i) for i in range(int(n_members))]
-    members = np.array([draw(gen) for gen in gens])
+    members = np.array([draw(substream(seed, _LOADSET_KEY, i)) for i in range(int(n_members))])
     if s_ss is None:
         return members
 
@@ -117,7 +116,8 @@ def sample_load_set(
         return r, resolvent(s_ss, r)[1] >= RCOND_MIN
 
     for i in np.nonzero(~evaluate(members)[1])[0]:
-        members[i] = redraw_until_regular(gens[i], draw, evaluate, f"load-set member {i}")[0]
+        key = (seed, _LOADSET_KEY, i)
+        members[i] = redraw_until_regular(key, draw, evaluate, f"load-set member {i}")[0]
     return members
 
 

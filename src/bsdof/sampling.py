@@ -9,11 +9,10 @@ i's own stream.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
-which avoids one SVD per sample.  Model mode takes the Jacobian factors from
-network.solved_factors and never forms G; on a system whose passivity
-certificate (network.rcond_floor) reaches RCOND_MIN no draw can be singular,
-so the per-sample exact-rcond gate is skipped.  Toggle mode needs diag(S_SS G)
-and keeps the dense resolvent.
+which avoids one SVD per sample.  On a system whose passivity certificate
+(network.rcond_floor) reaches RCOND_MIN model mode needs no rcond gate and
+takes its factors from network.solved_factors without forming G.  Every
+other stack forms G once: its rcond is the gate, and toggle mode reads G too.
 """
 
 import json
@@ -113,13 +112,15 @@ def sample_random_illumination(n_t: int, stream: np.random.Generator) -> np.ndar
     return z / norm
 
 
-def redraw_until_regular(gen: np.random.Generator, draw, evaluate, label: str):
-    """Redraw from gen until evaluate accepts, at most MAX_REDRAWS_PER_SAMPLE times.
+def redraw_until_regular(key: tuple, draw, evaluate, label: str):
+    """Re-seed substream(*key), pass its rejected first draw, then redraw until accepted.
 
     draw(gen) makes one draw; evaluate(drawn) returns (value, accepted).
     Returns the accepted value and the number of redraws it took; raises
-    SingularityError when every redraw is singular.
+    SingularityError when all MAX_REDRAWS_PER_SAMPLE redraws are singular.
     """
+    gen = substream(*key)
+    draw(gen)
     for count in range(1, MAX_REDRAWS_PER_SAMPLE + 1):
         value, accepted = evaluate(draw(gen))
         if accepted:
@@ -153,28 +154,24 @@ def _chunk_m_values(
     Returns (values, ok); ok is False where the coupling resolvent (or, in
     toggle mode, any toggled resolvent) is singular at the working
     threshold.  Values at not-ok positions are meaningless.  certified says
-    that rcond_floor(blocks.s_ss) >= RCOND_MIN, so model mode needs no gate;
-    otherwise rows that fail the gate are solved with zero loads (A = I), so
-    an exactly singular member cannot abort the stack.
+    that rcond_floor(blocks.s_ss) >= RCOND_MIN, so model mode needs no gate
+    and never forms G.  Every other stack forms G once for the gate and the
+    factors; an exactly singular member gets a zero G and cannot abort it.
     """
-    if mode == "model":
-        if certified:
-            ok = np.ones(r.shape[0], dtype=bool)
-        else:
-            ok = resolvent(blocks.s_ss, r)[1] >= RCOND_MIN
-            r = np.where(ok[:, None], r, 0.0)
+    if mode == "model" and certified:
         jac = load_jacobian(*solved_factors(blocks, r), x)
-        return participation_from_jacobians(jac, ok), ok
+        return participation_from_jacobians(jac), np.ones(r.shape[0], dtype=bool)
     g, rcond = resolvent(blocks.s_ss, r)
     ok = rcond >= RCOND_MIN
     jac = load_jacobian(*jacobian_factors(blocks, g, r), x)
-    flipped = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value)
-    delta = flipped - r
-    t_diag = np.einsum("kj,cjk->ck", blocks.s_ss, g)
-    denom = 1.0 - delta * t_diag
-    ok &= np.abs(denom).min(axis=1) >= RCOND_MIN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jac = jac * ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
+    if mode == "toggle":
+        flipped = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value)
+        delta = flipped - r
+        t_diag = np.einsum("kj,cjk->ck", blocks.s_ss, g)
+        denom = 1.0 - delta * t_diag
+        ok &= np.abs(denom).min(axis=1) >= RCOND_MIN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jac = jac * ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
     return participation_from_jacobians(jac, ok), ok
 
 
@@ -233,10 +230,7 @@ def sample_distribution(
         redraws = 0
         for j in np.nonzero(~ok)[0]:
             i = start + int(j)
-            # re-seed sample i's stream, pass its failed draw and continue it
-            gen = substream(seed, i)
-            draw(gen)
-            vals[j], count = redraw_until_regular(gen, draw, evaluate, f"sample {i}")
+            vals[j], count = redraw_until_regular((seed, i), draw, evaluate, f"sample {i}")
             redraws += count
         values[start:stop] = vals
         return redraws

@@ -296,3 +296,36 @@ def test_malformed_config_exits_nonzero(tmp_path, capsys, payload):
     rc = main(["validate-jacobian", "--config", str(path), "--out-dir", str(tmp_path / "v")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, flags, key, value, code",
+    [
+        ("validate-jacobian", ["--trials", "1"], "trials", "3", 1),
+        ("validate-jacobian", ["--trials", "1"], "trials", True, 1),
+        ("synth-env", ["--nt", "1", "--nr", "1", "--ns", "2"], "seed", "0", 1),
+        ("bs-dist", ["--n", "20"], "policy", "x", 1),
+        ("synth-env", ["--nt", "1", "--nr", "1", "--ns", "2"], "mc", 0, 0),
+    ],
+    ids=["string-for-int", "bool-for-int", "string-seed", "unknown-choice", "int-for-float"],
+)
+def test_config_values_must_fit_their_options(tmp_path, capsys, command, flags, key, value, code):
+    if command == "bs-dist":
+        flags = ["--system", make_system_file(tmp_path, 2, 2, 4, seed=1), *flags]
+    first = tmp_path / "first"
+    assert main([command, *flags, "--out-dir", str(first)]) == 0
+    config = read_json(first / "config.json")
+    config[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "again")]) == code
+    assert capsys.readouterr().err.startswith("error:") == bool(code)
+
+
+def test_negative_real_part_takes_the_equals_form(tmp_path):
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    out = tmp_path / "dist"
+    argv = ["bs-dist", "--system", path, "--off=-0.5,0.2", "--n", "20", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert read_json(out / "config.json")["constraint"]["off"] == [-0.5, 0.2]

@@ -92,7 +92,7 @@ def test_probe_failure_names_the_column():
             raise RuntimeError("hardware refused")
         return np.zeros((2, 3), dtype=complex)
 
-    channel_map = ChannelMap(evaluator=fragile, n_s=4, n_t=3, n_r=2)
+    channel_map = ChannelMap(fragile)
     with pytest.raises(OracleError, match="column 2"):
         complex_step_jacobian(channel_map, r_base, np.ones(3) / np.sqrt(3))
 
