@@ -57,7 +57,7 @@ def _echo_config(config: dict, out_dir: Path) -> None:
 _NOT_CONFIG = ("out_dir", "config", "func", "on", "off")
 
 # Config keys whose replayed values are checked by their own validators.
-_OWN_VALIDATORS = ("system", "constraint", "tx_ports", "rx_ports", "bs_ports", "fixed_x")
+_OWN_VALIDATORS = ("constraint", "tx_ports", "rx_ports", "bs_ports", "fixed_x")
 
 
 def _config_keys(args) -> list:
@@ -160,14 +160,8 @@ def run_synth_env(config: dict, out_dir: Path) -> int:
 
 
 def run_benchmark(config: dict, out_dir: Path) -> int:
-    system = load_system(config["system"])
-    if any(config.get(k) for k in ("tx_ports", "rx_ports", "bs_ports")):
-        system = replace(
-            system,
-            tx_ports=config.get("tx_ports") or system.tx_ports,
-            rx_ports=config.get("rx_ports") or system.rx_ports,
-            bs_ports=config.get("bs_ports") or system.bs_ports,
-        )
+    overrides = {k: config[k] for k in ("tx_ports", "rx_ports", "bs_ports") if config[k]}
+    system = replace(load_system(config["system"]), **overrides)
     result = benchmark_eemdof(extract_blocks(system))
     _echo_config(config, out_dir)
     _write_json(

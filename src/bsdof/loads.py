@@ -105,16 +105,17 @@ class LoadConstraint:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LoadConstraint":
-        kind = payload["kind"]
-        if kind == "UNI":
+        """Inverse of to_dict (on/off may be [re] alone); wrong JSON types raise ValueError."""
+        if not isinstance(payload, dict) or "kind" not in payload:
+            raise ValueError(f"a constraint is a JSON object with a 'kind', got {payload!r}")
+        if payload["kind"] == "UNI":
             return cls.uni()
-        on = payload.get("on")
-        off = payload.get("off")
-        return cls(
-            kind,
-            complex(*on) if on is not None else None,
-            complex(*off) if off is not None else None,
-        )
+        states = [payload.get("on"), payload.get("off")]
+        try:
+            on, off = (None if v is None else complex(*v) for v in states)
+        except TypeError:
+            raise ValueError(f"constraint on/off must be [re, im] pairs, got {states}") from None
+        return cls(payload["kind"], on, off)
 
 
 _DEFAULTS = {"PIN": (PIN_ON, PIN_OFF), "PM": (PM_ON, PM_OFF)}

@@ -26,6 +26,7 @@ O(N_S^3) factorization.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,8 +59,17 @@ def validate_illumination(x: np.ndarray, n_t: int | None = None) -> np.ndarray:
     return x
 
 
+def _integer(value, what: str) -> int:
+    """An integer read from JSON: an int or an integral float; anything else is a ValueError."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _validate_port_group(name: str, ports, n_total: int) -> tuple:
-    ports = tuple(int(p) for p in ports)
+    if isinstance(ports, str) or not np.iterable(ports):
+        raise ValueError(f"{name} must be a list of port indices, got {ports!r}")
+    ports = tuple(_integer(p, f"{name} index") for p in ports)
     if len(ports) == 0:
         raise PartitionError(f"{name} is empty")
     if len(set(ports)) != len(ports):
@@ -332,8 +342,6 @@ def woodbury_channel_update(
     delta = complex(new_value) - r[k]
     r_new = r.copy()
     r_new[k] = new_value
-    if delta == 0:
-        return g.copy(), _channel_from_resolvent(blocks, g, r_new)
     t_row = blocks.s_ss[k, :] @ g
     denom = 1.0 - delta * t_row[k]
     if abs(denom) < RCOND_MIN:
@@ -353,8 +361,12 @@ def complex_to_pairs(z: np.ndarray) -> list:
 
 
 def pairs_to_complex(pairs) -> np.ndarray:
-    """Inverse of complex_to_pairs."""
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    """Inverse of complex_to_pairs; anything but a list of [re, im] numbers is a ValueError."""
+    try:
+        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except TypeError:
+        kind = type(pairs).__name__
+        raise ValueError(f"expected a list of [re, im] number pairs, got a {kind}") from None
 
 
 def system_to_dict(system: ScatteringSystem) -> dict:
@@ -370,17 +382,24 @@ def system_to_dict(system: ScatteringSystem) -> dict:
 
 
 def system_from_dict(payload: dict) -> ScatteringSystem:
-    n = int(payload["n_total"])
-    entries = payload["matrix"]
-    if len(entries) != n * n:
-        raise ValueError(f"matrix has {len(entries)} entries, expected {n * n}")
+    """Inverse of system_to_dict; a missing key or a wrong JSON type is a ValueError."""
+    keys = ("n_total", "matrix", "tx_ports", "rx_ports", "bs_ports")
+    if not isinstance(payload, dict) or not set(keys) <= set(payload):
+        raise ValueError(f"a system is a JSON object with the keys {list(keys)}")
+    n = _integer(payload["n_total"], "n_total")
+    matrix = pairs_to_complex(payload["matrix"])
+    if matrix.size != n * n:
+        raise ValueError(f"matrix has {matrix.size} entries, expected {n * n}")
+    ohms = payload.get("reference_impedance_ohms", 50.0)
+    if not isinstance(ohms, numbers.Real):
+        raise ValueError(f"reference_impedance_ohms must be a number, got {ohms!r}")
     return ScatteringSystem(
         n_total=n,
-        matrix=pairs_to_complex(entries).reshape(n, n),
+        matrix=matrix.reshape(n, n),
         tx_ports=payload["tx_ports"],
         rx_ports=payload["rx_ports"],
         bs_ports=payload["bs_ports"],
-        reference_impedance=payload.get("reference_impedance_ohms", 50.0),
+        reference_impedance=ohms,
     )
 
 

@@ -6,9 +6,13 @@ the same Monte-Carlo noise and the landscape is deterministic.  Candidates
 live on the complex unit sphere; the search runs in the real embedding
 R^{2 n_t} and projects back inside the objective wrapper, which also makes
 the objective invariant to the global phase and scale of the raw iterate.
+The load set is always gated: members whose coupling resolvent is singular
+are redrawn before the search starts.
 
 Maximization and minimization share one code path: MAX minimizes the
-negated objective.
+negated objective.  The search keeps no bookkeeping of its own: per-start
+traces, the winner and the objective-evaluation count are read from the
+OptimizeResult that scipy returns for each start.
 """
 
 from dataclasses import dataclass, field
@@ -92,25 +96,19 @@ def project(v: np.ndarray) -> np.ndarray:
 
 
 def sample_load_set(
-    constraint: LoadConstraint,
-    n_s: int,
-    n_members: int,
-    seed: int,
-    s_ss: np.ndarray | None = None,
+    constraint: LoadConstraint, n_s: int, n_members: int, seed: int, s_ss: np.ndarray
 ) -> np.ndarray:
     """Frozen stack of load realizations, one substream per member.
 
-    When s_ss is given, members whose coupling resolvent is singular are
-    redrawn from their own stream at construction time, so downstream
-    evaluation never trips on them.
+    Members whose coupling resolvent against s_ss is singular are redrawn
+    from their own stream at construction time, so downstream evaluation
+    never trips on them.
     """
 
     def draw(gen: np.random.Generator) -> np.ndarray:
         return sample_loads(constraint, int(n_s), gen)
 
     members = np.array([draw(substream(seed, _LOADSET_KEY, i)) for i in range(int(n_members))])
-    if s_ss is None:
-        return members
 
     def evaluate(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return r, resolvent(s_ss, r)[1] >= RCOND_MIN
@@ -152,7 +150,7 @@ def mean_dof_objective(
 
 
 def optimize_illumination(
-    system, constraint: LoadConstraint, config: OptimizationConfig
+    system: ScatteringSystem, constraint: LoadConstraint, config: OptimizationConfig
 ) -> OptimizationResult:
     """Multistart Nelder-Mead over the illumination sphere.
 
@@ -160,24 +158,20 @@ def optimize_illumination(
     0.5, shrink 0.5); the initial simplex at each start is the start point
     plus one vertex per embedded coordinate perturbed by 0.1.  Starts are
     sphere-uniform from per-start substreams; the winner is the best final
-    objective, ties going to the lowest start index.
+    objective, ties going to the lowest start index.  The evaluation count
+    is scipy's per-start nfev plus the one re-evaluation at the winner.
     """
     # scipy.optimize is most of the package's import time; only this search needs it
     from scipy.optimize import minimize
 
-    blocks = extract_blocks(system) if isinstance(system, ScatteringSystem) else system
-    n_t = blocks.n_tx
+    blocks = extract_blocks(system)
     sign = -1.0 if config.direction == "MAX" else 1.0
-
-    eval_count = 0
     load_set = sample_load_set(
         constraint, blocks.n_bs, config.n_objective_samples, config.seed, s_ss=blocks.s_ss
     )
     objective = _FrozenObjective(blocks, load_set)
 
     def wrapped(v):
-        nonlocal eval_count
-        eval_count += 1
         norm = np.linalg.norm(v)
         if norm < DEGENERATE_NORM:
             return np.inf  # worst case in minimize-space; never the winner
@@ -185,40 +179,30 @@ def optimize_illumination(
         x = (v[:half] + 1j * v[half:]) / norm
         return sign * objective(x)
 
-    dim = 2 * n_t
-    traces = []
-    best_fun = np.inf
-    best_v = None
+    results = []
     for start in range(config.n_starts):
-        x0 = sample_random_illumination(n_t, substream(config.seed, _START_KEY, start))
+        x0 = sample_random_illumination(blocks.n_tx, substream(config.seed, _START_KEY, start))
         v0 = embed(x0)
-        simplex = np.vstack([v0, v0 + 0.1 * np.eye(dim)])
-        result = minimize(
-            wrapped,
-            v0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "xatol": config.x_tolerance,
-                "fatol": config.f_tolerance,
-                "initial_simplex": simplex,
-                "adaptive": False,
-            },
-        )
-        final = sign * result.fun if np.isfinite(result.fun) else np.nan
-        traces.append((start, float(final), int(result.nit)))
-        if np.isfinite(result.fun) and result.fun < best_fun:
-            best_fun = result.fun
-            best_v = result.x
-    if best_v is None:
+        options = {
+            "maxiter": config.max_iterations,
+            "xatol": config.x_tolerance,
+            "fatol": config.f_tolerance,
+            "initial_simplex": np.vstack([v0, v0 + 0.1 * np.eye(v0.size)]),
+            "adaptive": False,
+        }
+        results.append(minimize(wrapped, v0, method="Nelder-Mead", options=options))
+    traces = [
+        (start, float(sign * r.fun) if np.isfinite(r.fun) else np.nan, int(r.nit))
+        for start, r in enumerate(results)
+    ]
+    finite = [r for r in results if np.isfinite(r.fun)]
+    if not finite:
         raise OptimizationFailedError("no start produced a finite objective", traces=traces)
 
-    best_x = project(best_v)
-    best_objective = objective(best_x)
-    eval_count += 1
+    best_x = project(min(finite, key=lambda r: r.fun).x)
     return OptimizationResult(
         best_x=best_x,
-        best_objective=float(best_objective),
+        best_objective=float(objective(best_x)),
         per_start_trace=traces,
-        objective_evaluations=eval_count,
+        objective_evaluations=sum(int(r.nfev) for r in results) + 1,
     )

@@ -201,10 +201,8 @@ def sample_distribution(
     blocks = extract_blocks(system)
     n_s, n_t = blocks.n_bs, blocks.n_tx
     certified = rcond_floor(blocks.s_ss) >= RCOND_MIN
-    if policy.kind == "FIXED" and policy.fixed_x.size != n_t:
-        raise ValueError(
-            f"fixed_x has {policy.fixed_x.size} entries, system has {n_t} tx ports"
-        )
+    if policy.kind == "FIXED":
+        validate_illumination(policy.fixed_x, n_t)
 
     def draw(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         r = sample_loads(constraint, n_s, gen)
@@ -264,9 +262,9 @@ def sample_distribution(
     )
 
 
-def summarize(dist) -> tuple[float, float]:
+def summarize(samples: np.ndarray) -> tuple[float, float]:
     """Mean and population standard deviation (divide by n) of the samples."""
-    samples = np.asarray(getattr(dist, "samples", dist), dtype=float)
+    samples = np.asarray(samples, dtype=float)
     return float(samples.mean()), float(samples.std())
 
 

@@ -329,3 +329,46 @@ def test_negative_real_part_takes_the_equals_form(tmp_path):
     argv = ["bs-dist", "--system", path, "--off=-0.5,0.2", "--n", "20", "--out-dir", str(out)]
     assert main(argv) == 0
     assert read_json(out / "config.json")["constraint"]["off"] == [-0.5, 0.2]
+
+
+def test_real_only_state_replays(tmp_path):
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    first, second = tmp_path / "a", tmp_path / "b"
+    argv = ["bs-dist", "--system", path, "--on", "0.5", "--n", "20", "--out-dir", str(first)]
+    assert main(argv) == 0
+    assert read_json(first / "config.json")["constraint"]["on"] == [0.5]
+    assert main(["bs-dist", "--config", str(first / "config.json"), "--out-dir", str(second)]) == 0
+    assert (first / "samples.csv").read_bytes() == (second / "samples.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "target, edit",
+    [
+        ("config", lambda c: c | {"system": 5}),
+        ("config", lambda c: c | {"system": None}),
+        ("config", lambda c: c | {"constraint": "pin"}),
+        ("config", lambda c: c | {"constraint": {}}),
+        ("config", lambda c: c | {"policy": "fixed", "fixed_x": 3}),
+        ("system", lambda s: [s]),
+        ("system", lambda s: {k: v for k, v in s.items() if k != "matrix"}),
+        ("system", lambda s: s | {"matrix": 3}),
+        ("system", lambda s: s | {"tx_ports": "01"}),
+        ("system", lambda s: s | {"n_total": 8.7}),
+    ],
+    ids=[
+        "config-system-int", "config-system-null", "config-constraint-string",
+        "config-constraint-empty", "config-fixed-x-int", "system-list", "system-no-matrix",
+        "system-matrix-int", "system-ports-string", "system-n-total-fraction",
+    ],
+)
+def test_wrong_json_types_exit_with_an_error(tmp_path, capsys, target, edit):
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    first = tmp_path / "first"
+    assert main(["bs-dist", "--system", path, "--n", "20", "--out-dir", str(first)]) == 0
+    source = first / "config.json" if target == "config" else tmp_path / "system.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(read_json(source))))
+    capsys.readouterr()
+    flag = ["--config", str(bad)] if target == "config" else ["--system", str(bad), "--n", "20"]
+    assert main(["bs-dist", *flag, "--out-dir", str(tmp_path / "again")]) == 1
+    assert capsys.readouterr().err.startswith("error:")

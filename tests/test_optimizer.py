@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from bsdof.environment import EnvironmentSpec, synth_environment
-from bsdof.errors import DegenerateInputError, SingularityError
+from bsdof.errors import DegenerateInputError, OptimizationFailedError, SingularityError
 from bsdof.loads import LoadConstraint
 from bsdof.metrics import bs_eemdof_point
 from bsdof.network import RCOND_MIN, ScatteringBlocks, extract_blocks, rcond_floor
 from bsdof.optimize import (
     OptimizationConfig,
+    _FrozenObjective,
     embed,
     mean_dof_objective,
     optimize_illumination,
@@ -82,13 +83,14 @@ def test_objective_rejects_active_loads():
 
 
 def test_load_set_is_deterministic_per_member():
-    first = sample_load_set(PIN, 8, 40, seed=31)
-    again = sample_load_set(PIN, 8, 40, seed=31)
+    uncoupled = np.zeros((8, 8))
+    first = sample_load_set(PIN, 8, 40, seed=31, s_ss=uncoupled)
+    again = sample_load_set(PIN, 8, 40, seed=31, s_ss=uncoupled)
     assert np.array_equal(first, again)
     # member streams are keyed by index, so a shorter set is a prefix
-    prefix = sample_load_set(PIN, 8, 10, seed=31)
+    prefix = sample_load_set(PIN, 8, 10, seed=31, s_ss=uncoupled)
     assert np.array_equal(first[:10], prefix)
-    assert not np.array_equal(first, sample_load_set(PIN, 8, 40, seed=32))
+    assert not np.array_equal(first, sample_load_set(PIN, 8, 40, seed=32, s_ss=uncoupled))
 
 
 def test_load_set_redraws_members_that_resonate():
@@ -97,7 +99,8 @@ def test_load_set_redraws_members_that_resonate():
     s_ss = (1.0 - 1e-13) * np.outer(u, u.conj())
     members = sample_load_set(LoadConstraint.pm(), 8, 200, seed=33, s_ss=s_ss)
     assert not np.any(np.all(members == 1.0 + 0.0j, axis=1))
-    unguarded = sample_load_set(LoadConstraint.pm(), 8, 200, seed=33)
+    # an uncoupled set never redraws, so it keeps the first draws
+    unguarded = sample_load_set(LoadConstraint.pm(), 8, 200, seed=33, s_ss=np.zeros((8, 8)))
     assert np.any(np.all(unguarded == 1.0 + 0.0j, axis=1))
 
 
@@ -159,6 +162,34 @@ def test_multistart_brackets_and_reproduces():
     load_set = sample_load_set(UNI, 8, 200, seed=37, s_ss=blocks.s_ss)
     replay = mean_dof_objective(system, top.best_x, UNI, load_set)
     assert abs(replay - top.best_objective) < 1e-12
+
+
+@pytest.mark.parametrize("max_iterations", [400, 3], ids=["converged", "capped"])
+def test_evaluation_count_is_every_objective_call(monkeypatch, max_iterations):
+    calls = []
+    original = _FrozenObjective.__call__
+
+    def counted(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(_FrozenObjective, "__call__", counted)
+    config = OptimizationConfig(
+        n_objective_samples=50, n_starts=3, max_iterations=max_iterations, seed=40
+    )
+    result = optimize_illumination(system_for(2, 2, 8, seed=41), UNI, config)
+    assert result.objective_evaluations == len(calls)
+    capped = [n_iter == max_iterations for _, _, n_iter in result.per_start_trace]
+    assert all(capped) == (max_iterations == 3)
+
+
+def test_search_fails_when_no_start_is_finite(monkeypatch):
+    monkeypatch.setattr(_FrozenObjective, "__call__", lambda self, x: np.nan)
+    config = OptimizationConfig(n_objective_samples=20, n_starts=2, max_iterations=20, seed=42)
+    with pytest.raises(OptimizationFailedError) as failure:
+        optimize_illumination(system_for(2, 2, 4, seed=43), UNI, config)
+    assert [start for start, _, _ in failure.value.traces] == [0, 1]
+    assert all(np.isnan(final) for _, final, _ in failure.value.traces)
 
 
 def test_config_validation():
