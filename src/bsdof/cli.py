@@ -303,7 +303,7 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
         fd_errors[t] = np.linalg.norm(closed.matrix - probe.matrix) / np.linalg.norm(
             closed.matrix
         )
-        residuals[t] = column_space_residual(closed, blocks.s_rs)
+        residuals[t] = column_space_residual(closed.matrix, blocks.s_rs)
     return {
         "trials": trials,
         "max_fd_relative_error": float(fd_errors.max()),

@@ -111,11 +111,11 @@ class LoadConstraint:
         if payload["kind"] == "UNI":
             return cls.uni()
         states = [payload.get("on"), payload.get("off")]
-        try:
-            on, off = (None if v is None else complex(*v) for v in states)
-        except TypeError:
-            raise ValueError(f"constraint on/off must be [re, im] pairs, got {states}") from None
-        return cls(payload["kind"], on, off)
+        for v in states:
+            real = isinstance(v, list) and all(type(p) in (int, float) for p in v)  # no bool
+            if v is not None and not (real and 1 <= len(v) <= 2):
+                raise ValueError(f"constraint on/off must be [re] or [re, im] numbers, got {v!r}")
+        return cls(payload["kind"], *(None if v is None else complex(*v) for v in states))
 
 
 _DEFAULTS = {"PIN": (PIN_ON, PIN_OFF), "PM": (PM_ON, PM_OFF)}

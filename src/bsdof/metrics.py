@@ -90,14 +90,14 @@ def bs_eemdof_point(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray) -> 
     return participation_from_singular_values(closed_form_jacobian(blocks, r0, x).singular_values)
 
 
-def column_space_residual(jac, s_rs: np.ndarray) -> float:
+def column_space_residual(jac: np.ndarray, s_rs: np.ndarray) -> float:
     """Relative Frobenius mass of a Jacobian outside the column space of s_rs.
 
     The projector is built from the left singular vectors of s_rs whose
     singular values exceed 1e-12 of the largest.  Always in [0, 1]; zero (to
     rounding) whenever the containment J = S_RS B holds.
     """
-    matrix = np.asarray(getattr(jac, "matrix", jac), dtype=complex)
+    matrix = np.asarray(jac, dtype=complex)
     norm = np.linalg.norm(matrix)
     if norm == 0.0:
         raise DegenerateInputError("zero Jacobian has no defined residual")

@@ -24,6 +24,7 @@ from .loads import LoadConstraint, sample_loads
 from .metrics import participation_from_jacobians
 from .network import (
     RCOND_MIN,
+    ScatteringBlocks,
     ScatteringSystem,
     coupling_resolvent,
     extract_blocks,
@@ -31,7 +32,7 @@ from .network import (
     load_jacobian,
     resolvent,
 )
-from .sampling import redraw_until_regular, sample_random_illumination
+from .sampling import redraw_singular, sample_random_illumination
 from .streams import substream
 
 # Substream key namespaces under the optimization seed.
@@ -101,8 +102,9 @@ def sample_load_set(
     """Frozen stack of load realizations, one substream per member.
 
     Members whose coupling resolvent against s_ss is singular are redrawn
-    from their own stream at construction time, so downstream evaluation
-    never trips on them.
+    from their own stream at construction time, under the sampler's redraw
+    policy (sampling.redraw_singular), so downstream evaluation never trips
+    on them and a pathological coupling fails before any search.
     """
 
     def draw(gen: np.random.Generator) -> np.ndarray:
@@ -113,9 +115,8 @@ def sample_load_set(
     def evaluate(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return r, resolvent(s_ss, r)[1] >= RCOND_MIN
 
-    for i in np.nonzero(~evaluate(members)[1])[0]:
-        key = (seed, _LOADSET_KEY, i)
-        members[i] = redraw_until_regular(key, draw, evaluate, f"load-set member {i}")[0]
+    singular = np.flatnonzero(~evaluate(members)[1])
+    redraw_singular(members, singular, (seed, _LOADSET_KEY), draw, evaluate, "load-set member")
     return members
 
 
@@ -138,13 +139,12 @@ class _FrozenObjective:
 
 
 def mean_dof_objective(
-    system, x: np.ndarray, constraint: LoadConstraint, load_set: np.ndarray
+    blocks: ScatteringBlocks, x: np.ndarray, constraint: LoadConstraint, load_set: np.ndarray
 ) -> float:
     """Mean DOF metric of illumination x over an explicit frozen load set.
 
     Raises SingularityError when any member's coupling resolvent is singular.
     """
-    blocks = extract_blocks(system) if isinstance(system, ScatteringSystem) else system
     x = np.asarray(x, dtype=complex)
     return _FrozenObjective(blocks, load_set)(x / np.linalg.norm(x))
 
@@ -188,7 +188,6 @@ def optimize_illumination(
             "xatol": config.x_tolerance,
             "fatol": config.f_tolerance,
             "initial_simplex": np.vstack([v0, v0 + 0.1 * np.eye(v0.size)]),
-            "adaptive": False,
         }
         results.append(minimize(wrapped, v0, method="Nelder-Mead", options=options))
     traces = [

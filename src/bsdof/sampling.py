@@ -4,8 +4,9 @@ Each sample i draws a load configuration (and, under the RAND policy, an
 illumination) from the substream keyed by (seed, i), evaluates the
 load-to-output Jacobian, and records its participation number.  Keying by
 sample index makes the run embarrassingly parallel and bit-reproducible for
-any worker count: a redraw after a singular draw simply continues sample
-i's own stream.
+any worker count: the pool only evaluates, and redraw_singular, the one
+redraw policy (shared with optimize.sample_load_set), then continues each
+singular sample i's own stream.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
@@ -18,7 +19,7 @@ other stack forms G once: its rcond is the gate, and toggle mode reads G too.
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,23 +84,26 @@ class IlluminationPolicy:
 
 @dataclass
 class DofDistribution:
-    """Samples of the DOF metric plus their summary statistics."""
+    """Samples of the DOF metric, then their summary and run labels in summary.json order."""
 
     samples: np.ndarray
-    mean: float
-    std: float
+    mean: float = field(init=False)
+    std: float = field(init=False)
+    n_samples: int = field(init=False)
     n_tilde: int
     seed: int
-    n_samples: int
     redraw_count: int = 0
-    metadata: dict = field(default_factory=dict)
+    constraint: str = ""
+    policy: str = ""
+    mode: str = ""
+    system: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.size != self.n_samples:
-            raise ValueError("n_samples does not match the sample array")
         if np.any(self.samples < 1.0 - 1e-9) or np.any(self.samples > self.n_tilde + 1e-9):
             raise ValueError(f"samples outside [1, {self.n_tilde}]")
+        self.n_samples = self.samples.size
+        self.mean, self.std = summarize(self.samples)
 
 
 def sample_random_illumination(n_t: int, stream: np.random.Generator) -> np.ndarray:
@@ -112,20 +116,35 @@ def sample_random_illumination(n_t: int, stream: np.random.Generator) -> np.ndar
     return z / norm
 
 
-def redraw_until_regular(key: tuple, draw, evaluate, label: str):
-    """Re-seed substream(*key), pass its rejected first draw, then redraw until accepted.
+def redraw_singular(values, singular, key: tuple, draw, evaluate, label: str) -> int:
+    """Redraw each singular member of values from its own stream; return the redraw count.
 
-    draw(gen) makes one draw; evaluate(drawn) returns (value, accepted).
-    Returns the accepted value and the number of redraws it took; raises
-    SingularityError when all MAX_REDRAWS_PER_SAMPLE redraws are singular.
+    For each index i in singular, in order: re-seed substream(*key, i), pass
+    its rejected first draw, and redraw into values[i] until
+    evaluate(draw(gen)) gives (value, True).  Raises SingularityError after
+    MAX_REDRAWS_PER_SAMPLE redraws of one member, or when more than
+    MAX_SINGULAR_FRACTION of all len(values) + redraws draws were singular.
     """
-    gen = substream(*key)
-    draw(gen)
-    for count in range(1, MAX_REDRAWS_PER_SAMPLE + 1):
-        value, accepted = evaluate(draw(gen))
-        if accepted:
-            return value, count
-    raise SingularityError(f"{label} still singular after {MAX_REDRAWS_PER_SAMPLE} redraws")
+    redraws = 0
+    for i in singular:
+        gen = substream(*key, i)
+        draw(gen)
+        for count in range(1, MAX_REDRAWS_PER_SAMPLE + 1):
+            values[i], accepted = evaluate(draw(gen))
+            if accepted:
+                break
+        else:
+            raise SingularityError(
+                f"{label} {i} still singular after {MAX_REDRAWS_PER_SAMPLE} redraws"
+            )
+        redraws += count
+    total = len(values) + redraws
+    if redraws > MAX_SINGULAR_FRACTION * total:
+        raise SingularityError(
+            f"{redraws} of {total} draws were singular "
+            f"(> {MAX_SINGULAR_FRACTION:.0%}); environment is pathological"
+        )
+    return redraws
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -215,50 +234,31 @@ def sample_distribution(
         r_all[i], x_all[i] = draw(substream(seed, i))
 
     values = np.empty(n_samples)
+    ok = np.empty(n_samples, dtype=bool)
+
+    def run_span(start: int) -> None:
+        s = slice(start, start + CHUNK)
+        values[s], ok[s] = _chunk_m_values(blocks, r_all[s], x_all[s], mode, constraint, certified)
+
+    starts = range(0, n_samples, CHUNK)
+    with ThreadPoolExecutor(max_workers=_worker_count(len(starts))) as pool:
+        list(pool.map(run_span, starts))
 
     def evaluate(drawn: tuple[np.ndarray, np.ndarray]) -> tuple[float, bool]:
         r, x = drawn
         v, good = _chunk_m_values(blocks, r[None, :], x[None, :], mode, constraint, certified)
         return v[0], good[0]
 
-    def run_span(start: int, stop: int) -> int:
-        vals, ok = _chunk_m_values(
-            blocks, r_all[start:stop], x_all[start:stop], mode, constraint, certified
-        )
-        redraws = 0
-        for j in np.nonzero(~ok)[0]:
-            i = start + int(j)
-            vals[j], count = redraw_until_regular((seed, i), draw, evaluate, f"sample {i}")
-            redraws += count
-        values[start:stop] = vals
-        return redraws
-
-    spans = [(s, min(s + CHUNK, n_samples)) for s in range(0, n_samples, CHUNK)]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(spans))) as pool:
-        redraw_count = sum(pool.map(lambda ab: run_span(*ab), spans))
-
-    total_draws = n_samples + redraw_count
-    if redraw_count > MAX_SINGULAR_FRACTION * total_draws:
-        raise SingularityError(
-            f"{redraw_count} of {total_draws} draws were singular "
-            f"(> {MAX_SINGULAR_FRACTION:.0%}); environment is pathological"
-        )
-
-    mean, std = summarize(values)
+    redraw_count = redraw_singular(values, np.flatnonzero(~ok), (seed,), draw, evaluate, "sample")
     return DofDistribution(
         samples=values,
-        mean=mean,
-        std=std,
         n_tilde=min(blocks.n_rx, n_s),
         seed=int(seed),
-        n_samples=n_samples,
-        redraw_count=int(redraw_count),
-        metadata={
-            "constraint": constraint.kind,
-            "policy": policy.kind,
-            "system": system_label,
-            "mode": mode,
-        },
+        redraw_count=redraw_count,
+        constraint=constraint.kind,
+        policy=policy.kind,
+        mode=mode,
+        system=system_label,
     )
 
 
@@ -295,18 +295,7 @@ def write_samples_csv(dist: DofDistribution, path) -> None:
 
 
 def write_summary_json(dist: DofDistribution, path) -> None:
-    payload = {
-        "mean": dist.mean,
-        "std": dist.std,
-        "n_samples": dist.n_samples,
-        "n_tilde": dist.n_tilde,
-        "seed": dist.seed,
-        "redraw_count": dist.redraw_count,
-        "constraint": dist.metadata.get("constraint", ""),
-        "policy": dist.metadata.get("policy", ""),
-        "mode": dist.metadata.get("mode", ""),
-        "system": dist.metadata.get("system", ""),
-    }
+    payload = {f.name: getattr(dist, f.name) for f in fields(dist)[1:]}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 

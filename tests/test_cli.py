@@ -1,12 +1,14 @@
 """End-to-end CLI tests; every invocation goes through main() in process."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bsdof.cli import main
 from bsdof.environment import EnvironmentSpec, synth_environment
+from bsdof.metrics import benchmark_eemdof
 from bsdof.network import ScatteringSystem, extract_blocks, load_system, save_system
 
 
@@ -91,6 +93,29 @@ def test_benchmark_rank_one_coupling(tmp_path):
     out = tmp_path / "bench"
     assert main(["benchmark", "--system", str(path), "--out-dir", str(out)]) == 0
     assert abs(read_json(out / "benchmark.json")["m"] - 1.0) < 1e-12
+
+
+def test_benchmark_port_overrides_apply_echo_and_replay(tmp_path, capsys):
+    path = make_system_file(tmp_path, 1, 3, 4, seed=2)  # tx (0,), rx (1, 2, 3)
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["benchmark", "--system", path, "--rx-ports", "2,3", "--out-dir", str(first)]) == 0
+    expected = benchmark_eemdof(extract_blocks(replace(load_system(path), rx_ports=(2, 3))))
+    assert read_json(first / "benchmark.json") == {
+        "m": expected.m,
+        "n_tilde": expected.n_tilde,
+        "singular_values": [float(s) for s in expected.singular_values],
+    }
+    assert read_json(first / "config.json")["rx_ports"] == [2, 3]
+    replay = ["benchmark", "--config", str(first / "config.json"), "--out-dir", str(second)]
+    assert main(replay) == 0
+    for name in ("config.json", "benchmark.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    # 0 is the transmit port, and a port index must be an integer
+    for ports in ("0,3", "2,x"):
+        capsys.readouterr()
+        argv = ["benchmark", "--system", path, "--rx-ports", ports]
+        assert main([*argv, "--out-dir", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_bs_dist_reruns_byte_identically(tmp_path):
@@ -210,6 +235,29 @@ def test_optimize_x_cannot_beat_random_with_one_tx_port(tmp_path):
         opt["std"] / np.sqrt(opt["n_samples"]), rand["std"] / np.sqrt(rand["n_samples"])
     )
     assert abs(opt["mean"] - rand["mean"]) <= 3.0 * pooled
+
+
+def test_optimize_x_rejects_a_pathological_load_set_before_searching(tmp_path, capsys):
+    # spike coupling resonates whenever load 0 is ON: half of all draws
+    matrix = np.zeros((11, 11), dtype=complex)
+    matrix[4, 0] = 0.5
+    matrix[1:3, 4] = [0.3, 0.4]
+    matrix[3, 3] = 1.0 - 1e-13
+    system = ScatteringSystem(
+        n_total=11, matrix=matrix, tx_ports=(0,), rx_ports=(1, 2), bs_ports=tuple(range(3, 11))
+    )
+    path = tmp_path / "spike.json"
+    save_system(system, path)
+    out = tmp_path / "opt"
+    argv = [
+        "optimize-x", "--system", str(path), "--constraint", "pm", "--objective-samples", "200",
+        "--starts", "1", "--final-n", "200", "--out-dir", str(out),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "optimization.json").exists()
+    assert not (out / "best_x.json").exists()
 
 
 def test_validate_jacobian_passes_and_writes_report(tmp_path):
@@ -354,11 +402,15 @@ def test_real_only_state_replays(tmp_path):
         ("system", lambda s: s | {"matrix": 3}),
         ("system", lambda s: s | {"tx_ports": "01"}),
         ("system", lambda s: s | {"n_total": 8.7}),
+        ("config", lambda c: c | {"constraint": {"kind": "PIN", "on": "1"}}),
+        ("config", lambda c: c | {"constraint": {"kind": "PIN", "on": []}}),
+        ("config", lambda c: c | {"constraint": {"kind": "PIN", "on": [True]}}),
     ],
     ids=[
         "config-system-int", "config-system-null", "config-constraint-string",
         "config-constraint-empty", "config-fixed-x-int", "system-list", "system-no-matrix",
         "system-matrix-int", "system-ports-string", "system-n-total-fraction",
+        "config-state-string", "config-state-empty", "config-state-bool",
     ],
 )
 def test_wrong_json_types_exit_with_an_error(tmp_path, capsys, target, edit):

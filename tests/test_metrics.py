@@ -157,7 +157,7 @@ def test_column_space_residual():
     r = sample_loads(LoadConstraint.uni(), 8, substream(51))
     x = sample_random_illumination(3, substream(52))
     jac = closed_form_jacobian(blocks, r, x)
-    assert column_space_residual(jac, blocks.s_rs) < 1e-10
+    assert column_space_residual(jac.matrix, blocks.s_rs) < 1e-10
     assert column_space_residual(blocks.s_rs, blocks.s_rs) < 1e-14
 
     # rank-1 receive coupling cannot contain a generic full-rank Jacobian

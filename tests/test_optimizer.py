@@ -49,7 +49,7 @@ def test_objective_single_member_matches_point_metric():
     blocks = extract_blocks(system)
     load_set = sample_load_set(PIN, 8, 1, seed=21, s_ss=blocks.s_ss)
     x = sample_random_illumination(2, substream(22))
-    mean_value = mean_dof_objective(system, x, PIN, load_set)
+    mean_value = mean_dof_objective(blocks, x, PIN, load_set)
     point_value = bs_eemdof_point(blocks, load_set[0], x).m
     assert abs(mean_value - point_value) < 1e-12
 
@@ -59,7 +59,7 @@ def test_objective_is_the_average_of_point_metrics():
     blocks = extract_blocks(system)
     load_set = sample_load_set(PIN, 16, 1500, seed=24, s_ss=blocks.s_ss)
     x = sample_random_illumination(2, substream(25))
-    mean_value = mean_dof_objective(system, x, PIN, load_set)
+    mean_value = mean_dof_objective(blocks, x, PIN, load_set)
     oracle = np.mean([bs_eemdof_point(blocks, r, x).m for r in load_set])
     assert abs(mean_value - oracle) < 1e-12
 
@@ -69,8 +69,8 @@ def test_objective_ignores_global_phase():
     blocks = extract_blocks(system)
     load_set = sample_load_set(UNI, 8, 64, seed=27, s_ss=blocks.s_ss)
     x = sample_random_illumination(3, substream(28))
-    base = mean_dof_objective(system, x, UNI, load_set)
-    rotated = mean_dof_objective(system, x * np.exp(0.7j), UNI, load_set)
+    base = mean_dof_objective(blocks, x, UNI, load_set)
+    rotated = mean_dof_objective(blocks, x * np.exp(0.7j), UNI, load_set)
     assert abs(base - rotated) < 1e-10
 
 
@@ -79,7 +79,7 @@ def test_objective_rejects_active_loads():
     load_set = np.full((3, 4), 1.2 + 0.0j)
     x = sample_random_illumination(2, substream(30))
     with pytest.raises(ValueError):
-        mean_dof_objective(system, x, PIN, load_set)
+        mean_dof_objective(extract_blocks(system), x, PIN, load_set)
 
 
 def test_load_set_is_deterministic_per_member():
@@ -102,6 +102,14 @@ def test_load_set_redraws_members_that_resonate():
     # an uncoupled set never redraws, so it keeps the first draws
     unguarded = sample_load_set(LoadConstraint.pm(), 8, 200, seed=33, s_ss=np.zeros((8, 8)))
     assert np.any(np.all(unguarded == 1.0 + 0.0j, axis=1))
+
+
+def test_mostly_singular_load_set_is_rejected():
+    # spike coupling resonates whenever load 0 is ON: half of all draws
+    e0 = np.eye(8)[0]
+    s_ss = (1.0 - 1e-13) * np.outer(e0, e0)
+    with pytest.raises(SingularityError, match="pathological"):
+        sample_load_set(LoadConstraint.pm(), 8, 200, seed=33, s_ss=s_ss)
 
 
 def test_objective_rejects_a_singular_member():
@@ -137,7 +145,7 @@ def test_single_input_problem_is_flat():
     )
     result = optimize_illumination(system, UNI, config)
     load_set = sample_load_set(UNI, 8, 300, seed=35, s_ss=blocks.s_ss)
-    flat_value = mean_dof_objective(system, np.array([1.0 + 0.0j]), UNI, load_set)
+    flat_value = mean_dof_objective(blocks, np.array([1.0 + 0.0j]), UNI, load_set)
     assert abs(result.best_objective - flat_value) < 1e-9
 
 
@@ -160,7 +168,7 @@ def test_multistart_brackets_and_reproduces():
     assert top.best_objective == again.best_objective
 
     load_set = sample_load_set(UNI, 8, 200, seed=37, s_ss=blocks.s_ss)
-    replay = mean_dof_objective(system, top.best_x, UNI, load_set)
+    replay = mean_dof_objective(blocks, top.best_x, UNI, load_set)
     assert abs(replay - top.best_objective) < 1e-12
 
 

@@ -341,16 +341,7 @@ def test_summarize_matches_a_two_pass_oracle():
 
 
 def dist_from_samples(samples, n_tilde, seed=0):
-    samples = np.asarray(samples, dtype=float)
-    mean, std = summarize(samples)
-    return DofDistribution(
-        samples=samples,
-        mean=mean,
-        std=std,
-        n_tilde=n_tilde,
-        seed=seed,
-        n_samples=samples.size,
-    )
+    return DofDistribution(samples=samples, n_tilde=n_tilde, seed=seed)
 
 
 def test_histogram_concentrates_identical_samples():

@@ -4,7 +4,11 @@
 #   bs-dist model, n=10,000 at (n_t, n_r, n_s) = (3, 4, 64);
 #   bs-dist toggle, n=40,000 at (3, 4, 16);
 #   optimize-x UNI MAX, optimizer seed 11, at (3, 4, 16);
-#   validate-jacobian, 1,000 trials.
+#   validate-jacobian, 1,000 trials;
+# plus one run that redraws: bs-dist model with PM loads, n=2,000, on an
+# 8-load system whose flat rank-1 coupling resonates when every load is ON
+# (tests/test_sampling.py::flat_resonant_rank2_system; 5 redraws at seed 0).
+# Its system file is built by the checkout's own save_system.
 # Runs in a fresh temporary directory with relative paths, because
 # config.json and summary.json record the --system path as given.  Run it on
 # two checkouts and diff the outputs: a refactor must print the same lines.
@@ -26,4 +30,22 @@ bsdof optimize-x --system env16/system.json --constraint uni --direction max --s
     --out-dir opt-uni
 # exit 1 only reports a tolerance miss; its artifacts are still the result
 bsdof validate-jacobian --trials 1000 --seed 0 --out-dir validate || [ $? -eq 1 ]
+PYTHONPATH="$src" python3 - <<'PY'
+import math
+
+import numpy as np
+from bsdof.network import ScatteringSystem, save_system
+
+u = np.ones(8) / math.sqrt(8.0)
+rows = np.zeros((2, 8))
+rows[0, :2] = rows[1, 2:4] = [1.0, -1.0]
+matrix = np.zeros((11, 11), dtype=complex)
+tx, rx, bs = (0,), (1, 2), tuple(range(3, 11))
+matrix[np.ix_(bs, tx)] = 0.25 * (rows[0] + rows[1])[:, None]
+matrix[np.ix_(rx, bs)] = np.diag([0.3, 0.4]) @ rows / math.sqrt(2.0)
+matrix[np.ix_(bs, bs)] = (1.0 - 1e-13) * np.outer(u, u)
+save_system(ScatteringSystem(11, matrix, tx, rx, bs), "resonant.json")
+PY
+bsdof bs-dist --system resonant.json --mode model --constraint pm --n 2000 --seed 0 \
+    --out-dir mc-redraw
 find . -name '*.json' -o -name '*.csv' | sort | xargs sha256sum
