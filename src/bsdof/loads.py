@@ -11,8 +11,9 @@ Three families cover the practically relevant programmable loads:
 validate_loads is the one admissibility check on load values (finite,
 |r| <= 1 + LOAD_MAG_TOL): constraint states pass it, and so does every solve.
 
-Sampling always takes an explicit stream (see streams.substream); nothing
-here touches global RNG state.
+Sampling always takes an explicit stream (see streams.substream) or that
+stream's uniforms (loads_from_uniforms, the one draw formula); nothing here
+touches global RNG state.
 """
 
 from dataclasses import dataclass
@@ -82,6 +83,10 @@ class LoadConstraint:
     def discrete(self) -> bool:
         return self.kind != "UNI"
 
+    def uniforms_per_draw(self, n_s: int) -> int:
+        """Stream words one draw of n_s loads takes: a coin each, or a magnitude and a phase."""
+        return n_s if self.discrete else 2 * n_s
+
     @classmethod
     def pin(cls, on: complex = PIN_ON, off: complex = PIN_OFF) -> "LoadConstraint":
         return cls("PIN", on, off)
@@ -121,22 +126,25 @@ class LoadConstraint:
 _DEFAULTS = {"PIN": (PIN_ON, PIN_OFF), "PM": (PM_ON, PM_OFF)}
 
 
-def sample_loads(constraint: LoadConstraint, n_s: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw one load configuration of length n_s from the given stream.
+def loads_from_uniforms(constraint: LoadConstraint, u: np.ndarray) -> np.ndarray:
+    """Load configurations from rows of constraint.uniforms_per_draw(n_s) uniforms.
 
-    Two-state kinds are i.i.d. fair coin flips between on and off.  UNI
-    draws the magnitude array first, then the phase array, so the layout of
-    stream consumption is fixed.
+    Two-state kinds are fair coin flips: a uniform below 0.5 picks on, else
+    off.  UNI takes the magnitudes from the first half of a row and the
+    phases from the second half.
     """
+    if constraint.discrete:
+        return np.where(u < 0.5, constraint.on_value, constraint.off_value)
+    n_s = u.shape[-1] // 2
+    return u[..., :n_s] * np.exp(1j * (2.0 * np.pi * u[..., n_s:]))
+
+
+def sample_loads(constraint: LoadConstraint, n_s: int, stream: np.random.Generator) -> np.ndarray:
+    """Draw one load configuration of length n_s from the given stream."""
     n_s = int(n_s)
     if n_s < 1:
         raise ValueError("n_s must be at least 1")
-    if constraint.discrete:
-        flips = stream.random(n_s)
-        return np.where(flips < 0.5, constraint.on_value, constraint.off_value)
-    mag = stream.random(n_s)
-    phase = 2.0 * np.pi * stream.random(n_s)
-    return mag * np.exp(1j * phase)
+    return loads_from_uniforms(constraint, stream.random(constraint.uniforms_per_draw(n_s)))
 
 
 def toggle(r: np.ndarray, index: int, constraint: LoadConstraint) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, OptimizationFailedError
-from .loads import LoadConstraint, sample_loads
+from .loads import LoadConstraint, loads_from_uniforms, sample_loads
 from .metrics import participation_from_jacobians
 from .network import (
     RCOND_MIN,
@@ -33,7 +33,7 @@ from .network import (
     resolvent,
 )
 from .sampling import redraw_singular, sample_random_illumination
-from .streams import substream
+from .streams import substream, substream_uniforms
 
 # Substream key namespaces under the optimization seed.
 _LOADSET_KEY = 0
@@ -107,10 +107,15 @@ def sample_load_set(
     on them and a pathological coupling fails before any search.
     """
 
-    def draw(gen: np.random.Generator) -> np.ndarray:
-        return sample_loads(constraint, int(n_s), gen)
+    n_s = int(n_s)
 
-    members = np.array([draw(substream(seed, _LOADSET_KEY, i)) for i in range(int(n_members))])
+    def draw(gen: np.random.Generator) -> np.ndarray:
+        return sample_loads(constraint, n_s, gen)
+
+    u = substream_uniforms(
+        seed, (_LOADSET_KEY,), range(int(n_members)), constraint.uniforms_per_draw(n_s)
+    )
+    members = loads_from_uniforms(constraint, u)
 
     def evaluate(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return r, resolvent(s_ss, r)[1] >= RCOND_MIN

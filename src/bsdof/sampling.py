@@ -4,9 +4,11 @@ Each sample i draws a load configuration (and, under the RAND policy, an
 illumination) from the substream keyed by (seed, i), evaluates the
 load-to-output Jacobian, and records its participation number.  Keying by
 sample index makes the run embarrassingly parallel and bit-reproducible for
-any worker count: the pool only evaluates, and redraw_singular, the one
-redraw policy (shared with optimize.sample_load_set), then continues each
-singular sample i's own stream.
+any worker count.  Each pool span draws its own chunk through
+streams.substream_uniforms, which equals the per-sample streams bit for bit,
+so draws run in the workers and draw memory is per chunk.  After the pool,
+redraw_singular, the one redraw policy (shared with
+optimize.sample_load_set), continues each singular sample i's own stream.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SingularityError, UnsupportedOperationError
-from .loads import LoadConstraint, sample_loads
+from .loads import LoadConstraint, loads_from_uniforms, sample_loads
 from .metrics import participation_from_jacobians
 from .network import (
     RCOND_MIN,
@@ -38,7 +40,7 @@ from .network import (
     solved_factors,
     validate_illumination,
 )
-from .streams import standard_complex_gaussian, substream
+from .streams import box_muller, substream, substream_uniforms
 
 # Samples per vectorized evaluation chunk.  Fixed (never derived from the
 # worker count) so chunk boundaries cannot depend on scheduling.
@@ -49,6 +51,9 @@ MAX_REDRAWS_PER_SAMPLE = 1000
 
 # Fraction of singular draws above which the whole run is rejected.
 MAX_SINGULAR_FRACTION = 0.01
+
+# Illumination draws whose Gaussian norm falls below this are redrawn.
+ILLUMINATION_NORM_FLOOR = 1e-150
 
 # Bins of the histogram.csv written next to every distribution.
 HISTOGRAM_BINS = 64
@@ -106,14 +111,28 @@ class DofDistribution:
         self.mean, self.std = summarize(self.samples)
 
 
+def illuminations_from_uniforms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Haar-uniform unit-norm illuminations from rows of 2 n_t uniforms.
+
+    Each row holds n_t Box-Muller magnitude words, then n_t phase words.
+    Returns (x, ok); ok is False on a row whose Gaussian norm fell below
+    ILLUMINATION_NORM_FLOOR, and that row of x is meaningless.
+    """
+    n_t = u.shape[-1] // 2
+    z = box_muller(u[..., :n_t], u[..., n_t:])
+    # rounds as np.linalg.norm does: x.real.dot(x.real) + x.imag.dot(x.imag)
+    re, im = z.real[..., None], z.imag[..., None]
+    norm = np.sqrt(re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[..., 0]
+    ok = norm[..., 0] >= ILLUMINATION_NORM_FLOOR
+    return z / np.maximum(norm, ILLUMINATION_NORM_FLOOR), ok
+
+
 def sample_random_illumination(n_t: int, stream: np.random.Generator) -> np.ndarray:
     """Haar-uniform point on the complex unit sphere in n_t dimensions."""
-    z = standard_complex_gaussian(stream, int(n_t))
-    norm = np.linalg.norm(z)
-    while norm < 1e-150:
-        z = standard_complex_gaussian(stream, int(n_t))
-        norm = np.linalg.norm(z)
-    return z / norm
+    while True:
+        x, ok = illuminations_from_uniforms(stream.random(2 * int(n_t)))
+        if ok:
+            return x
 
 
 def redraw_singular(values, singular, key: tuple, draw, evaluate, label: str) -> int:
@@ -228,17 +247,24 @@ def sample_distribution(
         x = sample_random_illumination(n_t, gen) if policy.kind == "RAND" else policy.fixed_x
         return r, x
 
-    r_all = np.empty((n_samples, n_s), dtype=complex)
-    x_all = np.empty((n_samples, n_t), dtype=complex)
-    for i in range(n_samples):
-        r_all[i], x_all[i] = draw(substream(seed, i))
-
+    # per sample: load words, then n_t magnitude and n_t phase words under RAND
+    n_load = constraint.uniforms_per_draw(n_s)
+    n_words = n_load + (2 * n_t if policy.kind == "RAND" else 0)
     values = np.empty(n_samples)
     ok = np.empty(n_samples, dtype=bool)
 
     def run_span(start: int) -> None:
+        index = np.arange(start, min(start + CHUNK, n_samples))
+        u = substream_uniforms(seed, (), index, n_words)
+        r = loads_from_uniforms(constraint, u[:, :n_load])
+        if policy.kind == "RAND":
+            x, regular = illuminations_from_uniforms(u[:, n_load:])
+            for j in np.flatnonzero(~regular):
+                r[j], x[j] = draw(substream(seed, index[j]))
+        else:
+            x = np.repeat(policy.fixed_x[None, :], index.size, axis=0)
         s = slice(start, start + CHUNK)
-        values[s], ok[s] = _chunk_m_values(blocks, r_all[s], x_all[s], mode, constraint, certified)
+        values[s], ok[s] = _chunk_m_values(blocks, r, x, mode, constraint, certified)
 
     starts = range(0, n_samples, CHUNK)
     with ThreadPoolExecutor(max_workers=_worker_count(len(starts))) as pool:

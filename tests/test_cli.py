@@ -260,6 +260,17 @@ def test_optimize_x_rejects_a_pathological_load_set_before_searching(tmp_path, c
     assert not (out / "best_x.json").exists()
 
 
+@pytest.mark.parametrize("policy", ["rand", "fixed"])
+def test_negative_seed_is_named_and_writes_nothing(tmp_path, capsys, policy):
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    out = tmp_path / "out"
+    argv = ["bs-dist", "--system", path, "--policy", policy, "--n", "20", "--seed", "-1"]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be a nonnegative integer")
+    assert not out.exists()
+
+
 def test_validate_jacobian_passes_and_writes_report(tmp_path):
     out = tmp_path / "validation"
     rc = main(["validate-jacobian", "--trials", "5", "--seed", "1", "--out-dir", str(out)])

@@ -132,6 +132,25 @@ def test_worker_count_does_not_change_the_samples(monkeypatch):
     assert np.array_equal(runs[0].samples, runs[1].samples)
 
 
+def test_zero_norm_illumination_row_falls_back_to_its_scalar_draw(monkeypatch):
+    system = system_for(2, 2, 16, seed=8)
+    expected = sample_distribution(system, IlluminationPolicy.rand(), PIN, 600, seed=9)
+    batched = bsdof.sampling.substream_uniforms
+
+    def zero_magnitudes(seed, prefix, index, k):
+        # sample 300's magnitude words follow its 16 load words; all-zero
+        # magnitudes give a zero Gaussian, which no normalization survives
+        u = batched(seed, prefix, index, k)
+        u[np.asarray(index) == 300, 16:18] = 0.0
+        return u
+
+    monkeypatch.setattr(bsdof.sampling, "substream_uniforms", zero_magnitudes)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BSDOF_THREADS", threads)
+        dist = sample_distribution(system, IlluminationPolicy.rand(), PIN, 600, seed=9)
+        assert np.array_equal(dist.samples, expected.samples)
+
+
 def test_thread_override_must_be_an_integer(monkeypatch):
     monkeypatch.setenv("BSDOF_THREADS", "many")
     system = system_for(2, 2, 4, seed=8)
