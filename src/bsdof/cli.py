@@ -396,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--starts", dest="n_starts", type=int, default=search.n_starts)
     p.add_argument("--max-iterations", type=int, default=search.max_iterations)
-    p.add_argument("--x-tol", dest="x_tolerance", type=float, default=search.x_tolerance)
     p.add_argument("--f-tol", dest="f_tolerance", type=float, default=search.f_tolerance)
     p.add_argument("--seed", type=int, default=search.seed)
     p.add_argument("--final-n", type=int, default=10000)

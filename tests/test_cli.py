@@ -327,7 +327,7 @@ def test_config_keys_and_order_are_pinned(tmp_path):
             ["--system", path, "--objective-samples", "10", "--starts", "1",
              "--max-iterations", "5", "--final-n", "20"],
             ["command", "system", "constraint", "direction", "n_objective_samples", "n_starts",
-             "max_iterations", "x_tolerance", "f_tolerance", "seed", "final_n", "bins"],
+             "max_iterations", "f_tolerance", "seed", "final_n", "bins"],
         ),
         "validate-jacobian": (
             ["--trials", "1"],
