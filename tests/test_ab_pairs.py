@@ -1,7 +1,8 @@
-"""The A/B pair runner: its summary of committed runs and its run order."""
+"""The A/B pair runner: its summary of committed runs, its run order, and failed runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,31 @@ def test_dry_run_alternates_which_side_runs_first(capsys):
     assert sides == ["parent", "change", "change", "parent", "parent", "change"]
     assert all("w1 seed 0" in line for line in lines[:6])
     assert all("w2 seed 5" in line for line in lines[-6:])
+
+
+def _stub_perfbench(monkeypatch, returncode, correct, failed):
+    result = {"correct": correct, "attempted": 5, "failed": failed, "metrics": {}}
+    stdout = 'fingerprint {"python": "3"}\n' + json.dumps(result) + "\n"
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, returncode, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    return result
+
+
+def test_a_passing_run_is_kept(monkeypatch):
+    expected = _stub_perfbench(monkeypatch, 0, True, 0)
+    result, software = ab_pairs.perfbench(Path("."), "opt-uni-ns16", 0, 1.0, trace=0)
+    assert result == expected and software["python"] == "3"
+
+
+@pytest.mark.parametrize(
+    "returncode, correct, failed",
+    [(1, True, 0), (0, False, 0), (0, True, 2)],
+    ids=["nonzero-exit", "incorrect", "failed-ops"],
+)
+def test_a_failed_run_stops_the_runner(monkeypatch, returncode, correct, failed):
+    _stub_perfbench(monkeypatch, returncode, correct, failed)
+    with pytest.raises(SystemExit, match="error: .*opt-uni-ns16 seed 0"):
+        ab_pairs.perfbench(Path("."), "opt-uni-ns16", 0, 1.0, trace=0)

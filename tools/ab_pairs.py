@@ -9,10 +9,13 @@ Each pair runs `perfbench/run.py --trace 0` once from each checkout, one after
 the other.  Odd pairs run the parent first and even pairs the change first,
 so drift of the host's speed falls on both sides alike.  The last line of
 perfbench's standard output (its JSON result) is kept for every run.  Both
-checkouts must hold the same perfbench/.  With --trace-seconds S, each side
-then runs every workload once more with --trace 1 for S seconds on the first
-seed, and its per-layer metrics go into "trace_check".  --dry-run prints the
-run order and runs nothing.
+checkouts must hold the same perfbench/.  The runner stops at the first run
+that exits nonzero, reports correct=false or counts a failed operation, so a
+summary never rests on runs whose checks failed.  With --trace-seconds S,
+each side then runs every workload once more with --trace 1 for S seconds
+on the first seed, and its per-layer metrics go into "trace_check".
+--dry-run prints the run order and runs nothing.  The host is recorded as
+shared and its frequency as unpinned, since the runner controls neither.
 
 The file's "summary" is a pure function of its "runs" (summarize()): per
 workload, seed and code, each side's quartiles of every end-to-end metric
@@ -116,6 +119,13 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
             f"error: {checkout}: perfbench exited {proc.returncode} without a result\n"
             + proc.stderr[-2000:]
         ) from None
+    if proc.returncode != 0 or result.get("correct") is not True or result.get("failed", 0) != 0:
+        # a run whose checks or operations failed must not count towards either side
+        raise SystemExit(
+            f"error: {checkout}: perfbench exited {proc.returncode} on {workload} seed {seed} "
+            f"with correct={result.get('correct')!r}, failed={result.get('failed')!r} of "
+            f"{result.get('attempted')!r}\n" + proc.stderr[-2000:]
+        )
     return result, {key: fingerprint.get(key) for key in SOFTWARE}
 
 
@@ -131,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--describe", default="", help="what the change does")
     parser.add_argument("--claim", default="", help="which metric should move on which workload")
     parser.add_argument("--trace-seconds", type=float, default=0.0)
-    parser.add_argument("--shared-host", action="store_true")
     parser.add_argument("--dry-run", action="store_true")
     return parser
 
@@ -183,7 +192,7 @@ def main(argv=None) -> int:
         "claim": args.claim,
         "command": COMMAND.format(seconds=f"{args.seconds:g}"),
         "method": METHOD,
-        "host": {"vcpus": os.cpu_count(), "shared": args.shared_host, "frequency_pinned": False},
+        "host": {"vcpus": os.cpu_count(), "shared": True, "frequency_pinned": False},
         "software": software,
         "summary": summarize(runs, declared_directions(checkouts["change"])),
         "trace_check": trace_check,
