@@ -20,7 +20,7 @@ import numpy as np
 from .environment import EnvironmentSpec, synth_environment
 from .errors import BsdofError
 from .fd import DEFAULT_STEP, ChannelMap, complex_step_jacobian
-from .loads import LoadConstraint, sample_loads
+from .loads import LoadConstraint, loads_from_uniforms
 from .metrics import benchmark_eemdof, column_space_residual
 from .network import (
     ScatteringSystem,
@@ -33,15 +33,17 @@ from .network import (
 )
 from .optimize import OptimizationConfig, optimize_illumination
 from .sampling import (
+    CHUNK,
     HISTOGRAM_BINS,
     IlluminationPolicy,
+    illuminations_from_uniforms,
     sample_distribution,
     sample_random_illumination,
     write_histogram_csv,
     write_samples_csv,
     write_summary_json,
 )
-from .streams import substream
+from .streams import substream, substream_uniforms
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -282,28 +284,34 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
     a scattering strength in {0.3, 0.6, 0.9}, continuous loads and a random
     illumination, then compares the closed form against the forward-difference
     probe (fd.complex_step_jacobian) and measures the column-space residual.
+
+    Trial t reads at most 44 words of substream(seed, 4, t): 4 shape words,
+    2 n_s load words, then 2 n_t illumination words, drawn by
+    substream_uniforms in chunks of sampling.CHUNK trials.  An illumination
+    below the norm floor takes the trial's scalar stream, as in the sampler.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     fd_errors = np.empty(trials)
     residuals = np.empty(trials)
-    for t in range(trials):
-        gen = substream(seed, 4, t)
-        u = gen.random(4)
-        n_t = 1 + int(u[0] * 4)
-        n_r = 1 + int(u[1] * 4)
-        n_s = 1 + int(u[2] * 16)
-        eta = (0.3, 0.6, 0.9)[int(u[3] * 3)]
-        system = synth_environment(
-            EnvironmentSpec(n_t, n_r, n_s, eta, 1.0, seed=seed * 100003 + t)
-        )
-        blocks = extract_blocks(system)
-        r0 = sample_loads(LoadConstraint.uni(), n_s, gen)
-        x = sample_random_illumination(n_t, gen)
-        closed = closed_form_jacobian(blocks, r0, x)
-        probe = complex_step_jacobian(ChannelMap.from_blocks(blocks), r0, x, step)
-        fd_errors[t] = np.linalg.norm(closed.matrix - probe.matrix) / np.linalg.norm(
-            closed.matrix
-        )
-        residuals[t] = column_space_residual(closed.matrix, blocks.s_rs)
+    for start in range(0, trials, CHUNK):
+        index = np.arange(start, min(start + CHUNK, trials))
+        for t, u in zip(index.tolist(), substream_uniforms(seed, (4,), index, 44)):
+            n_t, n_r, n_s = 1 + int(u[0] * 4), 1 + int(u[1] * 4), 1 + int(u[2] * 16)
+            eta = (0.3, 0.6, 0.9)[int(u[3] * 3)]
+            spec = EnvironmentSpec(n_t, n_r, n_s, eta, 1.0, seed=seed * 100003 + t)
+            blocks = extract_blocks(synth_environment(spec))
+            r0 = loads_from_uniforms(LoadConstraint.uni(), u[4 : 4 + 2 * n_s])
+            x, regular = illuminations_from_uniforms(u[4 + 2 * n_s : 4 + 2 * n_s + 2 * n_t])
+            if not regular:
+                gen = substream(seed, 4, t)
+                gen.random(4 + 2 * n_s)
+                x = sample_random_illumination(n_t, gen)
+            closed = closed_form_jacobian(blocks, r0, x)
+            probe = complex_step_jacobian(ChannelMap.from_blocks(blocks), r0, x, step)
+            error = np.linalg.norm(closed.matrix - probe.matrix)
+            fd_errors[t] = error / np.linalg.norm(closed.matrix)
+            residuals[t] = column_space_residual(closed.matrix, blocks.s_rs)
     return {
         "trials": trials,
         "max_fd_relative_error": float(fd_errors.max()),

@@ -1,8 +1,9 @@
 """Finite-difference Jacobian probes of a channel-prediction map.
 
 These probe an opaque map, however obtained (closed-form model, solver or
-measurement playback), one entry of the base point per column, and serve as
-the independent cross-check of the closed-form Jacobian:
+measurement playback), in one evaluation on a stack of the base point and
+one probe point per column, and serve as the independent cross-check of the
+closed-form Jacobian:
 
 * complex_step_jacobian: forward difference along each complex load
   coordinate.  The map is holomorphic in r, so a plain one-sided step has
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import OracleError, UnsupportedOperationError
 from .loads import LoadConstraint, toggle
-from .network import Jacobian, ScatteringBlocks, end_to_end_channel
+from .network import RCOND_MIN, Jacobian, ScatteringBlocks, _channel_from_resolvent, resolvent
 
 # Base relative step of the forward-difference probe.
 DEFAULT_STEP = 1e-6
@@ -30,35 +31,44 @@ DEFAULT_STEP = 1e-6
 
 @dataclass
 class ChannelMap:
-    """A pure evaluator from a load configuration to an n_r-by-n_t channel."""
+    """A pure evaluator from loads (k, n_s) to channels (k, n_r, n_t); a row
+    it cannot compute is NaN, and the oracles name its configuration."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def from_blocks(cls, blocks: ScatteringBlocks) -> "ChannelMap":
-        return cls(lambda r: end_to_end_channel(blocks, r))
+        """H(r) of each row through one resolvent call; rows below RCOND_MIN are NaN."""
+
+        def channels(r: np.ndarray) -> np.ndarray:
+            g, rcond = resolvent(blocks.s_ss, r)
+            h = _channel_from_resolvent(blocks, g, r)
+            h[rcond < RCOND_MIN] = np.nan
+            return h
+
+        return cls(channels)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(r), dtype=complex)
 
 
-def _evaluate(f: Callable, v: np.ndarray, where: str) -> np.ndarray:
-    try:
-        return f(v)
-    except Exception as exc:
-        raise OracleError(f"channel map failed at {where}: {exc}") from exc
-
-
 def _secant_jacobian(f: Callable, v0: np.ndarray, probe: Callable, what: str) -> Jacobian:
-    """Column i is (f(v0 with entry i set to value) - f(v0)) / divisor, where
-    (value, divisor) = probe(i); a failing f raises OracleError naming where."""
-    y0 = _evaluate(f, v0, "base point")
-    jac = np.empty((y0.size, v0.size), dtype=complex)
-    for i in range(v0.size):
-        v = v0.copy()
-        v[i], divisor = probe(i)
-        jac[:, i] = (_evaluate(f, v, f"{what} column {i}") - y0) / divisor
-    return Jacobian(jac)
+    """Column i is (f(v) - f(v0)) / divisor, where v is v0 with entry i set to
+    value and (value, divisor) = probe(i).  One call of f maps v0 and every v;
+    a raising f or a non-finite row raises OracleError naming the point."""
+    n = v0.size
+    values, divisors = zip(*(probe(i) for i in range(n)))
+    stack = np.repeat(v0[None, :], n + 1, axis=0)
+    stack[np.arange(1, n + 1), np.arange(n)] = values
+    try:
+        y = f(stack)
+    except Exception as exc:
+        raise OracleError(f"channel map failed: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(y).reshape(n + 1, -1).all(axis=1))
+    if bad.size:
+        where = "base point" if bad[0] == 0 else f"{what} column {bad[0] - 1}"
+        raise OracleError(f"channel map failed at {where}: non-finite output")
+    return Jacobian(((y[1:] - y[0]) / np.array(divisors)[:, None]).T)
 
 
 def complex_step_jacobian(
@@ -74,12 +84,13 @@ def complex_step_jacobian(
     probed no more timidly than ones near zero.  Truncation error is
     O(step); halving the step halves the error.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    r0 = np.asarray(r0, dtype=complex)
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    r0, x = np.asarray(r0, dtype=complex), np.asarray(x)
     h = step * (1.0 + np.hypot(r0.real, r0.imag))  # np.abs on an array can be an ulp off
     return _secant_jacobian(
-        lambda r: channel_map(r) @ x, r0, lambda i: (r0[i] + h[i], h[i]), "perturbed"
+        lambda r: (channel_map(r) @ x[:, None])[..., 0], r0, lambda i: (r0[i] + h[i], h[i]),
+        "perturbed",
     )
 
 
@@ -102,14 +113,14 @@ def discrete_toggle_jacobian(
         raise UnsupportedOperationError("toggle differencing needs a two-state constraint")
     if wrt not in ("controls", "reflection"):
         raise ValueError(f"wrt must be 'controls' or 'reflection', got {wrt!r}")
-    r0 = np.asarray(r0, dtype=complex)
+    r0, x = np.asarray(r0, dtype=complex), np.asarray(x)
 
     def flip(i: int) -> tuple:
         other = toggle(r0, i, constraint)[i]
         sign = 1.0 if r0[i] == constraint.off_value else -1.0
         return other, sign if wrt == "controls" else other - r0[i]
 
-    return _secant_jacobian(lambda r: channel_map(r) @ x, r0, flip, "toggled")
+    return _secant_jacobian(lambda r: (channel_map(r) @ x[:, None])[..., 0], r0, flip, "toggled")
 
 
 def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray, step: float = 1e-2) -> np.ndarray:
@@ -121,4 +132,4 @@ def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray, step: float = 1e-2) ->
     """
     h = np.asarray(h, dtype=complex)
     x0 = np.asarray(x0, dtype=complex)
-    return _secant_jacobian(lambda x: h @ x, x0, lambda i: (x0[i] + step, step), "probed").matrix
+    return _secant_jacobian(lambda x: x @ h.T, x0, lambda i: (x0[i] + step, step), "probed").matrix

@@ -290,7 +290,7 @@ def coupling_resolvent(s_ss: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _channel_from_resolvent(blocks: ScatteringBlocks, g: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return blocks.s_rt + blocks.s_rs @ (g * r[None, :]) @ blocks.s_st
+    return blocks.s_rt + blocks.s_rs @ (g * r[..., None, :]) @ blocks.s_st
 
 
 def end_to_end_channel(blocks: ScatteringBlocks, r: np.ndarray) -> np.ndarray:

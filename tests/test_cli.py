@@ -6,10 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bsdof.cli import main
+import bsdof.cli
+from bsdof.cli import jacobian_validation_sweep, main
 from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.metrics import benchmark_eemdof
-from bsdof.network import ScatteringSystem, extract_blocks, load_system, save_system
+from bsdof.network import (
+    ScatteringSystem,
+    closed_form_jacobian,
+    extract_blocks,
+    load_system,
+    save_system,
+)
 
 
 def make_system_file(tmp_path, n_t, n_r, n_s, seed, eta=0.9, mc=1.0, name="system.json"):
@@ -283,6 +290,71 @@ def test_validate_jacobian_passes_and_writes_report(tmp_path):
 
 def test_validate_jacobian_without_output_dir():
     assert main(["validate-jacobian", "--trials", "3", "--seed", "2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--trials", "0", "error: trials must be at least 1, got 0"),
+        ("--trials", "-1", "error: trials must be at least 1, got -1"),
+        ("--step", "nan", "error: step must be finite and positive, got nan"),
+        ("--step", "inf", "error: step must be finite and positive, got inf"),
+    ],
+)
+def test_validate_jacobian_names_a_bad_input_and_writes_nothing(
+    tmp_path, capsys, option, value, message
+):
+    out = tmp_path / "validation"
+    argv = ["validate-jacobian", "--trials", "2", "--seed", "0", option, value]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "trials, seed, fd_error, residual",
+    [
+        (100, 0, 5.02678906281755e-07, 1.4408916298249371e-15),
+        (5, 1, 3.879178866415222e-07, 6.839603488522893e-16),
+        (300, 2, 5.900358599242237e-07, 1.1431423781901125e-15),
+    ],
+)
+def test_validation_sweep_numbers_are_pinned(trials, seed, fd_error, residual):
+    report = jacobian_validation_sweep(trials, seed)
+    assert report["max_fd_relative_error"] == fd_error
+    assert report["max_column_space_residual"] == residual
+
+
+def test_zero_norm_sweep_illumination_falls_back_to_its_scalar_draw(monkeypatch):
+    def run():
+        drawn = []
+
+        def recording(blocks, r0, x):
+            drawn.append((r0, x))
+            return closed_form_jacobian(blocks, r0, x)
+
+        monkeypatch.setattr(bsdof.cli, "closed_form_jacobian", recording)
+        return jacobian_validation_sweep(260, 2), drawn
+
+    expected, expected_draws = run()
+    batched = bsdof.cli.substream_uniforms
+
+    def zero_magnitudes(seed, prefix, index, k):
+        # trial 257's n_t magnitude words follow its 4 shape and 2 n_s load
+        # words; all-zero magnitudes give a zero Gaussian
+        u = batched(seed, prefix, index, k)
+        for row in np.flatnonzero(np.asarray(index) == 257):
+            n_t, n_s = 1 + int(u[row, 0] * 4), 1 + int(u[row, 2] * 16)
+            u[row, 4 + 2 * n_s : 4 + 2 * n_s + n_t] = 0.0
+        return u
+
+    monkeypatch.setattr(bsdof.cli, "substream_uniforms", zero_magnitudes)
+    report, draws = run()
+    assert report == expected
+    assert len(draws) == len(expected_draws)
+    for (r, x), (r_ref, x_ref) in zip(draws, expected_draws):
+        assert np.array_equal(r, r_ref) and np.array_equal(x, x_ref)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,12 @@ from bsdof.fd import (
 )
 from bsdof.loads import LoadConstraint, sample_loads
 from bsdof.metrics import participation_from_singular_values
-from bsdof.network import ScatteringSystem, closed_form_jacobian, extract_blocks
+from bsdof.network import (
+    ScatteringBlocks,
+    ScatteringSystem,
+    closed_form_jacobian,
+    extract_blocks,
+)
 from bsdof.sampling import sample_random_illumination
 from bsdof.streams import standard_complex_gaussian, substream
 
@@ -88,13 +93,60 @@ def test_probe_failure_names_the_column():
     r_base = np.zeros(4, dtype=complex)
 
     def fragile(r):
-        if r[2] != r_base[2]:
-            raise RuntimeError("hardware refused")
-        return np.zeros((2, 3), dtype=complex)
+        # a stack map: the configuration that moved entry 2 reads NaN
+        h = np.zeros((len(r), 2, 3), dtype=complex)
+        h[r[:, 2] != r_base[2]] = np.nan
+        return h
 
     channel_map = ChannelMap(fragile)
     with pytest.raises(OracleError, match="column 2"):
         complex_step_jacobian(channel_map, r_base, np.ones(3) / np.sqrt(3))
+
+
+def diagonal_blocks():
+    """Two loads with S_SS = diag(1, 0.5): turning load 0 to r = 1 makes A singular."""
+    return ScatteringBlocks(
+        s_rt=np.zeros((1, 1)),
+        s_rs=np.ones((1, 2)),
+        s_ss=np.diag([1.0, 0.5]),
+        s_st=np.ones((2, 1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "r0, where", [([0.0, 0.0], "toggled column 0"), ([1.0, 0.0], "base point")]
+)
+def test_singular_configuration_is_named(r0, where):
+    channel_map = ChannelMap.from_blocks(diagonal_blocks())
+    constraint = LoadConstraint.pin(on=1.0, off=0.0)
+    x = np.ones(1, dtype=complex)
+    with pytest.raises(OracleError, match=where):
+        discrete_toggle_jacobian(channel_map, np.array(r0, dtype=complex), x, constraint)
+
+
+def test_stacked_probe_equals_single_row_evaluations():
+    """Each column of the one-stack oracle is bit for bit the secant of two
+    single-row evaluations of the map."""
+    for trial in range(50):
+        u = substream(70, trial).random(4)
+        n_t, n_r, n_s = 1 + int(u[0] * 4), 1 + int(u[1] * 4), 2 + int(u[2] * 15)
+        eta = (0.3, 0.6, 0.9)[int(u[3] * 3)]
+        blocks = coupled_blocks(n_t, n_r, n_s, seed=trial, eta=eta)
+        r0 = uni_loads(n_s, substream(71, trial))
+        x = sample_random_illumination(n_t, substream(72, trial))
+        channel_map = ChannelMap.from_blocks(blocks)
+
+        def single(r):
+            return (channel_map(r[None]) @ x[:, None])[0, :, 0]
+
+        h = 1e-6 * (1.0 + np.hypot(r0.real, r0.imag))
+        expected = np.empty((n_r, n_s), dtype=complex)
+        for i in range(n_s):
+            r = r0.copy()
+            r[i] += h[i]
+            expected[:, i] = (single(r) - single(r0)) / h[i]
+        fd = complex_step_jacobian(channel_map, r0, x).matrix
+        assert np.array_equal(fd, expected)
 
 
 def test_toggle_secant_without_coupling_matches_closed_form():
