@@ -124,6 +124,19 @@ def test_singular_configuration_is_named(r0, where):
         discrete_toggle_jacobian(channel_map, np.array(r0, dtype=complex), x, constraint)
 
 
+def test_a_raising_map_becomes_an_oracle_error():
+    def refusing(r):
+        raise RuntimeError("hardware refused")
+
+    with pytest.raises(OracleError, match="hardware refused"):
+        complex_step_jacobian(ChannelMap(refusing), np.zeros(2), np.ones(1))
+
+
+def single_row_output(channel_map, r, x):
+    """H(r) x through a one-row stack."""
+    return (channel_map(r[None]) @ x[:, None])[0, :, 0]
+
+
 def test_stacked_probe_equals_single_row_evaluations():
     """Each column of the one-stack oracle is bit for bit the secant of two
     single-row evaluations of the map."""
@@ -135,16 +148,13 @@ def test_stacked_probe_equals_single_row_evaluations():
         r0 = uni_loads(n_s, substream(71, trial))
         x = sample_random_illumination(n_t, substream(72, trial))
         channel_map = ChannelMap.from_blocks(blocks)
-
-        def single(r):
-            return (channel_map(r[None]) @ x[:, None])[0, :, 0]
-
+        base = single_row_output(channel_map, r0, x)
         h = 1e-6 * (1.0 + np.hypot(r0.real, r0.imag))
         expected = np.empty((n_r, n_s), dtype=complex)
         for i in range(n_s):
             r = r0.copy()
             r[i] += h[i]
-            expected[:, i] = (single(r) - single(r0)) / h[i]
+            expected[:, i] = (single_row_output(channel_map, r, x) - base) / h[i]
         fd = complex_step_jacobian(channel_map, r0, x).matrix
         assert np.array_equal(fd, expected)
 
