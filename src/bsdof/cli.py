@@ -196,7 +196,15 @@ def _policy_from_config(config: dict, system: ScatteringSystem) -> IlluminationP
     return IlluminationPolicy.fixed(pairs_to_complex(pairs))
 
 
+def _check_counts(config: dict, *keys: str) -> None:
+    """Reject a count below 1 before the run draws or writes anything."""
+    for key in keys:
+        if config[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {config[key]}")
+
+
 def run_bs_dist(config: dict, out_dir: Path) -> int:
+    _check_counts(config, "bins")
     system = load_system(config["system"])
     constraint = LoadConstraint.from_dict(config["constraint"])
     policy = _policy_from_config(config, system)
@@ -226,6 +234,7 @@ def run_bs_dist(config: dict, out_dir: Path) -> int:
 
 
 def run_optimize_x(config: dict, out_dir: Path) -> int:
+    _check_counts(config, "final_n", "bins")
     system = load_system(config["system"])
     constraint = LoadConstraint.from_dict(config["constraint"])
     search = {f.name: config[f.name] for f in fields(OptimizationConfig)}
@@ -287,8 +296,8 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
 
     Trial t reads at most 44 words of substream(seed, 4, t): 4 shape words,
     2 n_s load words, then 2 n_t illumination words, drawn by
-    substream_uniforms in chunks of sampling.CHUNK trials.  An illumination
-    below the norm floor takes the trial's scalar stream, as in the sampler.
+    substream_uniforms in chunks of sampling.CHUNK trials and turned into
+    loads and an illumination by the sampler's own formulas.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -302,11 +311,7 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
             spec = EnvironmentSpec(n_t, n_r, n_s, eta, 1.0, seed=seed * 100003 + t)
             blocks = extract_blocks(synth_environment(spec))
             r0 = loads_from_uniforms(LoadConstraint.uni(), u[4 : 4 + 2 * n_s])
-            x, regular = illuminations_from_uniforms(u[4 + 2 * n_s : 4 + 2 * n_s + 2 * n_t])
-            if not regular:
-                gen = substream(seed, 4, t)
-                gen.random(4 + 2 * n_s)
-                x = sample_random_illumination(n_t, gen)
+            x = illuminations_from_uniforms(u[4 + 2 * n_s : 4 + 2 * n_s + 2 * n_t])
             closed = closed_form_jacobian(blocks, r0, x)
             probe = complex_step_jacobian(ChannelMap.from_blocks(blocks), r0, x, step)
             error = np.linalg.norm(closed.matrix - probe.matrix)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, OptimizationFailedError
-from .loads import LoadConstraint, loads_from_uniforms, sample_loads
+from .loads import LoadConstraint, loads_from_uniforms
 from .metrics import _gram_terms
 from .network import (
     RCOND_MIN,
@@ -117,22 +117,17 @@ def sample_load_set(
     policy (sampling.redraw_singular), so downstream evaluation never trips
     on them and a pathological coupling fails before any search.
     """
+    n_words = constraint.uniforms_per_draw(int(n_s))
 
-    n_s = int(n_s)
-
-    def draw(gen: np.random.Generator) -> np.ndarray:
-        return sample_loads(constraint, n_s, gen)
-
-    u = substream_uniforms(
-        seed, (_LOADSET_KEY,), range(int(n_members)), constraint.uniforms_per_draw(n_s)
-    )
-    members = loads_from_uniforms(constraint, u)
-
-    def evaluate(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = loads_from_uniforms(constraint, u)
         return r, resolvent(s_ss, r)[1] >= RCOND_MIN
 
-    singular = np.flatnonzero(~evaluate(members)[1])
-    redraw_singular(members, singular, (seed, _LOADSET_KEY), draw, evaluate, "load-set member")
+    members, ok = evaluate(
+        substream_uniforms(seed, (_LOADSET_KEY,), range(int(n_members)), n_words)
+    )
+    singular = np.flatnonzero(~ok)
+    redraw_singular(members, singular, (seed, _LOADSET_KEY), n_words, evaluate, "load-set member")
     return members
 
 

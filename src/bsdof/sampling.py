@@ -9,6 +9,7 @@ streams.substream_uniforms, which equals the per-sample streams bit for bit,
 so draws run in the workers and draw memory is per chunk.  After the pool,
 redraw_singular, the one redraw policy (shared with
 optimize.sample_load_set), continues each singular sample i's own stream.
+First draws and redraws go through one function of the stream words.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SingularityError, UnsupportedOperationError
-from .loads import LoadConstraint, loads_from_uniforms, sample_loads
+from .loads import LoadConstraint, loads_from_uniforms
 from .metrics import participation_from_jacobians
 from .network import (
     RCOND_MIN,
@@ -40,7 +41,7 @@ from .network import (
     solved_factors,
     validate_illumination,
 )
-from .streams import box_muller, substream, substream_uniforms
+from .streams import TWO_PI, box_muller, substream, substream_uniforms
 
 # Samples per vectorized evaluation chunk.  Fixed (never derived from the
 # worker count) so chunk boundaries cannot depend on scheduling.
@@ -51,9 +52,6 @@ MAX_REDRAWS_PER_SAMPLE = 1000
 
 # Fraction of singular draws above which the whole run is rejected.
 MAX_SINGULAR_FRACTION = 0.01
-
-# Illumination draws whose Gaussian norm falls below this are redrawn.
-ILLUMINATION_NORM_FLOOR = 1e-150
 
 # Bins of the histogram.csv written next to every distribution.
 HISTOGRAM_BINS = 64
@@ -105,52 +103,58 @@ class DofDistribution:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if np.any(self.samples < 1.0 - 1e-9) or np.any(self.samples > self.n_tilde + 1e-9):
+        # phrased so that NaN, which fails every comparison, is outside too
+        inside = (self.samples >= 1.0 - 1e-9) & (self.samples <= self.n_tilde + 1e-9)
+        if not inside.all():
             raise ValueError(f"samples outside [1, {self.n_tilde}]")
         self.n_samples = self.samples.size
         self.mean, self.std = summarize(self.samples)
 
 
-def illuminations_from_uniforms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def illuminations_from_uniforms(u: np.ndarray) -> np.ndarray:
     """Haar-uniform unit-norm illuminations from rows of 2 n_t uniforms.
 
-    Each row holds n_t Box-Muller magnitude words, then n_t phase words.
-    Returns (x, ok); ok is False on a row whose Gaussian norm fell below
-    ILLUMINATION_NORM_FLOOR, and that row of x is meaningless.
+    Each row holds n_t Box-Muller magnitude words, then n_t phase words.  A
+    Box-Muller radius is 0 only for a magnitude word of exactly 0.0 (any
+    other word gives at least 2**-26.5), so only a row whose magnitude words
+    are all 0.0, of probability 2**(-53 n_t), has no direction; it takes
+    unit magnitudes with its own phase words.
     """
     n_t = u.shape[-1] // 2
     z = box_muller(u[..., :n_t], u[..., n_t:])
     # rounds as np.linalg.norm does: x.real.dot(x.real) + x.imag.dot(x.imag)
     re, im = z.real[..., None], z.imag[..., None]
     norm = np.sqrt(re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[..., 0]
-    ok = norm[..., 0] >= ILLUMINATION_NORM_FLOOR
-    return z / np.maximum(norm, ILLUMINATION_NORM_FLOOR), ok
+    if not norm.all():
+        blank = norm[..., 0] == 0.0
+        z[blank], norm[blank] = np.exp(1j * TWO_PI * u[blank, n_t:]) / np.sqrt(n_t), 1.0
+    return z / norm
 
 
 def sample_random_illumination(n_t: int, stream: np.random.Generator) -> np.ndarray:
     """Haar-uniform point on the complex unit sphere in n_t dimensions."""
-    while True:
-        x, ok = illuminations_from_uniforms(stream.random(2 * int(n_t)))
-        if ok:
-            return x
+    return illuminations_from_uniforms(stream.random(2 * int(n_t)))
 
 
-def redraw_singular(values, singular, key: tuple, draw, evaluate, label: str) -> int:
+def redraw_singular(values, singular, key: tuple, n_words: int, evaluate, label: str) -> int:
     """Redraw each singular member of values from its own stream; return the redraw count.
 
-    For each index i in singular, in order: re-seed substream(*key, i), pass
-    its rejected first draw, and redraw into values[i] until
-    evaluate(draw(gen)) gives (value, True).  Raises SingularityError after
+    evaluate maps a stack of word rows (m, n_words) to (values, ok), and a
+    member's first draw was evaluate of the first n_words words of
+    substream(*key, i).  For each index i in singular, in order: re-seed that
+    stream, skip the rejected first draw, and evaluate its next n_words words
+    into values[i] until ok.  Raises SingularityError after
     MAX_REDRAWS_PER_SAMPLE redraws of one member, or when more than
     MAX_SINGULAR_FRACTION of all len(values) + redraws draws were singular.
     """
     redraws = 0
     for i in singular:
         gen = substream(*key, i)
-        draw(gen)
+        gen.random(n_words)
         for count in range(1, MAX_REDRAWS_PER_SAMPLE + 1):
-            values[i], accepted = evaluate(draw(gen))
-            if accepted:
+            value, accepted = evaluate(gen.random((1, n_words)))
+            values[i] = value[0]
+            if accepted[0]:
                 break
         else:
             raise SingularityError(
@@ -242,40 +246,31 @@ def sample_distribution(
     if policy.kind == "FIXED":
         validate_illumination(policy.fixed_x, n_t)
 
-    def draw(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        r = sample_loads(constraint, n_s, gen)
-        x = sample_random_illumination(n_t, gen) if policy.kind == "RAND" else policy.fixed_x
-        return r, x
-
     # per sample: load words, then n_t magnitude and n_t phase words under RAND
     n_load = constraint.uniforms_per_draw(n_s)
     n_words = n_load + (2 * n_t if policy.kind == "RAND" else 0)
+
+    def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = loads_from_uniforms(constraint, u[:, :n_load])
+        if policy.kind == "RAND":
+            x = illuminations_from_uniforms(u[:, n_load:])
+        else:
+            x = np.repeat(policy.fixed_x[None, :], len(u), axis=0)
+        return _chunk_m_values(blocks, r, x, mode, constraint, certified)
+
     values = np.empty(n_samples)
     ok = np.empty(n_samples, dtype=bool)
 
     def run_span(start: int) -> None:
         index = np.arange(start, min(start + CHUNK, n_samples))
-        u = substream_uniforms(seed, (), index, n_words)
-        r = loads_from_uniforms(constraint, u[:, :n_load])
-        if policy.kind == "RAND":
-            x, regular = illuminations_from_uniforms(u[:, n_load:])
-            for j in np.flatnonzero(~regular):
-                r[j], x[j] = draw(substream(seed, index[j]))
-        else:
-            x = np.repeat(policy.fixed_x[None, :], index.size, axis=0)
         s = slice(start, start + CHUNK)
-        values[s], ok[s] = _chunk_m_values(blocks, r, x, mode, constraint, certified)
+        values[s], ok[s] = evaluate(substream_uniforms(seed, (), index, n_words))
 
     starts = range(0, n_samples, CHUNK)
     with ThreadPoolExecutor(max_workers=_worker_count(len(starts))) as pool:
         list(pool.map(run_span, starts))
-
-    def evaluate(drawn: tuple[np.ndarray, np.ndarray]) -> tuple[float, bool]:
-        r, x = drawn
-        v, good = _chunk_m_values(blocks, r[None, :], x[None, :], mode, constraint, certified)
-        return v[0], good[0]
-
-    redraw_count = redraw_singular(values, np.flatnonzero(~ok), (seed,), draw, evaluate, "sample")
+    singular = np.flatnonzero(~ok)
+    redraw_count = redraw_singular(values, singular, (seed,), n_words, evaluate, "sample")
     return DofDistribution(
         samples=values,
         n_tilde=min(blocks.n_rx, n_s),

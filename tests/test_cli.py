@@ -17,6 +17,7 @@ from bsdof.network import (
     load_system,
     save_system,
 )
+from bsdof.streams import substream
 
 
 def make_system_file(tmp_path, n_t, n_r, n_s, seed, eta=0.9, mc=1.0, name="system.json"):
@@ -326,7 +327,7 @@ def test_validation_sweep_numbers_are_pinned(trials, seed, fd_error, residual):
     assert report["max_column_space_residual"] == residual
 
 
-def test_zero_norm_sweep_illumination_falls_back_to_its_scalar_draw(monkeypatch):
+def test_sweep_runs_through_an_all_zero_magnitude_row(monkeypatch):
     def run():
         drawn = []
 
@@ -341,20 +342,55 @@ def test_zero_norm_sweep_illumination_falls_back_to_its_scalar_draw(monkeypatch)
     batched = bsdof.cli.substream_uniforms
 
     def zero_magnitudes(seed, prefix, index, k):
-        # trial 257's n_t magnitude words follow its 4 shape and 2 n_s load
-        # words; all-zero magnitudes give a zero Gaussian
+        # trial 257's n_t magnitude words follow its 4 shape and 2 n_s load words
         u = batched(seed, prefix, index, k)
         for row in np.flatnonzero(np.asarray(index) == 257):
             n_t, n_s = 1 + int(u[row, 0] * 4), 1 + int(u[row, 2] * 16)
             u[row, 4 + 2 * n_s : 4 + 2 * n_s + n_t] = 0.0
         return u
 
+    words = substream(2, 4, 257).random(44)
+    n_t, n_s = 1 + int(words[0] * 4), 1 + int(words[2] * 16)
+    phases = words[4 + 2 * n_s + n_t : 4 + 2 * n_s + 2 * n_t]
+    x_257 = np.exp(2j * np.pi * phases) / np.sqrt(n_t)
     monkeypatch.setattr(bsdof.cli, "substream_uniforms", zero_magnitudes)
     report, draws = run()
-    assert report == expected
-    assert len(draws) == len(expected_draws)
-    for (r, x), (r_ref, x_ref) in zip(draws, expected_draws):
-        assert np.array_equal(r, r_ref) and np.array_equal(x, x_ref)
+    assert report["max_fd_relative_error"] < report["fd_tolerance"]
+    assert report["max_column_space_residual"] < report["residual_tolerance"]
+    assert len(draws) == len(expected_draws) == 260
+    for t, ((r, x), (r_ref, x_ref)) in enumerate(zip(draws, expected_draws)):
+        assert np.array_equal(r, r_ref)
+        assert np.array_equal(x, x_ref) == (t != 257)
+    assert np.allclose(draws[257][1], x_257, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bs-dist", "--n", "20", "--bins", "0"], "bins must be at least 1, got 0"),
+        (
+            ["optimize-x", "--objective-samples", "20", "--starts", "1", "--final-n", "0"],
+            "final_n must be at least 1, got 0",
+        ),
+        (
+            ["optimize-x", "--objective-samples", "20", "--starts", "1", "--bins", "0"],
+            "bins must be at least 1, got 0",
+        ),
+    ],
+    ids=["bs-dist-bins", "optimize-x-final-n", "optimize-x-bins"],
+)
+def test_a_count_below_one_is_named_before_any_draw(tmp_path, capsys, monkeypatch, argv, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the run drew before checking its counts")
+
+    monkeypatch.setattr(bsdof.cli, "sample_distribution", no_draw)
+    monkeypatch.setattr(bsdof.cli, "optimize_illumination", no_draw)
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--system", path, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

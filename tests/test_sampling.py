@@ -10,7 +10,7 @@ import bsdof.sampling
 from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
 from bsdof.errors import SingularityError, UnsupportedOperationError
 from bsdof.fd import ChannelMap, discrete_toggle_jacobian
-from bsdof.loads import LoadConstraint, sample_loads
+from bsdof.loads import LoadConstraint, loads_from_uniforms, sample_loads
 from bsdof.metrics import bs_eemdof_point, participation_from_singular_values
 from bsdof.optimize import sample_load_set
 from bsdof.sampling import (
@@ -19,6 +19,7 @@ from bsdof.sampling import (
     IlluminationPolicy,
     _chunk_m_values,
     histogram,
+    illuminations_from_uniforms,
     sample_distribution,
     sample_random_illumination,
     summarize,
@@ -34,7 +35,7 @@ from bsdof.network import (
     extract_blocks,
     rcond_floor,
 )
-from bsdof.streams import substream
+from bsdof.streams import substream, substream_uniforms
 
 PIN = LoadConstraint.pin()
 PM = LoadConstraint.pm()
@@ -103,6 +104,9 @@ def test_samples_respect_bounds_and_n_tilde():
     assert dist.n_tilde == 4
     assert np.all(dist.samples >= 1.0 - 1e-9)
     assert np.all(dist.samples <= 4.0 + 1e-9)
+    for bad in ([0.5, 1.5], [1.5, 4.5], [np.nan, 1.5], [1.5, np.inf]):
+        with pytest.raises(ValueError, match=r"outside \[1, 4\]"):
+            DofDistribution(samples=bad, n_tilde=4, seed=0)
 
 
 def test_fixed_illumination_still_spreads_with_coupling():
@@ -132,23 +136,45 @@ def test_worker_count_does_not_change_the_samples(monkeypatch):
     assert np.array_equal(runs[0].samples, runs[1].samples)
 
 
-def test_zero_norm_illumination_row_falls_back_to_its_scalar_draw(monkeypatch):
+@pytest.mark.parametrize("n_t", [1, 3])
+def test_all_zero_magnitude_row_takes_unit_magnitudes_with_its_phases(n_t):
+    u = substream_uniforms(5, (), range(4), 2 * n_t)
+    u[2, :n_t] = 0.0
+    x = illuminations_from_uniforms(u)
+    assert np.all(np.isfinite(x))
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    phases = np.exp(2j * np.pi * u[2, n_t:]) / math.sqrt(n_t)
+    assert np.allclose(x[2], phases, rtol=0.0, atol=1e-15)
+    # the other rows are untouched, and so is a single row
+    rest = [0, 1, 3]
+    assert np.array_equal(x[rest], illuminations_from_uniforms(u[rest]))
+    assert np.array_equal(x[2], illuminations_from_uniforms(u[2]))
+
+
+def test_sampler_runs_through_an_all_zero_magnitude_row(monkeypatch):
     system = system_for(2, 2, 16, seed=8)
     expected = sample_distribution(system, IlluminationPolicy.rand(), PIN, 600, seed=9)
     batched = bsdof.sampling.substream_uniforms
 
     def zero_magnitudes(seed, prefix, index, k):
-        # sample 300's magnitude words follow its 16 load words; all-zero
-        # magnitudes give a zero Gaussian, which no normalization survives
+        # sample 300's magnitude words follow its 16 load words
         u = batched(seed, prefix, index, k)
         u[np.asarray(index) == 300, 16:18] = 0.0
         return u
 
+    words = substream(9, 300).random(20)
+    r = loads_from_uniforms(PIN, words[:16])
+    x = np.exp(2j * np.pi * words[18:]) / math.sqrt(2.0)
+    m_300 = bs_eemdof_point(extract_blocks(system), r, x).m
+    others = np.arange(600) != 300
     monkeypatch.setattr(bsdof.sampling, "substream_uniforms", zero_magnitudes)
     for threads in ("1", "2"):
         monkeypatch.setenv("BSDOF_THREADS", threads)
         dist = sample_distribution(system, IlluminationPolicy.rand(), PIN, 600, seed=9)
-        assert np.array_equal(dist.samples, expected.samples)
+        assert np.array_equal(dist.samples[others], expected.samples[others])
+        assert math.isfinite(dist.samples[300])
+        assert dist.samples[300] != expected.samples[300]
+        assert math.isclose(dist.samples[300], m_300, rel_tol=1e-12)
 
 
 def test_thread_override_must_be_an_integer(monkeypatch):
@@ -279,6 +305,25 @@ def test_redrawn_samples_continue_their_own_stream():
     assert redraws == dist.redraw_count
     assert np.ptp(dist.samples[redrawn]) > 0.1
     assert np.allclose(dist.samples, ref, rtol=1e-12, atol=0.0)
+
+
+def test_redrawn_load_set_members_continue_their_own_stream():
+    s_ss = extract_blocks(flat_resonant_rank2_system()).s_ss
+    members = sample_load_set(PM, 8, 200, seed=33, s_ss=s_ss)
+    redrawn = []
+    for i in range(200):
+        gen = substream(33, 0, i)
+        for attempt in range(1000):
+            r = sample_loads(PM, 8, gen)
+            try:
+                coupling_resolvent(s_ss, r)
+                break
+            except SingularityError:
+                pass
+        if attempt:
+            redrawn.append(i)
+        assert np.array_equal(members[i], r)
+    assert redrawn
 
 
 def test_redraw_cap_is_shared_by_samples_and_load_sets(monkeypatch):

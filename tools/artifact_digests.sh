@@ -5,13 +5,17 @@
 #   bs-dist toggle, n=40,000 at (3, 4, 16);
 #   optimize-x UNI MAX, optimizer seed 11, at (3, 4, 16);
 #   validate-jacobian, 1,000 trials;
-# plus one run that redraws: bs-dist model with PM loads, n=2,000, on an
-# 8-load system whose flat rank-1 coupling resonates when every load is ON
-# (tests/test_sampling.py::flat_resonant_rank2_system; 5 redraws at seed 0).
-# Its system file is built by the checkout's own save_system.
+# plus bs-dist under the FIXED policy (its default illumination, UNI loads,
+# n=3,000 at (3, 4, 16), seed 2), and two runs that redraw on an 8-load
+# system whose flat rank-1 coupling resonates when every load is ON
+# (tests/test_sampling.py::flat_resonant_rank2_system):
+#   bs-dist model with PM loads, n=2,000, seed 0 (5 redraws);
+#   optimize-x with PM loads, 2 starts, 400 objective samples, final n=2,000,
+#   seed 0 (load-set members 6, 30 and 174 redrawn, 5 final redraws).
+# The resonant system file is built by the checkout's own save_system.
 # Runs in a fresh temporary directory with relative paths, because
 # config.json and summary.json record the --system path as given.  Run it on
-# two checkouts and diff the outputs: a refactor must print the same lines.
+# two checkouts and diff the outputs: a refactor must print the same 35 lines.
 #
 #   tools/artifact_digests.sh <checkout>
 set -eu
@@ -26,6 +30,8 @@ bsdof synth-env --nt 3 --nr 4 --ns 64 --seed 0 --out-dir env64
 bsdof synth-env --nt 3 --nr 4 --ns 16 --seed 0 --out-dir env16
 bsdof bs-dist --system env64/system.json --mode model --n 10000 --seed 0 --out-dir mc-model
 bsdof bs-dist --system env16/system.json --mode toggle --n 40000 --seed 0 --out-dir mc-toggle
+bsdof bs-dist --system env16/system.json --policy fixed --constraint uni --n 3000 --seed 2 \
+    --out-dir mc-fixed
 bsdof optimize-x --system env16/system.json --constraint uni --direction max --seed 11 \
     --out-dir opt-uni
 # exit 1 only reports a tolerance miss; its artifacts are still the result
@@ -48,4 +54,6 @@ save_system(ScatteringSystem(11, matrix, tx, rx, bs), "resonant.json")
 PY
 bsdof bs-dist --system resonant.json --mode model --constraint pm --n 2000 --seed 0 \
     --out-dir mc-redraw
+bsdof optimize-x --system resonant.json --constraint pm --starts 2 --objective-samples 400 \
+    --final-n 2000 --seed 0 --out-dir opt-redraw
 find . -name '*.json' -o -name '*.csv' | sort | xargs sha256sum
