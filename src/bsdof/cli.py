@@ -30,6 +30,7 @@ from .network import (
     load_system,
     pairs_to_complex,
     save_system,
+    spectral_norm,
 )
 from .optimize import OptimizationConfig, optimize_illumination
 from .sampling import (
@@ -150,7 +151,7 @@ def run_synth_env(config: dict, out_dir: Path) -> int:
     system = synth_environment(spec)
     _echo_config(config, out_dir)
     save_system(system, out_dir / "system.json")
-    norm = float(np.linalg.norm(system.matrix, 2))
+    norm = spectral_norm(system.matrix)
     print(
         f"wrote {out_dir / 'system.json'}: N={system.n_total} "
         f"(tx={spec.n_t}, rx={spec.n_r}, bs={spec.n_s}), spectral norm {norm:.6f}"
@@ -254,6 +255,7 @@ def run_optimize_x(config: dict, out_dir: Path) -> int:
                 for s, f, n in result.per_start_trace
             ],
             "objective_evaluations": result.objective_evaluations,
+            "load_set_redraws": result.load_set_redraws,
             "hyperparameters": {
                 k: v for k, v in asdict(opt_config).items() if k not in ("direction", "seed")
             },
@@ -277,7 +279,8 @@ def run_optimize_x(config: dict, out_dir: Path) -> int:
     write_histogram_csv(dist, out_dir / "histogram.csv", n_bins=config["bins"])
     print(
         f"{opt_config.direction} objective {result.best_objective:.4f} "
-        f"({result.objective_evaluations} evaluations, {elapsed:.1f}s); "
+        f"({result.objective_evaluations} evaluations, {result.load_set_redraws} load-set "
+        f"redraws, {elapsed:.1f}s); "
         f"final distribution (seed {final_seed}): {dist.mean:.4f} +/- {dist.std:.4f}"
     )
     return 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import ScatteringSystem
+from .network import ScatteringSystem, spectral_norm
 from .streams import standard_complex_gaussian, substream
 
 
@@ -62,11 +62,11 @@ def synth_environment(spec: EnvironmentSpec) -> ScatteringSystem:
     a = standard_complex_gaussian(stream, (n, n))
     if spec.reciprocal:
         a = 0.5 * (a + a.T)
-    norm = float(np.linalg.norm(a, 2))
+    norm = spectral_norm(a)
     a = a * (spec.scattering_strength / norm)
     bs = slice(spec.n_t + spec.n_r, n)
     a[bs, bs] = a[bs, bs] * spec.mc_strength
-    norm_after = float(np.linalg.norm(a, 2))
+    norm_after = spectral_norm(a)
     if norm_after > spec.scattering_strength and norm_after > 0.0:
         a = a * (spec.scattering_strength / norm_after)
     return ScatteringSystem(

@@ -61,28 +61,18 @@ def participation_number(matrix: np.ndarray) -> ParticipationResult:
     return participation_from_singular_values(sigma)
 
 
-def _gram_terms(jac: np.ndarray, valid=True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram terms (tr J J^H, J J^H, ||J J^H||_F^2) of a stack (..., rows, cols).
+def participation_from_jacobians(jac: np.ndarray, valid=True) -> np.ndarray:
+    """Participation numbers of a stack (..., rows, cols) through the Gram form.
 
-    M is trace^2 / fro2.  Raises DegenerateInputError for a zero Jacobian
-    where valid (a boolean mask over the stack) holds; entries outside
-    valid are meaningless.
+    Raises DegenerateInputError for a zero Jacobian where valid (a boolean
+    mask over the stack) holds; entries outside valid are meaningless.
     """
     trace = (np.abs(jac) ** 2).sum(axis=(-2, -1))
     if np.any((trace == 0.0) & valid):
         raise DegenerateInputError("zero Jacobian; participation undefined")
     gram = jac @ jac.conj().swapaxes(-1, -2)
-    return trace, gram, (np.abs(gram) ** 2).sum(axis=(-2, -1))
-
-
-def participation_from_jacobians(jac: np.ndarray, valid=True) -> np.ndarray:
-    """Participation numbers of a stack (..., rows, cols) through the Gram form.
-
-    Raises DegenerateInputError for a zero Jacobian where valid holds.
-    """
-    trace, _, fro2 = _gram_terms(jac, valid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return trace * trace / fro2
+        return trace * trace / (np.abs(gram) ** 2).sum(axis=(-2, -1))
 
 
 def benchmark_eemdof(blocks: ScatteringBlocks) -> ParticipationResult:

@@ -2,9 +2,10 @@
 
 The objective is the mean participation number over a frozen set of load
 realizations (common random numbers), so every candidate illumination sees
-the same Monte-Carlo noise and the landscape is deterministic.  The load set
-is always gated: members whose coupling resolvent is singular are redrawn
-before the search starts.
+the same Monte-Carlo noise and the landscape is deterministic.  Members of the
+load set whose coupling resolvent is singular are redrawn before the search
+starts; on a system whose passivity certificate (network.rcond_floor)
+reaches RCOND_MIN no member can be singular, and the gate is skipped.
 
 The search runs L-BFGS-B in the real embedding R^{2 n_t} on the raw
 iterate.  M has degree 0 in x (it ignores the global phase and scale of the
@@ -13,13 +14,19 @@ projected onto the unit sphere.  The exact gradient comes from the
 load-power form.  Per member, with R = S_RS G, a = W x, p = |a|^2,
 w_s = ||R_s||^2 and C = R diag(p) R^H = J J^H:
 
-    tau = tr C,  phi = ||C||_F^2,  M = tau^2 / phi,
+    tau = tr C = w.p,  phi = ||C||_F^2,  M = tau^2 / phi,
     dM/dp_s = 2 tau w_s / phi - 2 tau^2 q_s / phi^2,  q_s = Re(R_s^H C R_s).
+
+C is linear in p, so each member precomputes once the real matrix V
+(n_r^2 x n_s) that writes C in an orthonormal basis of Hermitian
+n_r x n_r matrices: the rows |R_is|^2 give the diagonal, and for each
+i < j the rows sqrt(2) Re(R_is conj(R_js)) and sqrt(2) Im(R_is conj(R_js))
+the off-diagonal entries.  Then c = V p holds C, phi = c.c and q = V^T c,
+so an evaluation never forms J or C.
 
 By CR (Wirtinger) calculus (Kreutz-Delgado, arXiv:0906.4835) the gradient
 is g = dM/d conj(x) = W^H (dM/dp * a), averaged over the members, and in
-the real embedding it is 2 [Re g; Im g].  Value and gradient together cost
-about twice the value alone.
+the real embedding it is 2 [Re g; Im g].
 
 Maximization and minimization share one code path: MAX minimizes the
 negated objective.  The search keeps no bookkeeping of its own: per-start
@@ -33,7 +40,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, OptimizationFailedError
 from .loads import LoadConstraint, loads_from_uniforms
-from .metrics import _gram_terms
 from .network import (
     RCOND_MIN,
     ScatteringBlocks,
@@ -42,6 +48,7 @@ from .network import (
     extract_blocks,
     incident_drive,
     jacobian_factors,
+    rcond_floor,
     resolvent,
 )
 from .sampling import redraw_singular, sample_random_illumination
@@ -83,6 +90,7 @@ class OptimizationResult:
     best_objective: float
     per_start_trace: list = field(default_factory=list)
     objective_evaluations: int = 0
+    load_set_redraws: int = 0
 
 
 def embed(x: np.ndarray) -> np.ndarray:
@@ -115,46 +123,62 @@ def sample_load_set(
     Members whose coupling resolvent against s_ss is singular are redrawn
     from their own stream at construction time, under the sampler's redraw
     policy (sampling.redraw_singular), so downstream evaluation never trips
-    on them and a pathological coupling fails before any search.
+    on them and a pathological coupling fails before any search.  When
+    rcond_floor(s_ss) reaches RCOND_MIN no member can be singular, and no
+    resolvent is formed.
     """
+    return _gated_load_set(constraint, n_s, n_members, seed, s_ss)[0]
+
+
+def _gated_load_set(
+    constraint: LoadConstraint, n_s: int, n_members: int, seed: int, s_ss: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """sample_load_set's members and the number of redraws they took."""
     n_words = constraint.uniforms_per_draw(int(n_s))
+    certified = rcond_floor(s_ss) >= RCOND_MIN
 
     def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = loads_from_uniforms(constraint, u)
+        if certified:
+            return r, np.ones(len(r), dtype=bool)
         return r, resolvent(s_ss, r)[1] >= RCOND_MIN
 
     members, ok = evaluate(
         substream_uniforms(seed, (_LOADSET_KEY,), range(int(n_members)), n_words)
     )
     singular = np.flatnonzero(~ok)
-    redraw_singular(members, singular, (seed, _LOADSET_KEY), n_words, evaluate, "load-set member")
-    return members
+    key = (seed, _LOADSET_KEY)
+    return members, redraw_singular(members, singular, key, n_words, evaluate, "load-set member")
 
 
 class _FrozenObjective:
     """Mean participation number over a fixed load set, batch-evaluated.
 
-    Per member the factor pair (R, W) = (S_RS G, W) and the column powers
-    w_s = ||R_s||^2 are precomputed once; each evaluation forms the Jacobian
-    stack for the candidate illumination, reduces it through the Gram form
-    and pulls the gradient back through the load powers p = |W x|^2.
+    Per member the Hermitian basis V of C = R diag(p) R^H, the column powers
+    w_s = ||R_s||^2 and the drive factor W are precomputed once, and G and
+    R = S_RS G are freed.  Each evaluation reduces the load powers
+    p = |W x|^2 through V and pulls the gradient back through p.
     """
 
     def __init__(self, blocks, load_set: np.ndarray):
         r = np.asarray(load_set, dtype=complex)
-        g = coupling_resolvent(blocks.s_ss, r)
-        self.rx_factor, self.incident = jacobian_factors(blocks, g, r)
-        self.rx_power = (np.abs(self.rx_factor) ** 2).sum(axis=-2)
+        rx, self.incident = jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, r), r)
+        i, j = np.triu_indices(rx.shape[-2], 1)
+        cross = np.sqrt(2.0) * rx[..., i, :] * rx[..., j, :].conj()
+        diagonal = rx.real**2 + rx.imag**2
+        self.basis = np.concatenate([diagonal, cross.real, cross.imag], axis=-2)
+        self.rx_power = diagonal.sum(axis=-2)
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean M at a nonzero x of any scale, and its gradient dM/d conj(x)."""
         drive = incident_drive(self.incident, x)
-        trace, gram, fro2 = _gram_terms(self.rx_factor * drive[..., None, :])
-        # q_s = Re(R_s^H C R_s); Re(conj(r) z) sums the products of the (re, im) pairs
-        pairs = np.einsum(
-            "nik,nik->nk", self.rx_factor.view(float), (gram @ self.rx_factor).view(float)
-        )
-        q = pairs[:, 0::2] + pairs[:, 1::2]
+        power = drive.real**2 + drive.imag**2
+        trace = (self.rx_power * power).sum(axis=-1)
+        if not trace.all():
+            raise DegenerateInputError("zero Jacobian; participation undefined")
+        c = (self.basis @ power[..., None])[..., 0]
+        fro2 = (c * c).sum(axis=-1)
+        q = (c[..., None, :] @ self.basis)[..., 0, :]
         ratio = (trace / fro2)[:, None]
         dm_dp = 2.0 * ratio * (self.rx_power - ratio * q)
         # W^H (dm_dp * a), summed over the members, as the conjugate of (dm_dp * a)^H W
@@ -195,8 +219,8 @@ def optimize_illumination(
 
     blocks = extract_blocks(system)
     sign = -1.0 if config.direction == "MAX" else 1.0
-    load_set = sample_load_set(
-        constraint, blocks.n_bs, config.n_objective_samples, config.seed, s_ss=blocks.s_ss
+    load_set, redraws = _gated_load_set(
+        constraint, blocks.n_bs, config.n_objective_samples, config.seed, blocks.s_ss
     )
     objective = _FrozenObjective(blocks, load_set)
 
@@ -226,4 +250,5 @@ def optimize_illumination(
         best_objective=float(objective(best_x)),
         per_start_trace=traces,
         objective_evaluations=sum(int(r.nfev) for r in results) + 1,
+        load_set_redraws=redraws,
     )

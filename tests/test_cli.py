@@ -216,6 +216,7 @@ def test_optimize_x_brackets_and_reports(tmp_path):
     assert top["direction"] == "MAX"
     assert len(top["per_start_trace"]) == 2
     assert top["hyperparameters"]["n_objective_samples"] == 200
+    assert top["load_set_redraws"] == 0
     assert len(read_json(top_dir / "best_x.json")) == 2
 
     # final distribution is evaluated at the optimum on the follow-up seed

@@ -27,6 +27,7 @@ from bsdof.network import (
     resolvent,
     save_system,
     solved_factors,
+    spectral_norm,
     system_from_dict,
     system_to_dict,
     woodbury_channel_update,
@@ -191,6 +192,14 @@ def test_passivity_certificate_is_void_at_the_lossless_limit():
     assert rcond_floor(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.0
     assert rcond_floor(np.full((4, 4), 1.0 / (4.0 * RHO))) == 0.0
     assert rcond_floor(np.zeros((3, 3))) == pytest.approx(1.0 / 3.0)
+
+
+def test_spectral_norm_equals_the_matrix_2_norm():
+    gen = substream(63)
+    matrices = [standard_complex_gaussian(gen, (n, m)) for n, m in ((3, 3), (5, 9), (24, 7))]
+    matrices += [gen.standard_normal((6, 6)), np.zeros((4, 4), dtype=complex)]
+    for a in matrices:
+        assert spectral_norm(a) == np.linalg.norm(a, 2)
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])

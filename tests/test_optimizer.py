@@ -6,8 +6,16 @@ import pytest
 from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import DegenerateInputError, OptimizationFailedError, SingularityError
 from bsdof.loads import LoadConstraint
-from bsdof.metrics import bs_eemdof_point
-from bsdof.network import RCOND_MIN, ScatteringBlocks, extract_blocks, rcond_floor
+from bsdof.metrics import bs_eemdof_point, participation_from_jacobians
+from bsdof.network import (
+    RCOND_MIN,
+    ScatteringBlocks,
+    coupling_resolvent,
+    extract_blocks,
+    jacobian_factors,
+    load_jacobian,
+    rcond_floor,
+)
 from bsdof.optimize import (
     OptimizationConfig,
     _FrozenObjective,
@@ -62,6 +70,25 @@ def test_objective_is_the_average_of_point_metrics():
     mean_value = mean_dof_objective(blocks, x, PIN, load_set)
     oracle = np.mean([bs_eemdof_point(blocks, r, x).m for r in load_set])
     assert abs(mean_value - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("n_r, n_s", [(1, 5), (4, 3), (4, 16), (2, 9)])
+def test_basis_objective_equals_the_jacobian_form(n_r, n_s):
+    blocks = extract_blocks(system_for(3, n_r, n_s, seed=n_s))
+    load_set = sample_load_set(UNI, n_s, 200, seed=n_s + 1, s_ss=blocks.s_ss)
+    x = sample_random_illumination(3, substream(n_s + 2))
+    rx, w = jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, load_set), load_set)
+    reference = participation_from_jacobians(load_jacobian(rx, w, x)).mean()
+    value = _FrozenObjective(blocks, load_set)(x)
+    assert abs(value - reference) <= 1e-13 * reference
+
+
+def test_objective_rejects_a_zero_jacobian():
+    blocks = extract_blocks(system_for(2, 2, 4, seed=29))
+    blocks.s_rs = np.zeros_like(blocks.s_rs)
+    load_set = sample_load_set(PIN, 4, 8, seed=30, s_ss=blocks.s_ss)
+    with pytest.raises(DegenerateInputError):
+        mean_dof_objective(blocks, np.array([1.0, 0.0]), PIN, load_set)
 
 
 def test_objective_ignores_global_phase():

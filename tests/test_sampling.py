@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import bsdof.optimize
 import bsdof.sampling
 from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
 from bsdof.errors import SingularityError, UnsupportedOperationError
 from bsdof.fd import ChannelMap, discrete_toggle_jacobian
 from bsdof.loads import LoadConstraint, loads_from_uniforms, sample_loads
 from bsdof.metrics import bs_eemdof_point, participation_from_singular_values
-from bsdof.optimize import sample_load_set
+from bsdof.optimize import OptimizationConfig, optimize_illumination, sample_load_set
 from bsdof.sampling import (
     CHUNK,
     DofDistribution,
@@ -324,6 +325,34 @@ def test_redrawn_load_set_members_continue_their_own_stream():
             redrawn.append(i)
         assert np.array_equal(members[i], r)
     assert redrawn
+
+
+def test_search_reports_its_load_set_redraws():
+    # the resonant optimize-x run of tools/artifact_digests.sh redraws members 6, 30 and 174
+    system = flat_resonant_rank2_system()
+    words = substream_uniforms(0, (0,), range(400), PM.uniforms_per_draw(8))
+    first = loads_from_uniforms(PM, words)
+    members = sample_load_set(PM, 8, 400, seed=0, s_ss=extract_blocks(system).s_ss)
+    assert np.flatnonzero((first != members).any(axis=1)).tolist() == [6, 30, 174]
+    config = OptimizationConfig(n_objective_samples=400, n_starts=1, max_iterations=5, seed=0)
+    assert optimize_illumination(system, PM, config).load_set_redraws == 3
+    certified = system_for(2, 2, 8, seed=3)
+    assert rcond_floor(extract_blocks(certified).s_ss) >= RCOND_MIN
+    assert optimize_illumination(certified, PM, config).load_set_redraws == 0
+
+
+def test_certified_load_set_forms_no_resolvent(monkeypatch):
+    def no_resolvent(s_ss, r):
+        raise RuntimeError("resolvent called")
+
+    monkeypatch.setattr(bsdof.optimize, "resolvent", no_resolvent)
+    s_ss = extract_blocks(system_for(2, 2, 8, seed=3)).s_ss
+    members = sample_load_set(PM, 8, 300, seed=34, s_ss=s_ss)
+    words = substream_uniforms(34, (0,), range(300), PM.uniforms_per_draw(8))
+    assert np.array_equal(members, loads_from_uniforms(PM, words))
+    # an uncertified coupling still gates every member
+    with pytest.raises(RuntimeError, match="resolvent called"):
+        sample_load_set(PM, 8, 300, seed=34, s_ss=extract_blocks(flat_resonant_rank2_system()).s_ss)
 
 
 def test_redraw_cap_is_shared_by_samples_and_load_sets(monkeypatch):
