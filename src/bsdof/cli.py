@@ -4,8 +4,8 @@ Subcommands: synth-env, benchmark, bs-dist, optimize-x, validate-jacobian.
 Every run echoes its effective configuration (defaults included) into the
 output directory as config.json; re-running with --config pointed at that
 file reproduces all numeric artifacts bit-identically.  All randomness
-derives from the single --seed; BSDOF_THREADS only caps evaluation workers
-and never changes results.
+derives from the single --seed; BSDOF_THREADS only caps the sampler's and
+the optimizer's worker threads and never changes results.
 """
 
 import argparse

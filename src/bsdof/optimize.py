@@ -32,6 +32,11 @@ Maximization and minimization share one code path: MAX minimizes the
 negated objective.  The search keeps no bookkeeping of its own: per-start
 traces, the winner and the objective-evaluation count are read from the
 OptimizeResult that scipy returns for each start.
+
+The precompute (fixed slices of sampling.CHUNK members) and the starts run
+on the sampler's worker pool.  Starts are kept in start order, so no result
+depends on BSDOF_THREADS or on which start finishes first; scipy's L-BFGS-B
+keeps its state per call, and value_and_gradient writes no instance state.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +56,7 @@ from .network import (
     rcond_floor,
     resolvent,
 )
-from .sampling import redraw_singular, sample_random_illumination
+from .sampling import CHUNK, _pool_map, redraw_singular, sample_random_illumination
 from .streams import substream, substream_uniforms
 
 # Substream key namespaces under the optimization seed.
@@ -78,7 +83,7 @@ class OptimizationConfig:
             raise ValueError(f"direction must be MAX or MIN, got {self.direction!r}")
         if self.n_objective_samples < 1 or self.n_starts < 1 or self.max_iterations < 1:
             raise ValueError("sample, start and iteration counts must be positive")
-        if self.f_tolerance <= 0:
+        if not self.f_tolerance > 0:
             raise ValueError("f_tolerance must be positive")
         if int(self.seed) < 0:
             raise ValueError("seed must be nonnegative")
@@ -155,19 +160,31 @@ class _FrozenObjective:
     """Mean participation number over a fixed load set, batch-evaluated.
 
     Per member the Hermitian basis V of C = R diag(p) R^H, the column powers
-    w_s = ||R_s||^2 and the drive factor W are precomputed once, and G and
+    w_s = ||R_s||^2 and the drive factor W are precomputed once, over fixed
+    slices of sampling.CHUNK members on the worker pool, and G and
     R = S_RS G are freed.  Each evaluation reduces the load powers
     p = |W x|^2 through V and pulls the gradient back through p.
     """
 
     def __init__(self, blocks, load_set: np.ndarray):
         r = np.asarray(load_set, dtype=complex)
-        rx, self.incident = jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, r), r)
-        i, j = np.triu_indices(rx.shape[-2], 1)
-        cross = np.sqrt(2.0) * rx[..., i, :] * rx[..., j, :].conj()
-        diagonal = rx.real**2 + rx.imag**2
-        self.basis = np.concatenate([diagonal, cross.real, cross.imag], axis=-2)
-        self.rx_power = diagonal.sum(axis=-2)
+        n_r = blocks.n_rx
+        self.incident = np.empty(r.shape + (blocks.n_tx,), dtype=complex)
+        self.basis = np.empty((len(r), n_r * n_r, r.shape[-1]))
+        self.rx_power = np.empty(r.shape)
+        i, j = np.triu_indices(n_r, 1)
+
+        def fill(start: int) -> None:
+            # fixed slices: a batched inv or matmul gives each member the same bits at any length
+            s = slice(start, start + CHUNK)
+            g = coupling_resolvent(blocks.s_ss, r[s])
+            rx, self.incident[s] = jacobian_factors(blocks, g, r[s])
+            cross = np.sqrt(2.0) * rx[..., i, :] * rx[..., j, :].conj()
+            diagonal = rx.real**2 + rx.imag**2
+            self.basis[s] = np.concatenate([diagonal, cross.real, cross.imag], axis=-2)
+            self.rx_power[s] = diagonal.sum(axis=-2)
+
+        _pool_map(fill, range(0, len(r), CHUNK))
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean M at a nonzero x of any scale, and its gradient dM/d conj(x)."""
@@ -209,10 +226,10 @@ def optimize_illumination(
     objective and its gradient from one evaluation (jac=True), at most
     max_iterations iterations and the relative function tolerance
     f_tolerance (L-BFGS-B's ftol).  Starts are sphere-uniform from
-    per-start substreams; the winner is the best final objective, ties going
-    to the lowest start index, and its point is projected onto the sphere.
-    The evaluation count is scipy's per-start nfev plus the one
-    re-evaluation at the winner.
+    per-start substreams and run concurrently; the winner is the best final
+    objective, ties going to the lowest start index in any finishing order,
+    and its point is projected onto the sphere.  The evaluation count is
+    scipy's per-start nfev plus the one re-evaluation at the winner.
     """
     # scipy.optimize is most of the package's import time; only this search needs it
     from scipy.optimize import minimize
@@ -232,10 +249,12 @@ def optimize_illumination(
         return sign * value, 2.0 * sign * embed(grad)
 
     options = {"maxiter": config.max_iterations, "ftol": config.f_tolerance}
-    results = []
-    for start in range(config.n_starts):
+
+    def run_start(start: int):
         x0 = sample_random_illumination(blocks.n_tx, substream(config.seed, _START_KEY, start))
-        results.append(minimize(wrapped, embed(x0), jac=True, method="L-BFGS-B", options=options))
+        return minimize(wrapped, embed(x0), jac=True, method="L-BFGS-B", options=options)
+
+    results = _pool_map(run_start, range(config.n_starts))
     traces = [
         (start, float(sign * r.fun) if np.isfinite(r.fun) else np.nan, int(r.nit))
         for start, r in enumerate(results)

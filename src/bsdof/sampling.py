@@ -6,7 +6,9 @@ load-to-output Jacobian, and records its participation number.  Keying by
 sample index makes the run embarrassingly parallel and bit-reproducible for
 any worker count.  Each pool span draws its own chunk through
 streams.substream_uniforms, which equals the per-sample streams bit for bit,
-so draws run in the workers and draw memory is per chunk.  After the pool,
+so draws run in the workers and draw memory is per chunk.  The pool is
+_pool_map, which the optimizer's precompute and starts share; it maps in
+item order on at most BSDOF_THREADS workers.  After the pool,
 redraw_singular, the one redraw policy (shared with
 optimize.sample_load_set), continues each singular sample i's own stream.
 First draws and redraws go through one function of the stream words.
@@ -179,8 +181,19 @@ def _worker_count(n_tasks: int) -> int:
     if cap < 0:
         raise ValueError("BSDOF_THREADS must be nonnegative")
     if cap == 0:
-        cap = min(os.cpu_count() or 1, 8)
+        # the CPUs this process may run on, not all of the host's
+        cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
+        cap = min(len(cpus), 8)
     return max(1, min(cap, n_tasks))
+
+
+def _pool_map(fn, items) -> list:
+    """[fn(item) for item in items] on at most BSDOF_THREADS workers, in item order.
+
+    fn's first exception in item order propagates once every worker has stopped.
+    """
+    with ThreadPoolExecutor(max_workers=_worker_count(len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _chunk_m_values(
@@ -266,9 +279,7 @@ def sample_distribution(
         s = slice(start, start + CHUNK)
         values[s], ok[s] = evaluate(substream_uniforms(seed, (), index, n_words))
 
-    starts = range(0, n_samples, CHUNK)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(starts))) as pool:
-        list(pool.map(run_span, starts))
+    _pool_map(run_span, range(0, n_samples, CHUNK))
     singular = np.flatnonzero(~ok)
     redraw_count = redraw_singular(values, singular, (seed,), n_words, evaluate, "sample")
     return DofDistribution(

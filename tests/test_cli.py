@@ -269,6 +269,16 @@ def test_optimize_x_rejects_a_pathological_load_set_before_searching(tmp_path, c
     assert not (out / "best_x.json").exists()
 
 
+def test_optimize_x_rejects_a_nan_tolerance(tmp_path, capsys):
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    out = tmp_path / "opt"
+    argv = ["optimize-x", "--system", path, "--objective-samples", "20", "--starts", "1"]
+    capsys.readouterr()
+    assert main([*argv, "--f-tol", "nan", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: f_tolerance must be positive\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policy", ["rand", "fixed"])
 def test_negative_seed_is_named_and_writes_nothing(tmp_path, capsys, policy):
     path = make_system_file(tmp_path, 2, 2, 4, seed=1)

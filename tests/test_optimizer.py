@@ -295,4 +295,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizationConfig(f_tolerance=0.0)
     with pytest.raises(ValueError):
+        OptimizationConfig(f_tolerance=float("nan"))
+    with pytest.raises(ValueError):
         OptimizationConfig(seed=-1)

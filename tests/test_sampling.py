@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import bsdof.optimize
 import bsdof.sampling
 from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
-from bsdof.errors import SingularityError, UnsupportedOperationError
+from bsdof.errors import DegenerateInputError, SingularityError, UnsupportedOperationError
 from bsdof.fd import ChannelMap, discrete_toggle_jacobian
 from bsdof.loads import LoadConstraint, loads_from_uniforms, sample_loads
 from bsdof.metrics import bs_eemdof_point, participation_from_singular_values
@@ -34,6 +36,7 @@ from bsdof.network import (
     ScatteringSystem,
     coupling_resolvent,
     extract_blocks,
+    jacobian_factors,
     rcond_floor,
 )
 from bsdof.streams import substream, substream_uniforms
@@ -339,6 +342,80 @@ def test_search_reports_its_load_set_redraws():
     certified = system_for(2, 2, 8, seed=3)
     assert rcond_floor(extract_blocks(certified).s_ss) >= RCOND_MIN
     assert optimize_illumination(certified, PM, config).load_set_redraws == 0
+
+
+@pytest.mark.parametrize(
+    "make_system, min_redraws",
+    [(flat_resonant_rank2_system, 1), (lambda: system_for(3, 2, 8, seed=3), 0)],
+    ids=["resonant-one-tx", "three-tx"],
+)
+def test_worker_count_does_not_change_the_search(monkeypatch, make_system, min_redraws):
+    # 600 members fill precompute slices of 256, 256 and 88
+    assert CHUNK == 256
+    system = make_system()
+    blocks = extract_blocks(system)
+    config = OptimizationConfig(n_objective_samples=600, n_starts=5, max_iterations=40, seed=0)
+    load_set = sample_load_set(PM, 8, 600, seed=0, s_ss=blocks.s_ss)
+    rx, incident = jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, load_set), load_set)
+    # two receive ports, so one cross pair (0, 1)
+    cross = np.sqrt(2.0) * rx[..., [0], :] * rx[..., [1], :].conj()
+    diagonal = rx.real**2 + rx.imag**2
+    basis = np.concatenate([diagonal, cross.real, cross.imag], axis=-2)
+    runs = []
+    # frequent thread switches make a shared-state race between starts show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("BSDOF_THREADS", threads)
+            objective = bsdof.optimize._FrozenObjective(blocks, load_set)
+            assert np.array_equal(objective.basis, basis)
+            assert np.array_equal(objective.rx_power, diagonal.sum(axis=-2))
+            assert np.array_equal(objective.incident, incident)
+            runs.append(optimize_illumination(system, PM, config))
+    finally:
+        sys.setswitchinterval(interval)
+    first = runs[0]
+    assert first.load_set_redraws >= min_redraws
+    assert len(first.per_start_trace) == 5
+    for other in runs[1:]:
+        assert other.best_x.tobytes() == first.best_x.tobytes()
+        assert other.best_objective == first.best_objective
+        assert other.per_start_trace == first.per_start_trace
+        assert other.objective_evaluations == first.objective_evaluations
+        assert other.load_set_redraws == first.load_set_redraws
+
+
+def test_an_error_in_a_start_leaves_no_worker_running(monkeypatch):
+    system = system_for(2, 2, 8, seed=3)
+    # halving the matrix keeps it passive once its rx-bs block is zeroed
+    matrix = 0.5 * system.matrix
+    matrix[np.ix_(system.rx_ports, system.bs_ports)] = 0.0
+    ports = (system.tx_ports, system.rx_ports, system.bs_ports)
+    mute = ScatteringSystem(system.n_total, matrix, *ports)
+    monkeypatch.setenv("BSDOF_THREADS", "2")
+    config = OptimizationConfig(n_objective_samples=300, n_starts=4, seed=0)
+    before = threading.active_count()
+    with pytest.raises(DegenerateInputError):
+        optimize_illumination(mute, PM, config)
+    assert threading.active_count() == before
+
+
+def test_auto_worker_count_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setenv("BSDOF_THREADS", "0")
+    monkeypatch.setattr(bsdof.sampling.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(bsdof.sampling.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert bsdof.sampling._worker_count(100) == 2
+    assert bsdof.sampling._worker_count(1) == 1
+    monkeypatch.setattr(bsdof.sampling.os, "sched_getaffinity", lambda pid: set(range(12)))
+    assert bsdof.sampling._worker_count(100) == 8
+    # without an affinity mask the host's CPU count is used
+    monkeypatch.delattr(bsdof.sampling.os, "sched_getaffinity")
+    monkeypatch.setattr(bsdof.sampling.os, "cpu_count", lambda: 3)
+    assert bsdof.sampling._worker_count(100) == 3
+    # an explicit cap is kept as given, even above the CPU count
+    monkeypatch.setenv("BSDOF_THREADS", "5")
+    assert bsdof.sampling._worker_count(100) == 5
 
 
 def test_certified_load_set_forms_no_resolvent(monkeypatch):
