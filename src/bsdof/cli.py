@@ -183,9 +183,11 @@ def run_benchmark(config: dict, out_dir: Path) -> int:
 
 
 def _policy_from_config(config: dict, system: ScatteringSystem) -> IlluminationPolicy:
-    if config["policy"] == "rand":
-        return IlluminationPolicy.rand()
     pairs = config.get("fixed_x")
+    if config["policy"] == "rand":
+        if pairs is not None:
+            raise ValueError("fixed_x is read only under the fixed policy, not rand")
+        return IlluminationPolicy.rand()
     if pairs is None:
         # deterministic default: one illumination drawn from the run seed
         # (2-level key so it never touches a per-sample stream)

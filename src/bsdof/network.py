@@ -17,12 +17,11 @@ with W x the wave incident on the loads under illumination x.  Each of these
 formulas has one batched implementation over loads of shape (..., N_S):
 resolvent, jacobian_factors, incident_drive and load_jacobian.  The scalar
 APIs (coupling_resolvent, end_to_end_channel, closed_form_jacobian) are thin
-wrappers around them.  solved_factors gives
-the same factor pair from two LU solves without forming G, for callers that
-need no diagonal of G; rcond_floor is the passivity certificate that lets
-them skip the exact-rcond gate.  Single-load changes update G and H at
-O(N_S^2) cost through a rank-1 Sherman-Morrison step instead of a fresh
-O(N_S^3) factorization.
+wrappers around them.  factors is the one entry to the factor pair with its
+regularity mask: under the passivity certificate rcond_floor, computed once
+by the caller, it takes two LU solves and forms no G; otherwise it gates on
+G's exact rcond.  Single-load changes update G and H at O(N_S^2) cost
+through a rank-1 Sherman-Morrison step instead of a fresh factorization.
 """
 
 import json
@@ -259,21 +258,24 @@ def jacobian_factors(
     return blocks.s_rs @ g, w
 
 
-def solved_factors(blocks: ScatteringBlocks, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factor pair (S_RS G, W) of jacobian_factors, without forming G.
+def factors(blocks: ScatteringBlocks, r: np.ndarray, certified: bool) -> tuple[np.ndarray, ...]:
+    """The factor pair (S_RS G, W) of jacobian_factors and the mask ok of regular loads.
 
-    S_RS G = solve(A^T, S_RS^T)^T and W = S_SS solve(A, diag(r) S_ST) + S_ST
-    take two LU solves against n_r and n_t right-hand sides instead of the
-    dense inverse and an n_s^3 product.  No rcond is computed, so callers
-    either hold a passing rcond_floor certificate or gate r beforehand.
+    certified says that rcond_floor(blocks.s_ss) >= RCOND_MIN: ok is all True,
+    and S_RS G = solve(A^T, S_RS^T)^T and W = S_SS solve(A, diag(r) S_ST) + S_ST
+    take two LU solves instead of the dense inverse.  Otherwise G is formed
+    once through resolvent and ok is rcond >= RCOND_MIN.
     """
     r = validate_loads(r, blocks.n_bs)
+    if not certified:
+        g, rcond = resolvent(blocks.s_ss, r)
+        return (*jacobian_factors(blocks, g, r), rcond >= RCOND_MIN)
     a = _load_matrix(blocks.s_ss, r)
     # numpy < 2 would read a 2-d right-hand side of a stacked solve as vectors
     rx_rhs = np.broadcast_to(blocks.s_rs.T, a.shape[:-2] + blocks.s_rs.T.shape)
     rx_t = np.linalg.solve(a.swapaxes(-1, -2), rx_rhs)
     drive = np.linalg.solve(a, r[..., :, None] * blocks.s_st)
-    return rx_t.swapaxes(-1, -2), blocks.s_ss @ drive + blocks.s_st
+    return rx_t.swapaxes(-1, -2), blocks.s_ss @ drive + blocks.s_st, np.ones(r.shape[:-1], bool)
 
 
 def incident_drive(w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -43,16 +43,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, OptimizationFailedError
+from .errors import DegenerateInputError, OptimizationFailedError, SingularityError
 from .loads import LoadConstraint, loads_from_uniforms
 from .network import (
     RCOND_MIN,
     ScatteringBlocks,
     ScatteringSystem,
-    coupling_resolvent,
     extract_blocks,
+    factors,
     incident_drive,
-    jacobian_factors,
     rcond_floor,
     resolvent,
 )
@@ -160,25 +159,27 @@ class _FrozenObjective:
     """Mean participation number over a fixed load set, batch-evaluated.
 
     Per member the Hermitian basis V of C = R diag(p) R^H, the column powers
-    w_s = ||R_s||^2 and the drive factor W are precomputed once, over fixed
-    slices of sampling.CHUNK members on the worker pool, and G and
-    R = S_RS G are freed.  Each evaluation reduces the load powers
-    p = |W x|^2 through V and pulls the gradient back through p.
+    w_s = ||R_s||^2 and the drive factor W are precomputed once from
+    network.factors, over fixed slices of sampling.CHUNK members on the
+    worker pool, and R = S_RS G is freed.  Each evaluation reduces the load
+    powers p = |W x|^2 through V and pulls the gradient back through p.
     """
 
     def __init__(self, blocks, load_set: np.ndarray):
         r = np.asarray(load_set, dtype=complex)
         n_r = blocks.n_rx
+        certified = rcond_floor(blocks.s_ss) >= RCOND_MIN
         self.incident = np.empty(r.shape + (blocks.n_tx,), dtype=complex)
         self.basis = np.empty((len(r), n_r * n_r, r.shape[-1]))
         self.rx_power = np.empty(r.shape)
         i, j = np.triu_indices(n_r, 1)
 
         def fill(start: int) -> None:
-            # fixed slices: a batched inv or matmul gives each member the same bits at any length
+            # fixed slices: batched solves and matmuls give each member the same bits at any length
             s = slice(start, start + CHUNK)
-            g = coupling_resolvent(blocks.s_ss, r[s])
-            rx, self.incident[s] = jacobian_factors(blocks, g, r[s])
+            rx, self.incident[s], ok = factors(blocks, r[s], certified)
+            if not ok.all():
+                raise SingularityError(f"load-set member {start + np.argmin(ok)} is singular")
             cross = np.sqrt(2.0) * rx[..., i, :] * rx[..., j, :].conj()
             diagonal = rx.real**2 + rx.imag**2
             self.basis[s] = np.concatenate([diagonal, cross.real, cross.imag], axis=-2)
@@ -211,7 +212,7 @@ def mean_dof_objective(
 ) -> float:
     """Mean DOF metric of illumination x over an explicit frozen load set.
 
-    Raises SingularityError when any member's coupling resolvent is singular.
+    Raises SingularityError naming the first member whose coupling resolvent is singular.
     """
     x = np.asarray(x, dtype=complex)
     return _FrozenObjective(blocks, load_set)(x / np.linalg.norm(x))

@@ -15,10 +15,10 @@ First draws and redraws go through one function of the stream words.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
-which avoids one SVD per sample.  On a system whose passivity certificate
-(network.rcond_floor) reaches RCOND_MIN model mode needs no rcond gate and
-takes its factors from network.solved_factors without forming G.  Every
-other stack forms G once: its rcond is the gate, and toggle mode reads G too.
+which avoids one SVD per sample.  Model mode takes its factors and its
+gate from network.factors, given the passivity certificate (rcond_floor)
+computed once per call.  Toggle mode forms G once through resolvent: its
+rcond is the gate, and the toggle reads diag(S_SS G) from it.
 """
 
 import json
@@ -36,11 +36,11 @@ from .network import (
     RCOND_MIN,
     ScatteringBlocks,
     extract_blocks,
+    factors,
     jacobian_factors,
     load_jacobian,
     rcond_floor,
     resolvent,
-    solved_factors,
     validate_illumination,
 )
 from .streams import TWO_PI, box_muller, substream, substream_uniforms
@@ -208,25 +208,22 @@ def _chunk_m_values(
 
     Returns (values, ok); ok is False where the coupling resolvent (or, in
     toggle mode, any toggled resolvent) is singular at the working
-    threshold.  Values at not-ok positions are meaningless.  certified says
-    that rcond_floor(blocks.s_ss) >= RCOND_MIN, so model mode needs no gate
-    and never forms G.  Every other stack forms G once for the gate and the
-    factors; an exactly singular member gets a zero G and cannot abort it.
+    threshold.  Values at not-ok positions are meaningless.  Model mode
+    passes certified (rcond_floor(blocks.s_ss) >= RCOND_MIN) to factors.
+    Toggle mode forms G once for the gate, the factors and diag(S_SS G); an
+    exactly singular member gets a zero G and cannot abort the stack.
     """
-    if mode == "model" and certified:
-        jac = load_jacobian(*solved_factors(blocks, r), x)
-        return participation_from_jacobians(jac), np.ones(r.shape[0], dtype=bool)
+    if mode == "model":
+        rx, w, ok = factors(blocks, r, certified)
+        return participation_from_jacobians(load_jacobian(rx, w, x), ok), ok
     g, rcond = resolvent(blocks.s_ss, r)
     ok = rcond >= RCOND_MIN
     jac = load_jacobian(*jacobian_factors(blocks, g, r), x)
-    if mode == "toggle":
-        flipped = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value)
-        delta = flipped - r
-        t_diag = np.einsum("kj,cjk->ck", blocks.s_ss, g)
-        denom = 1.0 - delta * t_diag
-        ok &= np.abs(denom).min(axis=1) >= RCOND_MIN
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jac = jac * ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
+    delta = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value) - r
+    denom = 1.0 - delta * np.einsum("kj,cjk->ck", blocks.s_ss, g)
+    ok &= np.abs(denom).min(axis=1) >= RCOND_MIN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = jac * ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
     return participation_from_jacobians(jac, ok), ok
 
 

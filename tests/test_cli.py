@@ -155,6 +155,29 @@ def test_bs_dist_materializes_the_default_fixed_illumination(tmp_path):
     assert (first / "samples.csv").read_bytes() == (second / "samples.csv").read_bytes()
 
 
+
+def test_rand_policy_rejects_a_fixed_illumination(tmp_path, capsys, monkeypatch):
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    first = tmp_path / "first"
+    assert main(["bs-dist", "--system", path, "--n", "20", "--out-dir", str(first)]) == 0
+    pairs = [[1.0, 0.0], [0.0, 0.0]]
+    x_path, replay = tmp_path / "x.json", tmp_path / "replay.json"
+    x_path.write_text(json.dumps(pairs))
+    replay.write_text(json.dumps(read_json(first / "config.json") | {"fixed_x": pairs}))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the run drew before checking its policy")
+
+    monkeypatch.setattr(bsdof.cli, "sample_distribution", no_draw)
+    flag = ["--system", path, "--policy", "rand", "--fixed-x", str(x_path)]
+    for source in (flag, ["--config", str(replay)]):
+        out = tmp_path / "again"
+        capsys.readouterr()
+        assert main(["bs-dist", *source, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: fixed_x")
+        assert not out.exists()
+
+
 def test_bs_dist_fixed_without_coupling_is_deterministic(tmp_path):
     path = make_system_file(tmp_path, 2, 2, 8, seed=3, mc=0.0)
     out = tmp_path / "dist"

@@ -20,13 +20,13 @@ from bsdof.network import (
     coupling_resolvent,
     end_to_end_channel,
     extract_blocks,
+    factors,
     incident_drive,
     jacobian_factors,
     load_system,
     rcond_floor,
     resolvent,
     save_system,
-    solved_factors,
     spectral_norm,
     system_from_dict,
     system_to_dict,
@@ -208,7 +208,8 @@ def test_solved_factors_equal_the_resolvent_ones(stacked):
     gen = substream(62)
     stack = np.array([sample_loads(LoadConstraint.uni(), 7, gen) for _ in range(5)])
     r = stack if stacked else stack[0]
-    rx_factor, w = solved_factors(blocks, r)
+    rx_factor, w, ok = factors(blocks, r, True)
+    assert ok.shape == r.shape[:-1] and ok.all()
     g = resolvent(blocks.s_ss, r)[0]
     rx_ref, w_ref = jacobian_factors(blocks, g, r)
     assert rx_factor.shape == rx_ref.shape and w.shape == w_ref.shape
@@ -220,8 +221,28 @@ def test_solved_factors_equal_the_resolvent_ones(stacked):
 @pytest.mark.parametrize("bad", [1.01, np.nan])
 def test_solved_factors_reject_inadmissible_loads(bad):
     blocks = extract_blocks(coupled_system(2, 2, 3, seed=63))
-    with pytest.raises(ValueError):
-        solved_factors(blocks, np.array([[0.2, 0.1j, 0.0], [0.2, bad, -0.4j]]))
+    for certified in (True, False):
+        with pytest.raises(ValueError):
+            factors(blocks, np.array([[0.2, 0.1j, 0.0], [0.2, bad, -0.4j]]), certified)
+
+
+def test_uncertified_factors_gate_on_the_exact_rcond():
+    # the flat rank-1 coupling resonates when every load is ON
+    u = np.ones(4) / 2.0
+    gen = substream(64)
+    blocks = ScatteringBlocks(
+        s_rt=np.zeros((2, 1)),
+        s_rs=0.3 * gen.standard_normal((2, 4)),
+        s_ss=(1.0 - 1e-13) * np.outer(u, u),
+        s_st=0.3 * gen.standard_normal((4, 1)),
+    )
+    assert rcond_floor(blocks.s_ss) < RCOND_MIN
+    r = np.array([[1.0, -1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [0.5j, 0.0, -0.3, 1.0]])
+    rx_factor, w, ok = factors(blocks, r, False)
+    g, rcond = resolvent(blocks.s_ss, r)
+    assert ok.tolist() == [True, False, True] and np.array_equal(ok, rcond >= RCOND_MIN)
+    rx_ref, w_ref = jacobian_factors(blocks, g, r)
+    assert np.array_equal(rx_factor, rx_ref) and np.array_equal(w, w_ref)
 
 
 def test_channel_zero_loads_is_direct_path():

@@ -153,7 +153,7 @@ def test_objective_rejects_a_singular_member():
     x = np.array([1.0 + 0.0j])
     assert np.isfinite(mean_dof_objective(blocks, x, LoadConstraint.pm(), load_set))
     load_set[2] = 1.0
-    with pytest.raises(SingularityError):
+    with pytest.raises(SingularityError, match="member 2"):
         mean_dof_objective(blocks, x, LoadConstraint.pm(), load_set)
 
 

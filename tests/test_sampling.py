@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import bsdof.network
 import bsdof.optimize
 import bsdof.sampling
 from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
@@ -36,7 +37,7 @@ from bsdof.network import (
     ScatteringSystem,
     coupling_resolvent,
     extract_blocks,
-    jacobian_factors,
+    factors,
     rcond_floor,
 )
 from bsdof.streams import substream, substream_uniforms
@@ -356,7 +357,9 @@ def test_worker_count_does_not_change_the_search(monkeypatch, make_system, min_r
     blocks = extract_blocks(system)
     config = OptimizationConfig(n_objective_samples=600, n_starts=5, max_iterations=40, seed=0)
     load_set = sample_load_set(PM, 8, 600, seed=0, s_ss=blocks.s_ss)
-    rx, incident = jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, load_set), load_set)
+    certified = rcond_floor(blocks.s_ss) >= RCOND_MIN
+    rx, incident, ok = factors(blocks, load_set, certified)
+    assert ok.all()
     # two receive ports, so one cross pair (0, 1)
     cross = np.sqrt(2.0) * rx[..., [0], :] * rx[..., [1], :].conj()
     diagonal = rx.real**2 + rx.imag**2
@@ -462,11 +465,33 @@ def test_certified_model_mode_forms_no_inverse(monkeypatch):
     def no_inverse(*args):
         raise AssertionError("the dense resolvent was formed")
 
-    monkeypatch.setattr(bsdof.sampling, "resolvent", no_inverse)
+    # network.resolvent forms every dense inverse of the package
+    monkeypatch.setattr(bsdof.network.np.linalg, "inv", no_inverse)
     dist = sample_distribution(system, policy, PIN, 300, seed=45)
     assert np.array_equal(dist.samples, reference.samples)
     with pytest.raises(AssertionError, match="dense resolvent"):
         sample_distribution(system, policy, PIN, 300, seed=45, mode="toggle")
+
+
+def test_certified_precompute_forms_no_inverse(monkeypatch):
+    system = system_for(3, 4, 16, seed=44, eta=0.9)
+    blocks = extract_blocks(system)
+    assert rcond_floor(blocks.s_ss) >= RCOND_MIN
+    load_set = sample_load_set(PIN, 16, 300, seed=47, s_ss=blocks.s_ss)
+    reference = bsdof.optimize._FrozenObjective(blocks, load_set)
+    resonant = extract_blocks(flat_resonant_rank2_system())
+    resonant_set = sample_load_set(PM, 8, 300, seed=47, s_ss=resonant.s_ss)
+
+    def no_inverse(*args):
+        raise AssertionError("the dense resolvent was formed")
+
+    monkeypatch.setattr(bsdof.network.np.linalg, "inv", no_inverse)
+    objective = bsdof.optimize._FrozenObjective(blocks, load_set)
+    assert np.array_equal(objective.basis, reference.basis)
+    assert np.array_equal(objective.incident, reference.incident)
+    # an uncertified coupling still forms G for its exact rcond
+    with pytest.raises(AssertionError, match="dense resolvent"):
+        bsdof.optimize._FrozenObjective(resonant, resonant_set)
 
 
 def test_uncertified_model_stack_survives_an_exactly_singular_member():
