@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .environment import EnvironmentSpec, synth_environment
+from .environment import EnvironmentSpec, synth_environment, synth_matrices
 from .errors import BsdofError
 from .fd import DEFAULT_STEP, ChannelMap, complex_step_jacobian
 from .loads import LoadConstraint, loads_from_uniforms
@@ -27,8 +27,11 @@ from .network import (
     closed_form_jacobian,
     complex_to_pairs,
     extract_blocks,
+    frobenius_norm,
     load_system,
     pairs_to_complex,
+    partition,
+    require_passive,
     save_system,
     spectral_norm,
 )
@@ -300,28 +303,38 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
     probe (fd.complex_step_jacobian) and measures the column-space residual.
 
     Trial t reads at most 44 words of substream(seed, 4, t): 4 shape words,
-    2 n_s load words, then 2 n_t illumination words, drawn by
-    substream_uniforms in chunks of sampling.CHUNK trials and turned into
-    loads and an illumination by the sampler's own formulas.
+    2 n_s load words, then 2 n_t illumination words, turned into loads and an
+    illumination by the sampler's own formulas.  A first pass reads the three
+    port-count words in windows of sampling.CHUNK trials and groups the
+    trials by (n_t, n_r, n_s); each group then runs in slices of at most
+    CHUNK // (n_s + 1) trials, so that a slice's oracle stack holds at most
+    CHUNK load rows.  A slice draws its own words and environments and runs
+    every formula once, batched over its trials.  When a slice fails, its
+    trials run again one at a time, and the error names the first trial that
+    fails on its own.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    windows = [np.arange(start, min(start + CHUNK, trials)) for start in range(0, trials, CHUNK)]
+    words = np.concatenate([substream_uniforms(seed, (4,), w, 3) for w in windows])
+    shapes, first, group = np.unique(
+        1 + (words * (4, 4, 16)).astype(int), axis=0, return_index=True, return_inverse=True
+    )
     fd_errors = np.empty(trials)
     residuals = np.empty(trials)
-    for start in range(0, trials, CHUNK):
-        index = np.arange(start, min(start + CHUNK, trials))
-        for t, u in zip(index.tolist(), substream_uniforms(seed, (4,), index, 44)):
-            n_t, n_r, n_s = 1 + int(u[0] * 4), 1 + int(u[1] * 4), 1 + int(u[2] * 16)
-            eta = (0.3, 0.6, 0.9)[int(u[3] * 3)]
-            spec = EnvironmentSpec(n_t, n_r, n_s, eta, 1.0, seed=seed * 100003 + t)
-            blocks = extract_blocks(synth_environment(spec))
-            r0 = loads_from_uniforms(LoadConstraint.uni(), u[4 : 4 + 2 * n_s])
-            x = illuminations_from_uniforms(u[4 + 2 * n_s : 4 + 2 * n_s + 2 * n_t])
-            closed = closed_form_jacobian(blocks, r0, x)
-            probe = complex_step_jacobian(ChannelMap.from_blocks(blocks), r0, x, step)
-            error = np.linalg.norm(closed.matrix - probe.matrix)
-            fd_errors[t] = error / np.linalg.norm(closed.matrix)
-            residuals[t] = column_space_residual(closed.matrix, blocks.s_rs)
+    for g in np.argsort(first):  # in order of first appearance: trial 0's group runs first
+        shape, members = tuple(shapes[g].tolist()), np.flatnonzero(group == g)
+        size = CHUNK // (shape[2] + 1)
+        for index in np.split(members, range(size, members.size, size)):
+            try:
+                fd_errors[index], residuals[index] = _validation_slice(seed, index, shape, step)
+            except BsdofError:
+                for t in index.tolist():  # name the first trial that fails on its own
+                    try:
+                        _validation_slice(seed, np.array([t]), shape, step)
+                    except BsdofError as exc:
+                        raise type(exc)(f"{exc} (trial {t})") from exc
+                raise
     return {
         "trials": trials,
         "max_fd_relative_error": float(fd_errors.max()),
@@ -329,6 +342,26 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
         "fd_tolerance": 1e-6,
         "residual_tolerance": 1e-10,
     }
+
+
+def _validation_slice(seed: int, index: np.ndarray, shape: tuple, step: float) -> tuple:
+    """The forward-difference errors and column-space residuals of same-shape trials."""
+    n_t, n_r, n_s = shape
+    u = substream_uniforms(seed, (4,), index, 44)
+    etas = np.array((0.3, 0.6, 0.9))[(u[:, 3] * 3).astype(int)]
+    specs = [
+        EnvironmentSpec(n_t, n_r, n_s, eta, 1.0, seed=seed * 100003 + t)
+        for t, eta in zip(index.tolist(), etas.tolist())
+    ]
+    matrices, norms = synth_matrices(specs)
+    require_passive(norms)
+    blocks = partition(matrices, *specs[0].ports)
+    r0 = loads_from_uniforms(LoadConstraint.uni(), u[:, 4 : 4 + 2 * n_s])
+    x = illuminations_from_uniforms(u[:, 4 + 2 * n_s : 4 + 2 * n_s + 2 * n_t])
+    closed = closed_form_jacobian(blocks, r0, x).matrix
+    probe = complex_step_jacobian(ChannelMap.from_blocks(blocks), r0, x, step).matrix
+    errors = frobenius_norm(closed - probe) / frobenius_norm(closed)
+    return errors, column_space_residual(closed, blocks.s_rs)
 
 
 def run_validate_jacobian(config: dict, out_dir: Path | None) -> int:

@@ -4,7 +4,9 @@ Environments are dense i.i.d. complex-Gaussian scattering matrices rescaled
 to a target spectral norm eta < 1 (strictly passive), with the mutual
 coupling between the loaded ports dialed separately through mc_strength.
 A ladder of decreasing strengths emulates the transition from a rich
-reverberant environment down to nearly free space.
+reverberant environment down to nearly free space.  synth_matrices draws a
+stack of same-shape environments at once; synth_environment is its one-item
+wrapper.
 """
 
 from dataclasses import dataclass, replace
@@ -12,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import ScatteringSystem, spectral_norm
-from .streams import standard_complex_gaussian, substream
+from .streams import box_muller, substream
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,44 @@ class EnvironmentSpec:
     def n_total(self) -> int:
         return self.n_t + self.n_r + self.n_s
 
+    @property
+    def ports(self) -> tuple[range, range, range]:
+        """The tx, rx and loaded port indices: contiguous, in that order."""
+        n_tr = self.n_t + self.n_r
+        return range(self.n_t), range(self.n_t, n_tr), range(n_tr, self.n_total)
+
+
+def synth_matrices(specs) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices (k, N, N) of k specs of one shape, and each one's spectral norm.
+
+    The specs share n_t, n_r, n_s and reciprocal; seeds and strengths vary.
+    Each matrix is rescaled to its scattering_strength, its loaded-port block
+    is scaled by mc_strength, and a matrix whose norm then exceeds the
+    target is rescaled once more.  The norms are those of the final
+    matrices: a matrix that needed no second rescale keeps the norm already
+    taken, so its passivity costs no further SVD.
+    """
+    first = specs[0]
+    shape = (first.n_t, first.n_r, first.n_s, first.reciprocal)
+    if any((s.n_t, s.n_r, s.n_s, s.reciprocal) != shape for s in specs):
+        raise ValueError("synth_matrices needs specs of one shape and reciprocity")
+    n = first.n_total
+    # magnitude words, then phase words, of each spec's own stream
+    u = np.stack([substream(s.seed).random((2, n, n)) for s in specs])
+    a = box_muller(u[:, 0], u[:, 1])
+    if first.reciprocal:
+        a = 0.5 * (a + a.swapaxes(-1, -2))
+    strength = np.array([s.scattering_strength for s in specs])
+    a *= (strength / spectral_norm(a))[:, None, None]
+    bs = slice(first.n_t + first.n_r, n)
+    a[:, bs, bs] *= np.array([s.mc_strength for s in specs])[:, None, None]
+    norm = spectral_norm(a)
+    over = (norm > strength) & (norm > 0.0)
+    if over.any():
+        a[over] *= (strength[over] / norm[over])[:, None, None]
+        norm[over] = spectral_norm(a[over])
+    return a, norm
+
 
 def synth_environment(spec: EnvironmentSpec) -> ScatteringSystem:
     """Draw the environment described by spec; deterministic in spec.seed.
@@ -57,25 +97,8 @@ def synth_environment(spec: EnvironmentSpec) -> ScatteringSystem:
     ports.  The Gaussian draw uses the package's fixed Box-Muller path, so
     the same spec reproduces the same matrix on any platform.
     """
-    n = spec.n_total
-    stream = substream(spec.seed)
-    a = standard_complex_gaussian(stream, (n, n))
-    if spec.reciprocal:
-        a = 0.5 * (a + a.T)
-    norm = spectral_norm(a)
-    a = a * (spec.scattering_strength / norm)
-    bs = slice(spec.n_t + spec.n_r, n)
-    a[bs, bs] = a[bs, bs] * spec.mc_strength
-    norm_after = spectral_norm(a)
-    if norm_after > spec.scattering_strength and norm_after > 0.0:
-        a = a * (spec.scattering_strength / norm_after)
-    return ScatteringSystem(
-        n_total=n,
-        matrix=a,
-        tx_ports=tuple(range(spec.n_t)),
-        rx_ports=tuple(range(spec.n_t, spec.n_t + spec.n_r)),
-        bs_ports=tuple(range(spec.n_t + spec.n_r, n)),
-    )
+    (a,), _ = synth_matrices([spec])
+    return ScatteringSystem(spec.n_total, a, *spec.ports)
 
 
 def zero_mc(system: ScatteringSystem) -> ScatteringSystem:

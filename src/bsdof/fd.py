@@ -3,7 +3,10 @@
 These probe an opaque map, however obtained (closed-form model, solver or
 measurement playback), in one evaluation on a stack of the base point and
 one probe point per column, and serve as the independent cross-check of the
-closed-form Jacobian:
+closed-form Jacobian.  complex_step_jacobian also takes a stack of base
+points (k, n_s) with one illumination each: its map then sees oracle stacks
+(k, n_s + 1, n_s), which ChannelMap.from_blocks evaluates on stacked blocks,
+one system per item:
 
 * complex_step_jacobian: forward difference along each complex load
   coordinate.  The map is holomorphic in r, so a plain one-sided step has
@@ -31,18 +34,26 @@ DEFAULT_STEP = 1e-6
 
 @dataclass
 class ChannelMap:
-    """A pure evaluator from loads (k, n_s) to channels (k, n_r, n_t); a row
-    it cannot compute is NaN, and the oracles name its configuration."""
+    """A pure evaluator from loads (..., k, n_s) to channels (..., k, n_r, n_t);
+    a row it cannot compute is NaN, and the oracles name its configuration."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def from_blocks(cls, blocks: ScatteringBlocks) -> "ChannelMap":
-        """H(r) of each row through one resolvent call; rows below RCOND_MIN are NaN."""
+        """H(r) of each row through one resolvent call; rows below RCOND_MIN are NaN.
+
+        Stacked blocks (..., rows, cols) map loads (..., k, n_s), each stack
+        of k rows through its own system.
+        """
+        # each system's blocks broadcast over its own rows of loads
+        per_row = ScatteringBlocks(
+            *(b[..., None, :, :] for b in (blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st))
+        )
 
         def channels(r: np.ndarray) -> np.ndarray:
-            g, rcond = resolvent(blocks.s_ss, r)
-            h = _channel_from_resolvent(blocks, g, r)
+            g, rcond = resolvent(per_row.s_ss, r)
+            h = _channel_from_resolvent(per_row, g, r)
             h[rcond < RCOND_MIN] = np.nan
             return h
 
@@ -54,21 +65,25 @@ class ChannelMap:
 
 def _secant_jacobian(f: Callable, v0: np.ndarray, probe: Callable, what: str) -> Jacobian:
     """Column i is (f(v) - f(v0)) / divisor, where v is v0 with entry i set to
-    value and (value, divisor) = probe(i).  One call of f maps v0 and every v;
-    a raising f or a non-finite row raises OracleError naming the point."""
-    n = v0.size
-    values, divisors = zip(*(probe(i) for i in range(n)))
-    stack = np.repeat(v0[None, :], n + 1, axis=0)
-    stack[np.arange(1, n + 1), np.arange(n)] = values
+    value and (value, divisor) = probe(i).  v0 may be a stack (..., n), and
+    probe(i) then gives a value and a divisor per item.  One call of f maps
+    the stack (..., n + 1, n) of every v0 and v to (..., n + 1, m); a raising
+    f or a non-finite row raises OracleError naming the point."""
+    n = v0.shape[-1]
+    values, divisors = (np.stack(p, axis=-1) for p in zip(*map(probe, range(n))))
+    stack = np.repeat(v0[..., None, :], n + 1, axis=-2)
+    stack[..., np.arange(1, n + 1), np.arange(n)] = values
     try:
         y = f(stack)
     except Exception as exc:
         raise OracleError(f"channel map failed: {exc}") from exc
-    bad = np.flatnonzero(~np.isfinite(y).reshape(n + 1, -1).all(axis=1))
-    if bad.size:
-        where = "base point" if bad[0] == 0 else f"{what} column {bad[0] - 1}"
+    finite = np.isfinite(y).reshape(stack.shape[:-1] + (-1,)).all(axis=-1)
+    if not finite.all():
+        *item, row = np.argwhere(~finite)[0]
+        where = "base point" if row == 0 else f"{what} column {row - 1}"
+        where += f" of item {', '.join(map(str, item))}" if item else ""
         raise OracleError(f"channel map failed at {where}: non-finite output")
-    return Jacobian(((y[1:] - y[0]) / np.array(divisors)[:, None]).T)
+    return Jacobian(((y[..., 1:, :] - y[..., :1, :]) / divisors[..., None]).swapaxes(-1, -2))
 
 
 def complex_step_jacobian(
@@ -82,14 +97,18 @@ def complex_step_jacobian(
     Column i is (H(r0 + h_i e_i) x - H(r0) x) / h_i with the per-coordinate
     step h_i = step * (1 + |r0_i|), so coordinates near the unit circle are
     probed no more timidly than ones near zero.  Truncation error is
-    O(step); halving the step halves the error.
+    O(step); halving the step halves the error.  A stack of base points
+    r0 (..., n_s) with illuminations x (..., n_t) gives a stack of Jacobians
+    from one call of the map.
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     r0, x = np.asarray(r0, dtype=complex), np.asarray(x)
     h = step * (1.0 + np.hypot(r0.real, r0.imag))  # np.abs on an array can be an ulp off
     return _secant_jacobian(
-        lambda r: (channel_map(r) @ x[:, None])[..., 0], r0, lambda i: (r0[i] + h[i], h[i]),
+        lambda r: (channel_map(r) @ x[..., None, :, None])[..., 0],
+        r0,
+        lambda i: (r0[..., i] + h[..., i], h[..., i]),
         "perturbed",
     )
 

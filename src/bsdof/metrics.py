@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .network import ScatteringBlocks, closed_form_jacobian
+from .network import ScatteringBlocks, closed_form_jacobian, frobenius_norm
 
 # Spectra whose largest singular value is at or below this are treated as zero.
 ZERO_SPECTRUM_FLOOR = 1e-300
@@ -89,19 +89,25 @@ def bs_eemdof_point(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray) -> 
     return participation_from_singular_values(closed_form_jacobian(blocks, r0, x).singular_values)
 
 
-def column_space_residual(jac: np.ndarray, s_rs: np.ndarray) -> float:
+def column_space_residual(jac: np.ndarray, s_rs: np.ndarray) -> float | np.ndarray:
     """Relative Frobenius mass of a Jacobian outside the column space of s_rs.
 
     The projector is built from the left singular vectors of s_rs whose
     singular values exceed 1e-12 of the largest.  Always in [0, 1]; zero (to
-    rounding) whenever the containment J = S_RS B holds.
+    rounding) whenever the containment J = S_RS B holds.  Stacks of
+    Jacobians and of s_rs (..., rows, cols) give one residual per system,
+    each with its own rank; a single pair gives a float.
     """
     matrix = np.asarray(jac, dtype=complex)
-    norm = np.linalg.norm(matrix)
-    if norm == 0.0:
+    norm = frobenius_norm(matrix)
+    if np.any(norm == 0.0):
         raise DegenerateInputError("zero Jacobian has no defined residual")
     u, sigma, _ = np.linalg.svd(np.asarray(s_rs, dtype=complex))
-    rank = int(np.count_nonzero(sigma > 1e-12 * sigma.max(initial=0.0)))
-    basis = u[:, :rank]
-    residual = matrix - basis @ (basis.conj().T @ matrix)
-    return float(np.linalg.norm(residual) / norm)
+    top = sigma.max(axis=-1, initial=0.0, keepdims=True)
+    rank = np.count_nonzero(sigma > 1e-12 * top, axis=-1)[..., None, None]
+    width = rank.max()
+    # a lower-rank system's surplus columns are exact zeros and project nothing
+    basis = np.where(np.arange(width) < rank, u[..., :width], 0.0)
+    residual = matrix - basis @ (basis.conj().swapaxes(-1, -2) @ matrix)
+    ratio = frobenius_norm(residual) / norm
+    return float(ratio) if ratio.ndim == 0 else ratio

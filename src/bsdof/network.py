@@ -15,12 +15,14 @@ closed form
 
 with W x the wave incident on the loads under illumination x.  Each of these
 formulas has one batched implementation over loads of shape (..., N_S):
-resolvent, jacobian_factors, incident_drive and load_jacobian.  The scalar
-APIs (coupling_resolvent, end_to_end_channel, closed_form_jacobian) are thin
-wrappers around them.  factors is the one entry to the factor pair with its
-regularity mask: under the passivity certificate rcond_floor, computed once
-by the caller, it takes two LU solves and forms no G; otherwise it gates on
-G's exact rcond.  Single-load changes update G and H at O(N_S^2) cost
+resolvent, jacobian_factors, incident_drive and load_jacobian.  The systems
+may be stacked too: ScatteringBlocks takes leading axes (partition cuts them
+out of a stack of matrices), and k stacked systems take loads (k, N_S), one
+configuration each.  The scalar APIs (coupling_resolvent,
+end_to_end_channel, closed_form_jacobian) are thin wrappers around them.
+factors is the one entry to the factor pair with its regularity mask: under
+the passivity certificate rcond_floor, computed once by the caller, it takes
+two LU solves and forms no G; otherwise it gates on G's exact rcond.  Single-load changes update G and H at O(N_S^2) cost
 through a rank-1 Sherman-Morrison step instead of a fresh factorization.
 """
 
@@ -45,26 +47,47 @@ RCOND_MIN = 1e-12
 UNIT_NORM_TOL = 1e-12
 
 
+def frobenius_norm(a: np.ndarray, axes: int = 2) -> np.ndarray:
+    """np.linalg.norm over the last `axes` axes of each item of a stack, to the bit.
+
+    np.linalg.norm of a complex array is sqrt(re . re + im . im) over its
+    ravel; the same dot products, taken as a matmul of each C-order ravel
+    with itself, round the same, while einsum and axis= reductions can move
+    a value by an ulp.
+    """
+    flat = a.reshape(a.shape[: a.ndim - axes] + (-1, 1))
+    re, im = flat.real, flat.imag
+    return np.sqrt(re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[..., 0, 0]
+
+
 def validate_illumination(x: np.ndarray, n_t: int | None = None) -> np.ndarray:
-    """Coerce and validate a unit-norm illumination vector."""
+    """Coerce and validate a unit-norm illumination vector, or a stack (..., n_t) of them."""
     x = np.atleast_1d(np.asarray(x, dtype=complex))
-    if x.ndim != 1:
-        raise ValueError(f"illumination must be 1-d, got shape {x.shape}")
-    if n_t is not None and x.size != n_t:
-        raise ValueError(f"expected {n_t} illumination entries, got {x.size}")
-    norm = np.linalg.norm(x)
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"illumination norm {norm!r} is not 1 within {UNIT_NORM_TOL}")
+    if n_t is not None and x.shape[-1] != n_t:
+        raise ValueError(f"expected {n_t} illumination entries, got {x.shape[-1]}")
+    norm = frobenius_norm(x, 1)
+    off = np.abs(norm - 1.0) > UNIT_NORM_TOL
+    if off.any():
+        raise ValueError(f"illumination norm {norm[off][0]!r} is not 1 within {UNIT_NORM_TOL}")
     return x
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """||a||_2, the largest singular value; np.linalg.norm(a, 2) without its reduction.
+def spectral_norm(a: np.ndarray) -> float | np.ndarray:
+    """||a||_2, the largest singular value, of a matrix or of each matrix in a stack.
 
     LAPACK returns the singular values in descending order, so the first is
-    the maximum and the result equals np.linalg.norm(a, 2) bit for bit.
+    the maximum and the result equals np.linalg.norm(a, 2) bit for bit; a
+    single matrix gives a float.
     """
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(top) if top.ndim == 0 else top
+
+
+def require_passive(norm) -> None:
+    """Raise PassivityError if a spectral norm, or any of a stack of them, exceeds 1."""
+    worst = np.max(norm)
+    if worst > 1.0 + PASSIVITY_TOL:
+        raise PassivityError(f"spectral norm {worst:.12g} exceeds 1 (not passive)")
 
 
 def _integer(value, what: str) -> int:
@@ -119,18 +142,17 @@ class ScatteringSystem:
         groups = self.tx_ports + self.rx_ports + self.bs_ports
         if len(set(groups)) != len(groups):
             raise PartitionError("port groups overlap")
-        norm = spectral_norm(self.matrix)
-        if norm > 1.0 + PASSIVITY_TOL:
-            raise PassivityError(f"spectral norm {norm:.12g} exceeds 1 (not passive)")
+        require_passive(spectral_norm(self.matrix))
         self.reference_impedance = float(self.reference_impedance)
 
 
 @dataclass
 class ScatteringBlocks:
-    """The four sub-blocks of a partitioned scattering matrix.
+    """The four sub-blocks of a partitioned scattering matrix, or stacks of them.
 
     s_rt: rx-by-tx direct link, s_rs: rx-by-bs, s_ss: bs-by-bs mutual
-    coupling, s_st: bs-by-tx.
+    coupling, s_st: bs-by-tx.  Leading axes stack systems; the shape checks
+    read the last two axes.
     """
 
     s_rt: np.ndarray
@@ -143,26 +165,26 @@ class ScatteringBlocks:
         self.s_rs = np.asarray(self.s_rs, dtype=complex)
         self.s_ss = np.asarray(self.s_ss, dtype=complex)
         self.s_st = np.asarray(self.s_st, dtype=complex)
-        n_r, n_t = self.s_rt.shape
-        n_s = self.s_ss.shape[0]
-        if self.s_ss.shape != (n_s, n_s):
+        n_r, n_t = self.s_rt.shape[-2:]
+        n_s = self.s_ss.shape[-1]
+        if self.s_ss.shape[-2:] != (n_s, n_s):
             raise ValueError(f"s_ss must be square, got {self.s_ss.shape}")
-        if self.s_rs.shape != (n_r, n_s):
+        if self.s_rs.shape[-2:] != (n_r, n_s):
             raise ValueError(f"s_rs shape {self.s_rs.shape} inconsistent with ({n_r}, {n_s})")
-        if self.s_st.shape != (n_s, n_t):
+        if self.s_st.shape[-2:] != (n_s, n_t):
             raise ValueError(f"s_st shape {self.s_st.shape} inconsistent with ({n_s}, {n_t})")
 
     @property
     def n_tx(self) -> int:
-        return self.s_rt.shape[1]
+        return self.s_rt.shape[-1]
 
     @property
     def n_rx(self) -> int:
-        return self.s_rt.shape[0]
+        return self.s_rt.shape[-2]
 
     @property
     def n_bs(self) -> int:
-        return self.s_ss.shape[0]
+        return self.s_ss.shape[-1]
 
 
 @dataclass
@@ -177,21 +199,27 @@ class Jacobian:
         return np.linalg.svd(self.matrix, compute_uv=False)
 
 
-def extract_blocks(system: ScatteringSystem) -> ScatteringBlocks:
-    """Slice the four channel blocks out of a partitioned system.
+def partition(s: np.ndarray, tx_ports, rx_ports, bs_ports) -> ScatteringBlocks:
+    """Slice the four channel blocks out of a matrix, or a stack (..., N, N) of them.
 
-    Row and column order follow the declared port lists.
+    Row and column order follow the port lists.
     """
-    s = system.matrix
-    rx = list(system.rx_ports)
-    tx = list(system.tx_ports)
-    bs = list(system.bs_ports)
+
+    def block(rows, cols) -> np.ndarray:
+        # fancy indexing after an ellipsis gives a strided result; matmul wants C order
+        return np.ascontiguousarray(s[(..., *np.ix_(list(rows), list(cols)))])
+
     return ScatteringBlocks(
-        s_rt=s[np.ix_(rx, tx)],
-        s_rs=s[np.ix_(rx, bs)],
-        s_ss=s[np.ix_(bs, bs)],
-        s_st=s[np.ix_(bs, tx)],
+        s_rt=block(rx_ports, tx_ports),
+        s_rs=block(rx_ports, bs_ports),
+        s_ss=block(bs_ports, bs_ports),
+        s_st=block(bs_ports, tx_ports),
     )
+
+
+def extract_blocks(system: ScatteringSystem) -> ScatteringBlocks:
+    """The four channel blocks of a partitioned system, in its declared port order."""
+    return partition(system.matrix, system.tx_ports, system.rx_ports, system.bs_ports)
 
 
 def rcond_floor(s_ss: np.ndarray) -> float:
@@ -206,7 +234,7 @@ def rcond_floor(s_ss: np.ndarray) -> float:
     bound = (1.0 + LOAD_MAG_TOL) * spectral_norm(s_ss)
     if bound >= 1.0:
         return 0.0
-    return (1.0 - bound) / (s_ss.shape[0] * (1.0 + bound))
+    return (1.0 - bound) / (s_ss.shape[-1] * (1.0 + bound))
 
 
 def _load_matrix(s_ss: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -215,7 +243,7 @@ def _load_matrix(s_ss: np.ndarray, r: np.ndarray) -> np.ndarray:
     Adding 1 through a strided view of the diagonal gives the entries of
     eye - r S_SS at a fraction of the cost of broadcasting eye over a stack.
     """
-    n_s = s_ss.shape[0]
+    n_s = s_ss.shape[-1]
     # C order makes the flattening reshape a view, so the diagonal is written in place
     a = np.multiply(-r[..., :, None], s_ss, order="C")
     a.reshape(a.shape[:-2] + (n_s * n_s,))[..., :: n_s + 1] += 1.0
@@ -226,21 +254,22 @@ def resolvent(s_ss: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G(r) = (I - diag(r) S_SS)^-1 and its reciprocal condition number.
 
     Loads of shape (..., n_s) give G of shape (..., n_s, n_s) and rcond of
-    shape (...).  G comes from LU with partial pivoting, and rcond is the
-    exact 1-norm value 1 / (||A||_1 ||A^-1||_1), which is free once the
-    dense inverse is in hand.  An exactly singular configuration gets
-    rcond 0 and a zero G.
+    shape (...); S_SS may be a stack that broadcasts against them.  G comes
+    from LU with partial pivoting, and rcond is the exact 1-norm value
+    1 / (||A||_1 ||A^-1||_1), which is free once the dense inverse is in
+    hand.  An exactly singular configuration gets rcond 0 and a zero G.
     """
     s_ss = np.asarray(s_ss, dtype=complex)
-    r = validate_loads(r, s_ss.shape[0])
+    r = validate_loads(r, s_ss.shape[-1])
     a = _load_matrix(s_ss, r)
     try:
         g = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        # numpy fails the whole stack for one singular matrix
+        # numpy fails the whole stack for one singular matrix: solve its items apart
         if a.ndim == 2:
             return np.zeros_like(a), np.float64(0.0)
-        parts = [resolvent(s_ss, row) for row in r]
+        pairs = zip(np.broadcast_to(s_ss, a.shape), np.broadcast_to(r, a.shape[:-1]))
+        parts = [resolvent(s, row) for s, row in pairs]
         return np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])
     rcond = 1.0 / (np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(g).sum(axis=-2).max(axis=-1))
     return g, rcond
@@ -319,7 +348,8 @@ def closed_form_jacobian(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray
     The illumination must be unit-norm.  Column j is the sensitivity of the
     received wavefront to load j; all columns live in the column space of
     S_RS, so the load count never raises the wavefront diversity above what
-    the receive coupling supports.
+    the receive coupling supports.  Stacked blocks take one r0 (k, n_s)
+    and one x (k, n_t) per system and give a stack of Jacobians.
     """
     r0 = np.asarray(r0, dtype=complex)
     x = validate_illumination(x, n_t=blocks.n_tx)

@@ -37,6 +37,7 @@ from .network import (
     ScatteringBlocks,
     extract_blocks,
     factors,
+    frobenius_norm,
     jacobian_factors,
     load_jacobian,
     rcond_floor,
@@ -74,6 +75,8 @@ class IlluminationPolicy:
         if self.kind == "FIXED":
             if self.fixed_x is None:
                 raise ValueError("FIXED policy requires fixed_x")
+            if np.ndim(self.fixed_x) > 1:
+                raise ValueError(f"illumination must be 1-d, got shape {np.shape(self.fixed_x)}")
             object.__setattr__(self, "fixed_x", validate_illumination(self.fixed_x))
         elif self.fixed_x is not None:
             raise ValueError("RAND policy takes no fixed_x")
@@ -124,9 +127,7 @@ def illuminations_from_uniforms(u: np.ndarray) -> np.ndarray:
     """
     n_t = u.shape[-1] // 2
     z = box_muller(u[..., :n_t], u[..., n_t:])
-    # rounds as np.linalg.norm does: x.real.dot(x.real) + x.imag.dot(x.imag)
-    re, im = z.real[..., None], z.imag[..., None]
-    norm = np.sqrt(re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[..., 0]
+    norm = frobenius_norm(z, 1)[..., None]
     if not norm.all():
         blank = norm[..., 0] == 0.0
         z[blank], norm[blank] = np.exp(1j * TWO_PI * u[blank, n_t:]) / np.sqrt(n_t), 1.0

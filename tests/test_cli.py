@@ -347,12 +347,26 @@ def test_validate_jacobian_names_a_bad_input_and_writes_nothing(
     assert not out.exists()
 
 
+def test_validate_jacobian_names_the_trial_whose_probe_leaves_the_load_disk(tmp_path, capsys):
+    # a unit step pushes every probe load past |r| = 1, so trial 0 fails first
+    out = tmp_path / "validation"
+    argv = ["validate-jacobian", "--trials", "5", "--seed", "0", "--step", "1"]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: channel map failed: load magnitudes must be finite")
+    assert err.endswith(" (trial 0)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "trials, seed, fd_error, residual",
     [
         (100, 0, 5.02678906281755e-07, 1.4408916298249371e-15),
         (5, 1, 3.879178866415222e-07, 6.839603488522893e-16),
         (300, 2, 5.900358599242237e-07, 1.1431423781901125e-15),
+        (4000, 0, 1.228695855996658e-06, 1.811671635439842e-15),
+        (4000, 1, 1.3036891496224231e-06, 1.892512425636481e-15),
     ],
 )
 def test_validation_sweep_numbers_are_pinned(trials, seed, fd_error, residual):
@@ -362,15 +376,31 @@ def test_validation_sweep_numbers_are_pinned(trials, seed, fd_error, residual):
 
 
 def test_sweep_runs_through_an_all_zero_magnitude_row(monkeypatch):
+    validation_slice = bsdof.cli._validation_slice
+
     def run():
-        drawn = []
+        # one closed-form call per slice: pair its rows with the slice's trial indices
+        indices, stacks = [], []
+
+        def slice_recording(seed, index, shape, step):
+            indices.append(index)
+            return validation_slice(seed, index, shape, step)
 
         def recording(blocks, r0, x):
-            drawn.append((r0, x))
+            stacks.append((r0, x))
             return closed_form_jacobian(blocks, r0, x)
 
+        monkeypatch.setattr(bsdof.cli, "_validation_slice", slice_recording)
         monkeypatch.setattr(bsdof.cli, "closed_form_jacobian", recording)
-        return jacobian_validation_sweep(260, 2), drawn
+        report = jacobian_validation_sweep(260, 2)
+        assert len(indices) == len(stacks)
+        drawn = {
+            t: (r, x)
+            for index, (r0, x0) in zip(indices, stacks)
+            for t, r, x in zip(index.tolist(), r0, x0)
+        }
+        assert sorted(drawn) == list(range(len(drawn)))
+        return report, [drawn[t] for t in sorted(drawn)]
 
     expected, expected_draws = run()
     batched = bsdof.cli.substream_uniforms

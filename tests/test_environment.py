@@ -3,8 +3,30 @@
 import numpy as np
 import pytest
 
-from bsdof.environment import EnvironmentSpec, environment_ladder, synth_environment, zero_mc
-from bsdof.network import extract_blocks
+from bsdof.environment import (
+    EnvironmentSpec,
+    environment_ladder,
+    synth_environment,
+    synth_matrices,
+    zero_mc,
+)
+from bsdof.network import extract_blocks, spectral_norm
+from bsdof.streams import standard_complex_gaussian, substream
+
+
+def one_at_a_time(spec):
+    """The recipe on one spec: draw, rescale, scale the loaded block, rescale if over."""
+    n = spec.n_total
+    a = standard_complex_gaussian(substream(spec.seed), (n, n))
+    if spec.reciprocal:
+        a = 0.5 * (a + a.T)
+    a = a * (spec.scattering_strength / spectral_norm(a))
+    bs = slice(spec.n_t + spec.n_r, n)
+    a[bs, bs] = a[bs, bs] * spec.mc_strength
+    after = spectral_norm(a)
+    if after > spec.scattering_strength:
+        return a * (spec.scattering_strength / after), True
+    return a, False
 
 
 def test_no_coupling_block_is_exactly_zero():
@@ -23,6 +45,34 @@ def test_reciprocal_flag_symmetrizes():
 def test_spectral_norm_hits_target(seed):
     system = synth_environment(EnvironmentSpec(3, 4, 16, 0.9, 1.0, seed=seed))
     assert abs(np.linalg.norm(system.matrix, 2) - 0.9) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "reciprocal, mc", [(False, 1.0), (True, 1.0), (False, 0.4), (True, 0.0)]
+)
+def test_stack_matches_the_one_item_wrapper_byte_for_byte(reciprocal, mc):
+    specs = [
+        EnvironmentSpec(2, 3, 5, eta, mc, reciprocal, seed=seed)
+        for seed, eta in ((0, 0.9), (3, 0.9), (100, 0.3), (101, 0.6), (102, 0.05))
+    ]
+    matrices, norms = synth_matrices(specs)
+    assert matrices.shape == (5, 10, 10) and norms.shape == (5,)
+    rescaled = []
+    for spec, a, norm in zip(specs, matrices, norms):
+        reference, again = one_at_a_time(spec)
+        rescaled.append(again)
+        assert a.tobytes() == synth_environment(spec).matrix.tobytes() == reference.tobytes()
+        # the norm the system's own passivity check takes
+        assert norm == spectral_norm(a)
+    # seeds 0 and 3 overshoot their target by rounding and take the second rescale
+    assert rescaled[:2] == [not reciprocal and mc == 1.0] * 2
+
+
+def test_stack_needs_one_shape():
+    with pytest.raises(ValueError, match="one shape"):
+        synth_matrices([EnvironmentSpec(2, 3, 5, 0.9), EnvironmentSpec(2, 3, 4, 0.9)])
+    with pytest.raises(ValueError, match="one shape"):
+        synth_matrices([EnvironmentSpec(2, 3, 5, 0.9), EnvironmentSpec(2, 3, 5, 0.9, 1.0, True)])
 
 
 def test_seed_determinism():

@@ -159,6 +159,34 @@ def test_stacked_probe_equals_single_row_evaluations():
         assert np.array_equal(fd, expected)
 
 
+def stack_blocks(systems):
+    names = ("s_rt", "s_rs", "s_ss", "s_st")
+    return ScatteringBlocks(*(np.stack([getattr(b, k) for b in systems]) for k in names))
+
+
+@pytest.mark.parametrize("n_s", [2, 3, 9, 16])
+def test_stacked_probe_equals_per_system_probes(n_s):
+    etas = (0.3, 0.9, 0.6)
+    systems = [coupled_blocks(3, 2, n_s, seed=80 + i, eta=eta) for i, eta in enumerate(etas)]
+    r0 = np.stack([uni_loads(n_s, substream(81, i)) for i in range(3)])
+    x = np.stack([sample_random_illumination(3, substream(82, i)) for i in range(3)])
+    fd = complex_step_jacobian(ChannelMap.from_blocks(stack_blocks(systems)), r0, x).matrix
+    assert fd.shape == (3, 2, n_s)
+    for i, blocks in enumerate(systems):
+        one = complex_step_jacobian(ChannelMap.from_blocks(blocks), r0[i], x[i]).matrix
+        assert np.array_equal(fd[i], one)
+
+
+def test_stacked_probe_failure_names_the_item():
+    # item 1 sits at the resonance r = 1 of diagonal_blocks, items 0 and 2 do not
+    blocks = diagonal_blocks()
+    stacked = stack_blocks([blocks] * 3)
+    r0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]], dtype=complex)
+    x = np.ones((3, 1), dtype=complex)
+    with pytest.raises(OracleError, match="at base point of item 1: non-finite"):
+        complex_step_jacobian(ChannelMap.from_blocks(stacked), r0, x, step=1e-6)
+
+
 def test_toggle_secant_without_coupling_matches_closed_form():
     blocks = coupled_blocks(2, 2, 8, seed=12, mc=0.0)
     constraint = LoadConstraint.pin()

@@ -168,3 +168,29 @@ def test_column_space_residual():
 
     with pytest.raises(DegenerateInputError):
         column_space_residual(np.zeros((4, 8)), s_rs)
+
+
+def test_stacked_residual_equals_the_single_pair_one_at_mixed_ranks():
+    gen = substream(54)
+    full = [standard_complex_gaussian(gen, (4, 8)) for _ in range(2)]
+    rank1 = np.outer(standard_complex_gaussian(gen, 4), standard_complex_gaussian(gen, 8))
+    rank2 = standard_complex_gaussian(gen, (4, 2)) @ standard_complex_gaussian(gen, (2, 8))
+    s_rs = np.stack([full[0], rank1, rank2, np.zeros((4, 8)), full[1]])
+    # contained, generic, and contained in the rank-2 space
+    jac = np.stack([
+        full[0] @ standard_complex_gaussian(gen, (8, 8)),
+        standard_complex_gaussian(gen, (4, 8)),
+        rank2 @ standard_complex_gaussian(gen, (8, 8)),
+        standard_complex_gaussian(gen, (4, 8)),
+        standard_complex_gaussian(gen, (4, 8)),
+    ])
+    residuals = column_space_residual(jac, s_rs)
+    assert residuals.shape == (5,)
+    singles = [column_space_residual(j, s) for j, s in zip(jac, s_rs)]
+    assert all(type(r) is float for r in singles)
+    assert np.array_equal(residuals, singles)
+    assert residuals[[0, 2, 4]].max() < 1e-14 and residuals[1] > 0.1 and residuals[3] == 1.0
+
+    jac[3] = 0.0
+    with pytest.raises(DegenerateInputError):
+        column_space_residual(jac, s_rs)

@@ -21,10 +21,13 @@ from bsdof.network import (
     end_to_end_channel,
     extract_blocks,
     factors,
+    frobenius_norm,
     incident_drive,
     jacobian_factors,
     load_system,
+    partition,
     rcond_floor,
+    require_passive,
     resolvent,
     save_system,
     spectral_norm,
@@ -127,6 +130,22 @@ def test_exactly_singular_member_gets_rcond_zero_in_a_stack():
         assert np.array_equal(g[i], coupling_resolvent(s_ss, r[i]))
 
 
+def test_stacked_coupling_with_a_singular_member_solves_the_others_alone():
+    # member 1 pairs a lossless reflective pair with unit loads: exactly resonant
+    s_ss = np.stack([
+        0.3 * standard_complex_gaussian(substream(23), (2, 2)),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        0.3 * standard_complex_gaussian(substream(24), (2, 2)),
+    ])
+    r = np.array([[0.5, 0.5j], [1.0, 1.0], [-0.3, 0.2]], dtype=complex)
+    g, rcond = resolvent(s_ss, r)
+    assert g.shape == (3, 2, 2) and rcond.shape == (3,)
+    assert rcond[1] == 0.0 and not g[1].any()
+    for i in (0, 2):
+        g_one, rcond_one = resolvent(s_ss[i], r[i])
+        assert np.array_equal(g[i], g_one) and rcond[i] == rcond_one
+
+
 @pytest.mark.parametrize("bad", [1.01, np.nan])
 def test_loads_outside_the_unit_disk_are_rejected(bad):
     blocks = extract_blocks(coupled_system(2, 2, 3, seed=23))
@@ -200,6 +219,24 @@ def test_spectral_norm_equals_the_matrix_2_norm():
     matrices += [gen.standard_normal((6, 6)), np.zeros((4, 4), dtype=complex)]
     for a in matrices:
         assert spectral_norm(a) == np.linalg.norm(a, 2)
+        assert type(spectral_norm(a)) is float
+    stack = np.stack([standard_complex_gaussian(gen, (4, 5)) for _ in range(3)])
+    assert np.array_equal(spectral_norm(stack), [spectral_norm(a) for a in stack])
+
+
+def test_frobenius_norm_rounds_as_the_numpy_norm():
+    gen = substream(64)
+    for n in range(1, 65):
+        x = standard_complex_gaussian(gen, (3, n))
+        assert np.array_equal(frobenius_norm(x, 1), [np.linalg.norm(row) for row in x])
+        assert frobenius_norm(x) == np.linalg.norm(x)
+
+
+def test_stack_with_one_non_passive_matrix_is_rejected():
+    stack = np.stack([0.5 * np.eye(3), 1.2 * np.eye(3), np.zeros((3, 3))])
+    with pytest.raises(PassivityError, match="1.2 exceeds 1"):
+        require_passive(spectral_norm(stack))
+    require_passive(spectral_norm(stack[[0, 2]]))
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
@@ -243,6 +280,44 @@ def test_uncertified_factors_gate_on_the_exact_rcond():
     assert ok.tolist() == [True, False, True] and np.array_equal(ok, rcond >= RCOND_MIN)
     rx_ref, w_ref = jacobian_factors(blocks, g, r)
     assert np.array_equal(rx_factor, rx_ref) and np.array_equal(w, w_ref)
+
+
+def test_partition_of_a_stack_gives_each_matrix_its_blocks():
+    gen = substream(65)
+    stack = 0.1 * standard_complex_gaussian(gen, (3, 7, 7))
+    ports = ((2, 4, 5), (0, 6), (1, 3))
+    blocks = partition(stack, *ports)
+    for i, a in enumerate(stack):
+        one = extract_blocks(ScatteringSystem(7, a, *ports))
+        for name in ("s_rt", "s_rs", "s_ss", "s_st"):
+            assert np.array_equal(getattr(blocks, name)[i], getattr(one, name))
+    assert (blocks.n_tx, blocks.n_rx, blocks.n_bs) == (3, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "name, shape", [("s_ss", (4, 3, 2)), ("s_rs", (4, 2, 2)), ("s_st", (4, 3, 1))]
+)
+def test_stacked_blocks_with_mismatched_trailing_shapes_are_rejected(name, shape):
+    # a stack of four systems with 2 tx, 2 rx and 3 loads, one block cut wrong
+    shapes = {"s_rt": (4, 2, 2), "s_rs": (4, 2, 3), "s_ss": (4, 3, 3), "s_st": (4, 3, 2)}
+    with pytest.raises(ValueError, match=name):
+        ScatteringBlocks(**{k: np.zeros(shape if k == name else v) for k, v in shapes.items()})
+
+
+def test_stacked_closed_form_equals_the_single_system_one():
+    systems = [extract_blocks(coupled_system(2, 3, 4, seed=s)) for s in (66, 67, 68)]
+    stacked = ScatteringBlocks(
+        *(np.stack([getattr(b, k) for b in systems]) for k in ("s_rt", "s_rs", "s_ss", "s_st"))
+    )
+    gen = substream(69)
+    r0 = np.stack([sample_loads(LoadConstraint.uni(), 4, gen) for _ in systems])
+    x = np.stack([sample_random_illumination(2, gen) for _ in systems])
+    jac = closed_form_jacobian(stacked, r0, x).matrix
+    assert jac.shape == (3, 3, 4)
+    for i, blocks in enumerate(systems):
+        assert np.array_equal(jac[i], closed_form_jacobian(blocks, r0[i], x[i]).matrix)
+    with pytest.raises(ValueError, match="not 1"):
+        closed_form_jacobian(stacked, r0, x * np.array([[1.0], [1.1], [1.0]]))
 
 
 def test_channel_zero_loads_is_direct_path():
