@@ -10,23 +10,30 @@ reaches RCOND_MIN no member can be singular, and the gate is skipped.
 The search runs L-BFGS-B in the real embedding R^{2 n_t} on the raw
 iterate.  M has degree 0 in x (it ignores the global phase and scale of the
 illumination), so the iterate needs no projection and only the winner is
-projected onto the unit sphere.  The exact gradient comes from the
-load-power form.  Per member, with R = S_RS G, a = W x, p = |a|^2,
-w_s = ||R_s||^2 and C = R diag(p) R^H = J J^H:
+projected onto the unit sphere.
 
-    tau = tr C = w.p,  phi = ||C||_F^2,  M = tau^2 / phi,
-    dM/dp_s = 2 tau w_s / phi - 2 tau^2 q_s / phi^2,  q_s = Re(R_s^H C R_s).
+Each member's M is a ratio of two quadratic forms in the lift of x, the
+n_t^2 real coordinates of x x^H in an orthonormal basis of Hermitian
+matrices (the semidefinite-relaxation lift; Luo, Ma, So, Ye & Zhang, IEEE
+Signal Process. Mag. 27(3), 2010), for which lift(u).lift(v) = |u^H v|^2:
 
-C is linear in p, so each member precomputes once the real matrix V
-(n_r^2 x n_s) that writes C in an orthonormal basis of Hermitian
-n_r x n_r matrices: the rows |R_is|^2 give the diagonal, and for each
-i < j the rows sqrt(2) Re(R_is conj(R_js)) and sqrt(2) Im(R_is conj(R_js))
-the off-diagonal entries.  Then c = V p holds C, phi = c.c and q = V^T c,
-so an evaluation never forms J or C.
+    xi = [|x_i|^2; sqrt(2) Re(x_i conj x_j); sqrt(2) Im(x_i conj x_j)],  i < j.
 
-By CR (Wirtinger) calculus (Kreutz-Delgado, arXiv:0906.4835) the gradient
-is g = dM/d conj(x) = W^H (dM/dp * a), averaged over the members, and in
-the real embedding it is 2 [Re g; Im g].
+Per member, with R = S_RS G, w_s = ||R_s||^2 and W the drive factor, the
+load powers are p = |W x|^2 = Pi xi, where row s of Pi is lift(conj W_s),
+and C = J J^H = R diag(p) R^H has the coordinates V p, where column s of V
+is lift(R_s).  So with T = V Pi
+
+    tau = tr C = tau_m.xi,  tau_m = Pi^T w,
+    phi = ||C||_F^2 = xi^T Q xi,  Q = T^T T,  M = tau^2 / phi,
+
+and an evaluation is one product of the stacked Q with xi plus reductions;
+it never forms W x, J or C.  The gradient in xi, over the N members, is
+g = (2/N) sum_m [alpha tau_m - alpha^2 Q xi] with alpha = tau / phi, and
+by CR (Wirtinger) calculus (Kreutz-Delgado, arXiv:0906.4835) it pulls back
+to dM/d conj(x) = Gamma x, with the Hermitian Gamma_ii = g_ii and
+Gamma_ij = (g_re,ij + i g_im,ij) / sqrt(2) for i < j; the real embedding
+takes 2 [Re; Im] of it.
 
 Maximization and minimization share one code path: MAX minimizes the
 negated objective.  The search keeps no bookkeeping of its own: per-start
@@ -51,12 +58,11 @@ from .network import (
     ScatteringSystem,
     extract_blocks,
     factors,
-    incident_drive,
     rcond_floor,
     resolvent,
 )
-from .sampling import CHUNK, _pool_map, redraw_singular, sample_random_illumination
-from .streams import substream, substream_uniforms
+from .sampling import CHUNK, _pool_map, illuminations_from_uniforms, redraw_singular
+from .streams import substream_uniforms
 
 # Substream key namespaces under the optimization seed.
 _LOADSET_KEY = 0
@@ -155,53 +161,64 @@ def _gated_load_set(
     return members, redraw_singular(members, singular, key, n_words, evaluate, "load-set member")
 
 
-class _FrozenObjective:
-    """Mean participation number over a fixed load set, batch-evaluated.
+def _lift(v: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Real coordinates of v v^H over the last axis: [|v_i|^2; sqrt(2) Re, Im(v_i conj v_j)].
 
-    Per member the Hermitian basis V of C = R diag(p) R^H, the column powers
-    w_s = ||R_s||^2 and the drive factor W are precomputed once from
-    network.factors, over fixed slices of sampling.CHUNK members on the
-    worker pool, and R = S_RS G is freed.  Each evaluation reduces the load
-    powers p = |W x|^2 through V and pulls the gradient back through p.
+    pairs is np.triu_indices(v.shape[-1], 1), the i < j of the off-diagonal coordinates.
+    """
+    cross = np.sqrt(2.0) * v[..., pairs[0]] * v[..., pairs[1]].conj()
+    return np.concatenate([v.real**2 + v.imag**2, cross.real, cross.imag], axis=-1)
+
+
+class _FrozenObjective:
+    """Mean participation number over a fixed load set, as a lifted quadratic form.
+
+    Per member the quadratic form Q = T^T T and the trace form tau_m = Pi^T w
+    of the module docstring are precomputed once from network.factors, over
+    fixed slices of sampling.CHUNK members on the worker pool, and the factor
+    pair is freed.  A member keeps n_t^4 + n_t^2 floats (90 at n_t = 3), so
+    the precompute grows quartically in n_t; n_t is 1-4 in the package's
+    tests, tools and benchmark workloads.
     """
 
     def __init__(self, blocks, load_set: np.ndarray):
         r = np.asarray(load_set, dtype=complex)
-        n_r = blocks.n_rx
+        n_r, dim = blocks.n_rx, blocks.n_tx**2
         certified = rcond_floor(blocks.s_ss) >= RCOND_MIN
-        self.incident = np.empty(r.shape + (blocks.n_tx,), dtype=complex)
-        self.basis = np.empty((len(r), n_r * n_r, r.shape[-1]))
-        self.rx_power = np.empty(r.shape)
-        i, j = np.triu_indices(n_r, 1)
+        self.quadratic = np.empty((len(r), dim, dim))
+        self.trace_form = np.empty((len(r), dim))
+        self.pairs = np.triu_indices(blocks.n_tx, 1)
+        rx_pairs = np.triu_indices(n_r, 1)
 
         def fill(start: int) -> None:
             # fixed slices: batched solves and matmuls give each member the same bits at any length
             s = slice(start, start + CHUNK)
-            rx, self.incident[s], ok = factors(blocks, r[s], certified)
+            rx, drive, ok = factors(blocks, r[s], certified)
             if not ok.all():
                 raise SingularityError(f"load-set member {start + np.argmin(ok)} is singular")
-            cross = np.sqrt(2.0) * rx[..., i, :] * rx[..., j, :].conj()
-            diagonal = rx.real**2 + rx.imag**2
-            self.basis[s] = np.concatenate([diagonal, cross.real, cross.imag], axis=-2)
-            self.rx_power[s] = diagonal.sum(axis=-2)
+            columns = _lift(rx.swapaxes(-1, -2), rx_pairs)  # V^T, one row lift(R_s) per load
+            powers = _lift(drive.conj(), self.pairs)  # Pi, one row lift(conj W_s) per load
+            t = columns.swapaxes(-1, -2) @ powers
+            self.quadratic[s] = t.swapaxes(-1, -2) @ t
+            rx_power = columns[..., :n_r].sum(axis=-1)
+            self.trace_form[s] = (rx_power[..., None, :] @ powers)[..., 0, :]
 
         _pool_map(fill, range(0, len(r), CHUNK))
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean M at a nonzero x of any scale, and its gradient dM/d conj(x)."""
-        drive = incident_drive(self.incident, x)
-        power = drive.real**2 + drive.imag**2
-        trace = (self.rx_power * power).sum(axis=-1)
+        n, xi = len(x), _lift(x, self.pairs)
+        q_xi = (self.quadratic.reshape(-1, xi.size) @ xi).reshape(-1, xi.size)
+        trace = self.trace_form @ xi
         if not trace.all():
             raise DegenerateInputError("zero Jacobian; participation undefined")
-        c = (self.basis @ power[..., None])[..., 0]
-        fro2 = (c * c).sum(axis=-1)
-        q = (c[..., None, :] @ self.basis)[..., 0, :]
-        ratio = (trace / fro2)[:, None]
-        dm_dp = 2.0 * ratio * (self.rx_power - ratio * q)
-        # W^H (dm_dp * a), summed over the members, as the conjugate of (dm_dp * a)^H W
-        grad = np.tensordot(dm_dp * drive.conj(), self.incident, axes=2).conj() / len(drive)
-        return float(np.mean(trace * trace / fro2)), grad
+        ratio = trace / (q_xi @ xi)
+        g = 2.0 * (ratio @ self.trace_form - (ratio * ratio) @ q_xi) / len(trace)
+        i, j = self.pairs
+        gamma = np.diag(g[:n].astype(complex))
+        gamma[i, j] = (g[n : n + len(i)] + 1j * g[n + len(i) :]) / np.sqrt(2.0)
+        gamma[j, i] = gamma[i, j].conj()
+        return float(np.mean(trace * ratio)), gamma @ x
 
     def __call__(self, x: np.ndarray) -> float:
         return self.value_and_gradient(x)[0]
@@ -250,10 +267,12 @@ def optimize_illumination(
         return sign * value, 2.0 * sign * embed(grad)
 
     options = {"maxiter": config.max_iterations, "ftol": config.f_tolerance}
+    starts = illuminations_from_uniforms(
+        substream_uniforms(config.seed, (_START_KEY,), range(config.n_starts), 2 * blocks.n_tx)
+    )
 
     def run_start(start: int):
-        x0 = sample_random_illumination(blocks.n_tx, substream(config.seed, _START_KEY, start))
-        return minimize(wrapped, embed(x0), jac=True, method="L-BFGS-B", options=options)
+        return minimize(wrapped, embed(starts[start]), jac=True, method="L-BFGS-B", options=options)
 
     results = _pool_map(run_start, range(config.n_starts))
     traces = [

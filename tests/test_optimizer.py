@@ -12,6 +12,8 @@ from bsdof.network import (
     ScatteringBlocks,
     coupling_resolvent,
     extract_blocks,
+    factors,
+    incident_drive,
     jacobian_factors,
     load_jacobian,
     rcond_floor,
@@ -30,6 +32,7 @@ from bsdof.streams import substream
 
 UNI = LoadConstraint.uni()
 PIN = LoadConstraint.pin()
+PM = LoadConstraint.pm()
 
 
 def system_for(n_t, n_r, n_s, seed, eta=0.9):
@@ -81,6 +84,80 @@ def test_basis_objective_equals_the_jacobian_form(n_r, n_s):
     reference = participation_from_jacobians(load_jacobian(rx, w, x)).mean()
     value = _FrozenObjective(blocks, load_set)(x)
     assert abs(value - reference) <= 1e-13 * reference
+
+
+def flat_resonant_blocks(seed, n_t=1):
+    """Two receive ports behind a rank-1 coupling that resonates when every PM load is ON."""
+    u = np.ones(8) / np.sqrt(8.0)
+    gen = substream(seed)
+    return ScatteringBlocks(
+        s_rt=np.zeros((2, n_t)),
+        s_rs=0.1 * gen.standard_normal((2, 8)),
+        s_ss=(1.0 - 1e-13) * np.outer(u, u.conj()),
+        s_st=0.1 * gen.standard_normal((8, n_t)),
+    )
+
+
+def jacobian_reference(blocks, load_set, x):
+    """Mean M and its gradient dM/d conj(x) from each member's J and C = J J^H."""
+    rx, w, ok = factors(blocks, load_set, rcond_floor(blocks.s_ss) >= RCOND_MIN)
+    assert ok.all()
+    jac = load_jacobian(rx, w, x)
+    gram = jac @ jac.conj().swapaxes(-1, -2)
+    trace = np.trace(gram, axis1=-2, axis2=-1).real[:, None]
+    ratio = trace / (np.abs(gram) ** 2).sum(axis=(-2, -1))[:, None]
+    # d tr C / d conj(a_s) = ||R_s||^2 a_s and d ||C||_F^2 / d conj(a_s) = 2 Re(R_s^H C R_s) a_s
+    power = (np.abs(rx) ** 2).sum(axis=-2)
+    q = np.einsum("mis,mij,mjs->ms", rx.conj(), gram, rx).real
+    dm_da = 2.0 * ratio * (power - ratio * q) * incident_drive(w, x)
+    grad = np.einsum("mst,ms->t", w.conj(), dm_da) / len(load_set)
+    return participation_from_jacobians(jac).mean(), grad
+
+
+@pytest.mark.parametrize(
+    "dims, constraint",
+    [((3, 4, 16), UNI), ((1, 2, 8), UNI), ((4, 2, 8), PIN), ((6, 6, 32), PIN), (None, PM)],
+    ids=["3-4-16-uni", "1-2-8-uni", "4-2-8-pin", "6-6-32-pin", "resonant-pm"],
+)
+def test_lifted_objective_matches_the_jacobian_reference(dims, constraint):
+    if dims is None:
+        blocks = flat_resonant_blocks(48, n_t=2)
+        assert rcond_floor(blocks.s_ss) < RCOND_MIN
+    else:
+        blocks = extract_blocks(system_for(*dims, seed=sum(dims)))
+    n_s = blocks.n_bs
+    load_set = sample_load_set(constraint, n_s, 300, seed=n_s, s_ss=blocks.s_ss)
+    x = 1.7 * sample_random_illumination(blocks.n_tx, substream(n_s + 1))
+    value, grad = _FrozenObjective(blocks, load_set).value_and_gradient(x)
+    reference, reference_grad = jacobian_reference(blocks, load_set, x)
+    assert abs(value - reference) <= 1e-13 * reference
+    # M has degree 0 in x, so its gradient scales as M / |x| (and is 0 for one tx port)
+    scale = reference / np.linalg.norm(x)
+    assert np.linalg.norm(grad - reference_grad) <= 1e-12 * scale
+
+
+def test_starts_are_the_per_start_substream_illuminations(monkeypatch):
+    import scipy.optimize
+
+    seen = []
+
+    def record(fun, x0, **kwargs):
+        seen.append(x0)
+        return scipy.optimize.OptimizeResult(x=x0, fun=0.0, nit=0, nfev=0)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", record)
+    monkeypatch.setenv("BSDOF_THREADS", "1")
+    for n_t in range(1, 7):
+        system = system_for(n_t, 2, 4, seed=n_t)
+        for seed in (0, 11, 12345, 2**33 + 7):
+            seen.clear()
+            config = OptimizationConfig(n_objective_samples=4, n_starts=20, seed=seed)
+            optimize_illumination(system, UNI, config)
+            expected = [
+                embed(sample_random_illumination(n_t, substream(seed, 1, start)))
+                for start in range(20)
+            ]
+            assert [x0.tobytes() for x0 in seen] == [x0.tobytes() for x0 in expected]
 
 
 def test_objective_rejects_a_zero_jacobian():
@@ -141,14 +218,7 @@ def test_mostly_singular_load_set_is_rejected():
 
 def test_objective_rejects_a_singular_member():
     # the all-ON member of the flat resonant coupling has rcond near 6e-14
-    u = np.ones(8) / np.sqrt(8.0)
-    gen = substream(38)
-    blocks = ScatteringBlocks(
-        s_rt=np.zeros((2, 1)),
-        s_rs=0.1 * gen.standard_normal((2, 8)),
-        s_ss=(1.0 - 1e-13) * np.outer(u, u.conj()),
-        s_st=0.1 * gen.standard_normal((8, 1)),
-    )
+    blocks = flat_resonant_blocks(38)
     load_set = sample_load_set(LoadConstraint.pm(), 8, 4, seed=39, s_ss=blocks.s_ss)
     x = np.array([1.0 + 0.0j])
     assert np.isfinite(mean_dof_objective(blocks, x, LoadConstraint.pm(), load_set))
