@@ -42,12 +42,11 @@ from .sampling import (
     IlluminationPolicy,
     illuminations_from_uniforms,
     sample_distribution,
-    sample_random_illumination,
     write_histogram_csv,
     write_samples_csv,
     write_summary_json,
 )
-from .streams import substream, substream_uniforms
+from .streams import substream_uniforms
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -194,9 +193,8 @@ def _policy_from_config(config: dict, system: ScatteringSystem) -> IlluminationP
     if pairs is None:
         # deterministic default: one illumination drawn from the run seed
         # (2-level key so it never touches a per-sample stream)
-        x = sample_random_illumination(
-            len(system.tx_ports), substream(config["seed"], 3, 0)
-        )
+        n_t = len(system.tx_ports)
+        x = illuminations_from_uniforms(substream_uniforms(config["seed"], (3,), [0], 2 * n_t))[0]
         config["fixed_x"] = complex_to_pairs(x)
         return IlluminationPolicy.fixed(x)
     return IlluminationPolicy.fixed(pairs_to_complex(pairs))

@@ -11,9 +11,9 @@ Three families cover the practically relevant programmable loads:
 validate_loads is the one admissibility check on load values (finite,
 |r| <= 1 + LOAD_MAG_TOL): constraint states pass it, and so does every solve.
 
-Sampling always takes an explicit stream (see streams.substream) or that
-stream's uniforms (loads_from_uniforms, the one draw formula); nothing here
-touches global RNG state.
+loads_from_uniforms is the one draw formula: the samplers feed it words of
+streams.substream_uniforms, and sample_loads (a reference helper for tests
+and benchmarks) a numpy Generator's.  Nothing touches global RNG state.
 """
 
 from dataclasses import dataclass

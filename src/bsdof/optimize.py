@@ -61,7 +61,7 @@ from .network import (
     rcond_floor,
     resolvent,
 )
-from .sampling import CHUNK, _pool_map, illuminations_from_uniforms, redraw_singular
+from .sampling import CHUNK, _draw_members, _pool_map, illuminations_from_uniforms
 from .streams import substream_uniforms
 
 # Substream key namespaces under the optimization seed.
@@ -131,11 +131,11 @@ def sample_load_set(
     """Frozen stack of load realizations, one substream per member.
 
     Members whose coupling resolvent against s_ss is singular are redrawn
-    from their own stream at construction time, under the sampler's redraw
-    policy (sampling.redraw_singular), so downstream evaluation never trips
-    on them and a pathological coupling fails before any search.  When
-    rcond_floor(s_ss) reaches RCOND_MIN no member can be singular, and no
-    resolvent is formed.
+    from the next words of their own stream at construction time, through
+    the sampler's draw loop (sampling._draw_members), so downstream
+    evaluation never trips on them and a pathological coupling fails before
+    any search.  When rcond_floor(s_ss) reaches RCOND_MIN no member can be
+    singular, and no resolvent is formed.
     """
     return _gated_load_set(constraint, n_s, n_members, seed, s_ss)[0]
 
@@ -153,12 +153,8 @@ def _gated_load_set(
             return r, np.ones(len(r), dtype=bool)
         return r, resolvent(s_ss, r)[1] >= RCOND_MIN
 
-    members, ok = evaluate(
-        substream_uniforms(seed, (_LOADSET_KEY,), range(int(n_members)), n_words)
-    )
-    singular = np.flatnonzero(~ok)
-    key = (seed, _LOADSET_KEY)
-    return members, redraw_singular(members, singular, key, n_words, evaluate, "load-set member")
+    label = "load-set member"
+    return _draw_members(seed, (_LOADSET_KEY,), int(n_members), n_words, evaluate, label)
 
 
 def _lift(v: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -4,14 +4,15 @@ Each sample i draws a load configuration (and, under the RAND policy, an
 illumination) from the substream keyed by (seed, i), evaluates the
 load-to-output Jacobian, and records its participation number.  Keying by
 sample index makes the run embarrassingly parallel and bit-reproducible for
-any worker count.  Each pool span draws its own chunk through
-streams.substream_uniforms, which equals the per-sample streams bit for bit,
-so draws run in the workers and draw memory is per chunk.  The pool is
-_pool_map, which the optimizer's precompute and starts share; it maps in
-item order on at most BSDOF_THREADS workers.  After the pool,
-redraw_singular, the one redraw policy (shared with
-optimize.sample_load_set), continues each singular sample i's own stream.
-First draws and redraws go through one function of the stream words.
+any worker count.  One draw loop, _draw_members (shared with
+optimize.sample_load_set), reads every draw through
+streams.substream_uniforms: draw c of member i is the c-th window of
+n_words words of its stream, so a singular draw is redrawn from the next
+words of its own stream.  Each pool span evaluates its chunk's first draws
+and then redraws its still-singular members together, so draws and redraws
+run in the workers and draw memory is per chunk.  The pool is _pool_map,
+which the optimizer's precompute and starts share; it maps in item order on
+at most BSDOF_THREADS workers.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
@@ -44,7 +45,7 @@ from .network import (
     resolvent,
     validate_illumination,
 )
-from .streams import TWO_PI, box_muller, substream, substream_uniforms
+from .streams import TWO_PI, box_muller, substream_uniforms
 
 # Samples per vectorized evaluation chunk.  Fixed (never derived from the
 # worker count) so chunk boundaries cannot depend on scheduling.
@@ -139,40 +140,6 @@ def sample_random_illumination(n_t: int, stream: np.random.Generator) -> np.ndar
     return illuminations_from_uniforms(stream.random(2 * int(n_t)))
 
 
-def redraw_singular(values, singular, key: tuple, n_words: int, evaluate, label: str) -> int:
-    """Redraw each singular member of values from its own stream; return the redraw count.
-
-    evaluate maps a stack of word rows (m, n_words) to (values, ok), and a
-    member's first draw was evaluate of the first n_words words of
-    substream(*key, i).  For each index i in singular, in order: re-seed that
-    stream, skip the rejected first draw, and evaluate its next n_words words
-    into values[i] until ok.  Raises SingularityError after
-    MAX_REDRAWS_PER_SAMPLE redraws of one member, or when more than
-    MAX_SINGULAR_FRACTION of all len(values) + redraws draws were singular.
-    """
-    redraws = 0
-    for i in singular:
-        gen = substream(*key, i)
-        gen.random(n_words)
-        for count in range(1, MAX_REDRAWS_PER_SAMPLE + 1):
-            value, accepted = evaluate(gen.random((1, n_words)))
-            values[i] = value[0]
-            if accepted[0]:
-                break
-        else:
-            raise SingularityError(
-                f"{label} {i} still singular after {MAX_REDRAWS_PER_SAMPLE} redraws"
-            )
-        redraws += count
-    total = len(values) + redraws
-    if redraws > MAX_SINGULAR_FRACTION * total:
-        raise SingularityError(
-            f"{redraws} of {total} draws were singular "
-            f"(> {MAX_SINGULAR_FRACTION:.0%}); environment is pathological"
-        )
-    return redraws
-
-
 def _worker_count(n_tasks: int) -> int:
     raw = os.environ.get("BSDOF_THREADS", "0")
     try:
@@ -195,6 +162,47 @@ def _pool_map(fn, items) -> list:
     """
     with ThreadPoolExecutor(max_workers=_worker_count(len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+def _draw_members(seed: int, prefix: tuple, n: int, n_words: int, evaluate, label: str):
+    """Draw members 0, ..., n - 1 until regular; return (values, redraw count).
+
+    Draw c of member i (0 is its first draw) is evaluate of words
+    [c n_words, (c + 1) n_words) of substream(seed, *prefix, i), and
+    evaluate maps a stack of word rows (m, n_words) to (values, ok).  Spans
+    of CHUNK members run on the pool; each evaluates its first draws, then
+    redraws all of its still-singular members together at their next
+    window.  Raises
+    SingularityError naming the lowest member still singular after
+    MAX_REDRAWS_PER_SAMPLE redraws, or when more than MAX_SINGULAR_FRACTION
+    of all n + redraws draws were singular.
+    """
+
+    def run_span(start: int):
+        index = np.arange(start, min(start + CHUNK, n))
+        values, ok = evaluate(substream_uniforms(seed, prefix, index, n_words))
+        count = redraws = 0
+        while not ok.all() and count < MAX_REDRAWS_PER_SAMPLE:
+            count += 1
+            redo = np.flatnonzero(~ok)
+            u = substream_uniforms(seed, prefix, index[redo], n_words, count * n_words)
+            values[redo], ok[redo] = evaluate(u)
+            redraws += redo.size
+        if not ok.all():
+            raise SingularityError(
+                f"{label} {index[np.argmin(ok)]} still singular after "
+                f"{MAX_REDRAWS_PER_SAMPLE} redraws"
+            )
+        return values, redraws
+
+    spans = _pool_map(run_span, range(0, n, CHUNK))
+    redraws = sum(r for _, r in spans)
+    if redraws > MAX_SINGULAR_FRACTION * (n + redraws):
+        raise SingularityError(
+            f"{redraws} of {n + redraws} draws were singular "
+            f"(> {MAX_SINGULAR_FRACTION:.0%}); environment is pathological"
+        )
+    return np.concatenate([v for v, _ in spans]), redraws
 
 
 def _chunk_m_values(
@@ -269,17 +277,7 @@ def sample_distribution(
             x = np.repeat(policy.fixed_x[None, :], len(u), axis=0)
         return _chunk_m_values(blocks, r, x, mode, constraint, certified)
 
-    values = np.empty(n_samples)
-    ok = np.empty(n_samples, dtype=bool)
-
-    def run_span(start: int) -> None:
-        index = np.arange(start, min(start + CHUNK, n_samples))
-        s = slice(start, start + CHUNK)
-        values[s], ok[s] = evaluate(substream_uniforms(seed, (), index, n_words))
-
-    _pool_map(run_span, range(0, n_samples, CHUNK))
-    singular = np.flatnonzero(~ok)
-    redraw_count = redraw_singular(values, singular, (seed,), n_words, evaluate, "sample")
+    values, redraw_count = _draw_members(seed, (), n_samples, n_words, evaluate, "sample")
     return DofDistribution(
         samples=values,
         n_tilde=min(blocks.n_rx, n_s),

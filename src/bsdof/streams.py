@@ -6,13 +6,18 @@ thread counts, and scheduling order.  Philox is counter-based; SeedSequence
 spawn keys give non-colliding substreams for distinct key paths (tuples of
 different lengths never collide).
 
-substream_uniforms draws the first uniforms of many substreams at once.  It
-reimplements, in numpy uint64 arithmetic, SeedSequence's hash mixing, the
+substream_uniforms draws a window of uniforms of many substreams at once.
+It reimplements, in numpy uint64 arithmetic, SeedSequence's hash mixing, the
 Philox4x64-10 key it derives and the block function (Salmon, Moraes, Dror &
 Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11), and gives the
 same words bit for bit as a Generator on substream(seed, *prefix, i).  numpy
 does not promise Generator stream stability across versions (NEP 19), so
-owning the algorithm pins the uniforms in this module too.
+owning the algorithm pins the uniforms in this module too.  Every draw of
+the package reads it, first draws and redraws alike, except the per-seed
+draw of environment.synth_matrices (an owned draw there slowed a 4,000-trial
+validation sweep, medians 1.84 s against 1.77 s) and the Generator-based
+reference helpers that tests and benchmarks call: substream,
+standard_complex_gaussian, loads.sample_loads, sampling.sample_random_illumination.
 
 Gaussian variates are produced by an explicit Box-Muller transform on the
 stream's uniforms rather than the generator's native normal method, so the
@@ -81,12 +86,13 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32), m * x
 
 
-def substream_uniforms(seed: int, prefix: tuple, indices, k: int) -> np.ndarray:
-    """First k uniforms of substream(seed, *prefix, i) for each index i; shape (len(indices), k).
+def substream_uniforms(seed: int, prefix: tuple, indices, k: int, skip: int = 0) -> np.ndarray:
+    """Uniforms skip, ..., skip + k - 1 of substream(seed, *prefix, i) for each index i.
 
-    Bit for bit equal to substream(seed, *prefix, i).random(k).  The seed
-    and the prefix must be nonnegative and every index below 2**32, so that
-    each index is one SeedSequence word.
+    Shape (len(indices), k); bit for bit equal to
+    substream(seed, *prefix, i).random(skip + k)[skip:].  The seed and the
+    prefix must be nonnegative and every index below 2**32, so that each
+    index is one SeedSequence word.
     """
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() > _M32):
@@ -121,9 +127,10 @@ def substream_uniforms(seed: int, prefix: tuple, indices, k: int) -> np.ndarray:
         state.append(value)
     key = [(state[0] | (state[1] << 32))[:, None], (state[2] | (state[3] << 32))[:, None]]
 
-    # Philox4x64-10 over the block counters 1, 2, ...; the key is bumped between rounds
-    blocks = -(-int(k) // 4)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    # Philox4x64-10 over the block counters 1 + skip // 4, ...; the key is bumped between rounds
+    first, lead = divmod(int(skip), 4)
+    blocks = -(-(lead + int(k)) // 4)
+    c0 = np.arange(1 + first, 1 + first + blocks, dtype=np.uint64)[None, :]
     c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
     for rnd in range(_PHILOX_ROUNDS):
         if rnd:
@@ -133,7 +140,7 @@ def substream_uniforms(seed: int, prefix: tuple, indices, k: int) -> np.ndarray:
         c0, c1, c2, c3 = hi1 ^ c1 ^ key[0], lo1, hi0 ^ c3 ^ key[1], lo0
     words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(idx.size, 4 * blocks)
     # Generator.random: the top 53 bits of each word, scaled to [0, 1)
-    return (words[:, : int(k)] >> 11) * (1.0 / 9007199254740992.0)
+    return (words[:, lead : lead + int(k)] >> 11) * (1.0 / 9007199254740992.0)
 
 
 def box_muller(u_mag: np.ndarray, u_phase: np.ndarray) -> np.ndarray:

@@ -13,10 +13,12 @@ from bsdof.metrics import benchmark_eemdof
 from bsdof.network import (
     ScatteringSystem,
     closed_form_jacobian,
+    complex_to_pairs,
     extract_blocks,
     load_system,
     save_system,
 )
+from bsdof.sampling import sample_random_illumination
 from bsdof.streams import substream
 
 
@@ -149,7 +151,9 @@ def test_bs_dist_materializes_the_default_fixed_illumination(tmp_path):
     )
     assert rc == 0
     config = read_json(first / "config.json")
-    assert len(config["fixed_x"]) == 3  # drawn once, echoed for replay
+    # drawn once from the seed's (3, 0) substream, echoed for replay
+    expected = complex_to_pairs(sample_random_illumination(3, substream(9, 3, 0)))
+    assert config["fixed_x"] == expected
     rc = main(["bs-dist", "--config", str(first / "config.json"), "--out-dir", str(second)])
     assert rc == 0
     assert (first / "samples.csv").read_bytes() == (second / "samples.csv").read_bytes()

@@ -11,6 +11,7 @@ import pytest
 import bsdof.network
 import bsdof.optimize
 import bsdof.sampling
+from bsdof.cli import main
 from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
 from bsdof.errors import DegenerateInputError, SingularityError, UnsupportedOperationError
 from bsdof.fd import ChannelMap, discrete_toggle_jacobian
@@ -38,6 +39,8 @@ from bsdof.network import (
     coupling_resolvent,
     extract_blocks,
     rcond_floor,
+    resolvent,
+    save_system,
 )
 from bsdof.streams import substream, substream_uniforms
 
@@ -130,14 +133,17 @@ def test_sampling_is_deterministic():
 
 
 def test_worker_count_does_not_change_the_samples(monkeypatch):
-    system = system_for(2, 2, 16, seed=8)
-    runs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("BSDOF_THREADS", threads)
-        runs.append(
-            sample_distribution(system, IlluminationPolicy.rand(), PIN, 600, seed=9)
-        )
-    assert np.array_equal(runs[0].samples, runs[1].samples)
+    # the resonant system's PM draws are redrawn inside the pool workers
+    certified, resonant = system_for(2, 2, 16, seed=8), flat_resonant_rank2_system()
+    for system, constraint, n, seed in ((certified, PIN, 600, 9), (resonant, PM, 2000, 0)):
+        runs = []
+        for threads in ("1", "2", "3", "4"):
+            monkeypatch.setenv("BSDOF_THREADS", threads)
+            runs.append(sample_distribution(system, IlluminationPolicy.rand(), constraint, n, seed))
+        for other in runs[1:]:
+            assert other.samples.tobytes() == runs[0].samples.tobytes()
+            assert other.redraw_count == runs[0].redraw_count
+    assert runs[0].redraw_count > 0
 
 
 @pytest.mark.parametrize("n_t", [1, 3])
@@ -429,13 +435,80 @@ def test_certified_load_set_forms_no_resolvent(monkeypatch):
 
 
 def test_redraw_cap_is_shared_by_samples_and_load_sets(monkeypatch):
-    monkeypatch.setattr(bsdof.sampling, "MAX_REDRAWS_PER_SAMPLE", 0)
     system = flat_resonant_rank2_system()
-    with pytest.raises(SingularityError, match="still singular after 0 redraws"):
-        sample_distribution(system, IlluminationPolicy.rand(), PM, 2000, seed=0)
     s_ss = extract_blocks(system).s_ss
-    with pytest.raises(SingularityError, match="still singular after 0 redraws"):
+
+    def first_singular(seed, prefix, n, n_words):
+        # the lowest member whose first draw the resolvent's rcond rejects
+        words = substream_uniforms(seed, prefix, range(n), n_words)
+        rcond = resolvent(s_ss, loads_from_uniforms(PM, words[:, :8]))[1]
+        return np.flatnonzero(rcond < RCOND_MIN)[0]
+
+    sample = first_singular(0, (), 2000, 8 + 2)  # 8 load words, then 1 magnitude and 1 phase
+    member = first_singular(33, (0,), 200, 8)
+    monkeypatch.setattr(bsdof.sampling, "MAX_REDRAWS_PER_SAMPLE", 0)
+    with pytest.raises(SingularityError, match=f"^sample {sample} still singular after 0 redraws"):
+        sample_distribution(system, IlluminationPolicy.rand(), PM, 2000, seed=0)
+    with pytest.raises(
+        SingularityError, match=f"^load-set member {member} still singular after 0 redraws"
+    ):
         sample_load_set(PM, 8, 200, seed=33, s_ss=s_ss)
+
+
+def test_draw_loop_reads_consecutive_windows_of_each_stream(monkeypatch):
+    # half of all draws are rejected, so some members take several redraws in a row
+    monkeypatch.setattr(bsdof.sampling, "MAX_SINGULAR_FRACTION", 1.0)
+
+    def evaluate(u):
+        return u.copy(), u[:, 0] >= 0.5
+
+    n, n_words = 600, 3
+    values, redraws = bsdof.sampling._draw_members(5, (2,), n, n_words, evaluate, "member")
+    expected, counts = np.empty((n, n_words)), []
+    for i in range(n):
+        gen = substream(5, 2, i)
+        count = 0
+        while (row := gen.random(n_words))[0] < 0.5:
+            count += 1
+        expected[i] = row
+        counts.append(count)
+    assert values.tobytes() == expected.tobytes()
+    assert redraws == sum(counts) and max(counts) >= 4
+
+
+def test_no_draw_builds_a_numpy_philox(tmp_path, monkeypatch):
+    """The default FIXED illumination and every redraw read the owned stream words."""
+    fixed, resonant = tmp_path / "fixed.json", tmp_path / "resonant.json"
+    save_system(system_for(3, 2, 8, seed=2), fixed)
+    save_system(flat_resonant_rank2_system(), resonant)
+    pm = ["--system", str(resonant), "--constraint", "pm", "--seed", "0"]
+    runs = {
+        "fixed": ["bs-dist", "--system", str(fixed), "--policy", "fixed", "--n", "300"],
+        "redraw": ["bs-dist", *pm, "--n", "2000"],
+        "opt-redraw": ["optimize-x", *pm, "--starts", "2", "--objective-samples", "400",
+                       "--final-n", "2000"],
+    }
+
+    def run_all(tag):
+        for name, args in runs.items():
+            assert main([*args, "--out-dir", str(tmp_path / tag / name)]) == 0
+
+    run_all("numpy")
+
+    def no_philox(*args, **kwargs):
+        raise AssertionError("a numpy Philox was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    run_all("owned")
+    for name in runs:
+        files = sorted(p.name for p in (tmp_path / "numpy" / name).iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "owned" / name).iterdir())
+        for file in files:
+            owned = (tmp_path / "owned" / name / file).read_bytes()
+            assert owned == (tmp_path / "numpy" / name / file).read_bytes(), (name, file)
+    assert json.loads((tmp_path / "owned/redraw/summary.json").read_text())["redraw_count"] > 0
+    report = json.loads((tmp_path / "owned/opt-redraw/optimization.json").read_text())
+    assert report["load_set_redraws"] > 0
 
 
 def test_resonant_fixtures_are_uncertified():

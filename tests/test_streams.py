@@ -10,19 +10,21 @@ from bsdof.streams import standard_complex_gaussian, substream, substream_unifor
 INDICES = [0, 1, 255, 256, 4999]
 
 
-def numpy_uniforms(seed, prefix, i, k):
+def numpy_uniforms(seed, prefix, i, k, skip=0):
     ss = np.random.SeedSequence(seed, spawn_key=(*prefix, i))
-    return np.random.Generator(np.random.Philox(ss)).random(k)
+    return np.random.Generator(np.random.Philox(ss)).random(skip + k)[skip:]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70])
 @pytest.mark.parametrize("prefix", [(), (0,), (3,)], ids=["flat", "key0", "key3"])
 def test_batched_uniforms_are_numpys_bit_for_bit(seed, prefix):
-    for k in (1, 4, 22, 70):
-        batched = substream_uniforms(seed, prefix, INDICES, k)
-        assert batched.shape == (len(INDICES), k)
-        expected = np.array([numpy_uniforms(seed, prefix, i, k) for i in INDICES])
-        assert np.array_equal(batched.view(np.uint64), expected.view(np.uint64))
+    # skip 0 is a first draw; the others start inside a Philox block or on its boundary
+    for skip in (0, 1, 5, 8, 22):
+        for k in (1, 4, 22, 70):
+            batched = substream_uniforms(seed, prefix, INDICES, k, skip)
+            assert batched.shape == (len(INDICES), k)
+            expected = np.array([numpy_uniforms(seed, prefix, i, k, skip) for i in INDICES])
+            assert np.array_equal(batched.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize(
