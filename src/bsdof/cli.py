@@ -302,21 +302,22 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
 
     Trial t reads at most 44 words of substream(seed, 4, t): 4 shape words,
     2 n_s load words, then 2 n_t illumination words, turned into loads and an
-    illumination by the sampler's own formulas.  A first pass reads the three
-    port-count words in windows of sampling.CHUNK trials and groups the
-    trials by (n_t, n_r, n_s); each group then runs in slices of at most
-    CHUNK // (n_s + 1) trials, so that a slice's oracle stack holds at most
-    CHUNK load rows.  A slice draws its own words and environments and runs
-    every formula once, batched over its trials.  When a slice fails, its
-    trials run again one at a time, and the error names the first trial that
-    fails on its own.
+    illumination by the sampler's own formulas.  One pass reads all 44 words
+    of every trial in windows of sampling.CHUNK trials and groups the trials
+    by their port counts (n_t, n_r, n_s); each group then runs in slices of
+    at most CHUNK // (n_s + 1) trials, so that a slice's oracle stack holds
+    at most CHUNK load rows.  A slice takes its trials' word rows, draws
+    their environments and runs every formula once, batched over its trials.
+    When a slice fails, its trials run again one at a time, and the error
+    names the first trial that fails on its own.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    windows = [np.arange(start, min(start + CHUNK, trials)) for start in range(0, trials, CHUNK)]
-    words = np.concatenate([substream_uniforms(seed, (4,), w, 3) for w in windows])
+    words = np.empty((trials, 44))
+    for w in np.split(np.arange(trials), range(CHUNK, trials, CHUNK)):
+        words[w] = substream_uniforms(seed, (4,), w, 44)
     shapes, first, group = np.unique(
-        1 + (words * (4, 4, 16)).astype(int), axis=0, return_index=True, return_inverse=True
+        1 + (words[:, :3] * (4, 4, 16)).astype(int), axis=0, return_index=True, return_inverse=True
     )
     fd_errors = np.empty(trials)
     residuals = np.empty(trials)
@@ -325,11 +326,12 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
         size = CHUNK // (shape[2] + 1)
         for index in np.split(members, range(size, members.size, size)):
             try:
-                fd_errors[index], residuals[index] = _validation_slice(seed, index, shape, step)
+                u = words[index]
+                fd_errors[index], residuals[index] = _validation_slice(seed, index, u, shape, step)
             except BsdofError:
                 for t in index.tolist():  # name the first trial that fails on its own
                     try:
-                        _validation_slice(seed, np.array([t]), shape, step)
+                        _validation_slice(seed, np.array([t]), words[[t]], shape, step)
                     except BsdofError as exc:
                         raise type(exc)(f"{exc} (trial {t})") from exc
                 raise
@@ -342,10 +344,9 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
     }
 
 
-def _validation_slice(seed: int, index: np.ndarray, shape: tuple, step: float) -> tuple:
-    """The forward-difference errors and column-space residuals of same-shape trials."""
+def _validation_slice(seed: int, index: np.ndarray, u: np.ndarray, shape: tuple, step: float):
+    """Forward-difference errors and column-space residuals of same-shape trials' word rows u."""
     n_t, n_r, n_s = shape
-    u = substream_uniforms(seed, (4,), index, 44)
     etas = np.array((0.3, 0.6, 0.9))[(u[:, 3] * 3).astype(int)]
     specs = [
         EnvironmentSpec(n_t, n_r, n_s, eta, 1.0, seed=seed * 100003 + t)

@@ -20,9 +20,10 @@ may be stacked too: ScatteringBlocks takes leading axes (partition cuts them
 out of a stack of matrices), and k stacked systems take loads (k, N_S), one
 configuration each.  The scalar APIs (coupling_resolvent,
 end_to_end_channel, closed_form_jacobian) are thin wrappers around them.
-factors is the one entry to the factor pair with its regularity mask: under
-the passivity certificate rcond_floor, computed once by the caller, it takes
-two LU solves and forms no G; otherwise it gates on G's exact rcond.  Single-load changes update G and H at O(N_S^2) cost
+factors and channel are the one entries to the factor pair and to H with
+their regularity mask: under the passivity certificate rcond_floor, computed
+once by the caller, they take LU solves and form no G; otherwise they gate
+on G's exact rcond.  Single-load changes update G and H at O(N_S^2) cost
 through a rank-1 Sherman-Morrison step instead of a fresh factorization.
 """
 
@@ -222,19 +223,19 @@ def extract_blocks(system: ScatteringSystem) -> ScatteringBlocks:
     return partition(system.matrix, system.tx_ports, system.rx_ports, system.bs_ports)
 
 
-def rcond_floor(s_ss: np.ndarray) -> float:
+def rcond_floor(s_ss: np.ndarray) -> float | np.ndarray:
     """Passivity certificate: a lower bound on the rcond of every admissible A.
 
     With eta = ||S_SS||_2 and rho = 1 + LOAD_MAG_TOL, every admissible
     configuration has sigma_min(I - diag(r) S_SS) >= 1 - rho*eta, so its
     exact 1-norm rcond is at least (1 - rho*eta) / (n_s (1 + rho*eta)).
-    Returns 0 when rho*eta >= 1, where passivity alone proves nothing.
+    Gives 0 where rho*eta >= 1, where passivity alone proves nothing; a
+    stack (..., n_s, n_s) gives one floor per item, a single matrix a float.
     """
     s_ss = np.asarray(s_ss, dtype=complex)
-    bound = (1.0 + LOAD_MAG_TOL) * spectral_norm(s_ss)
-    if bound >= 1.0:
-        return 0.0
-    return (1.0 - bound) / (s_ss.shape[-1] * (1.0 + bound))
+    bound = (1.0 + LOAD_MAG_TOL) * np.asarray(spectral_norm(s_ss))
+    floor = np.where(bound < 1.0, (1.0 - bound) / (s_ss.shape[-1] * (1.0 + bound)), 0.0)
+    return float(floor) if floor.ndim == 0 else floor
 
 
 def _load_matrix(s_ss: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -303,8 +304,25 @@ def factors(blocks: ScatteringBlocks, r: np.ndarray, certified: bool) -> tuple[n
     # numpy < 2 would read a 2-d right-hand side of a stacked solve as vectors
     rx_rhs = np.broadcast_to(blocks.s_rs.T, a.shape[:-2] + blocks.s_rs.T.shape)
     rx_t = np.linalg.solve(a.swapaxes(-1, -2), rx_rhs)
-    drive = np.linalg.solve(a, r[..., :, None] * blocks.s_st)
+    drive = _solved_drive(a, blocks, r)
     return rx_t.swapaxes(-1, -2), blocks.s_ss @ drive + blocks.s_st, np.ones(r.shape[:-1], bool)
+
+
+def _solved_drive(a: np.ndarray, blocks: ScatteringBlocks, r: np.ndarray) -> np.ndarray:
+    """G diag(r) S_ST as solve(A, diag(r) S_ST): one LU per load row, n_t right-hand sides."""
+    return np.linalg.solve(a, r[..., :, None] * blocks.s_st)
+
+
+def channel(blocks: ScatteringBlocks, r: np.ndarray, certified: bool) -> tuple[np.ndarray, ...]:
+    """H(r) and the mask ok of regular loads, split on certified as in factors: certified,
+    H = S_RT + S_RS solve(A, diag(r) S_ST) forms no G or rcond and ok is all True; otherwise
+    H comes from resolvent's G and ok is rcond >= RCOND_MIN."""
+    r = validate_loads(r, blocks.n_bs)
+    if not certified:
+        g, rcond = resolvent(blocks.s_ss, r)
+        return _channel_from_resolvent(blocks, g, r), rcond >= RCOND_MIN
+    drive = _solved_drive(_load_matrix(blocks.s_ss, r), blocks, r)
+    return blocks.s_rt + blocks.s_rs @ drive, np.ones(r.shape[:-1], bool)
 
 
 def incident_drive(w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -14,10 +14,14 @@ from bsdof.fd import (
 from bsdof.loads import LoadConstraint, sample_loads
 from bsdof.metrics import participation_from_singular_values
 from bsdof.network import (
+    RCOND_MIN,
     ScatteringBlocks,
     ScatteringSystem,
+    channel,
     closed_form_jacobian,
+    end_to_end_channel,
     extract_blocks,
+    rcond_floor,
 )
 from bsdof.sampling import sample_random_illumination
 from bsdof.streams import standard_complex_gaussian, substream
@@ -178,13 +182,39 @@ def test_stacked_probe_equals_per_system_probes(n_s):
 
 
 def test_stacked_probe_failure_names_the_item():
-    # item 1 sits at the resonance r = 1 of diagonal_blocks, items 0 and 2 do not
+    # item 1 sits at the resonance r = 1 of diagonal_blocks, items 0 and 2 do not;
+    # the mixed stack puts it between two certified systems of the same shape
     blocks = diagonal_blocks()
-    stacked = stack_blocks([blocks] * 3)
+    certified = [coupled_blocks(1, 1, 2, seed=83 + i) for i in range(2)]
     r0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]], dtype=complex)
     x = np.ones((3, 1), dtype=complex)
-    with pytest.raises(OracleError, match="at base point of item 1: non-finite"):
-        complex_step_jacobian(ChannelMap.from_blocks(stacked), r0, x, step=1e-6)
+    rows = np.array([[0.0, 0.0], [0.5, 0.0], [0.2j, -0.3]])
+    for items in ([blocks] * 2, certified):
+        channel_map = ChannelMap.from_blocks(stack_blocks([items[0], blocks, items[1]]))
+        with pytest.raises(OracleError, match="at base point of item 1: non-finite"):
+            complex_step_jacobian(channel_map, r0, x, step=1e-6)
+        # one uncertified item puts every item of the stack on the gated path
+        h = channel_map(np.stack([rows] * 3))
+        for i, system in ((0, items[0]), (2, items[1])):
+            assert np.array_equal(h[i], channel(system, rows, False)[0])
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 1), (2, 3, 4), (4, 4, 16)])
+def test_certified_channel_rows_equal_the_scalar_channel(shape):
+    etas = (0.3, 0.6, 0.9)
+    systems = [coupled_blocks(*shape, seed=84 + i, eta=eta) for i, eta in enumerate(etas)]
+    stacked = stack_blocks(systems)
+    assert np.all(rcond_floor(stacked.s_ss) >= RCOND_MIN)
+    n_s = shape[2]
+    r = np.stack([[uni_loads(n_s, substream(85, i, j)) for j in range(5)] for i in range(3)])
+    mapped = ChannelMap.from_blocks(stacked)(r)
+    for i, blocks in enumerate(systems):
+        h, ok = channel(blocks, r[i], True)
+        assert ok.shape == (5,) and ok.all()
+        for j in range(5):
+            ref = end_to_end_channel(blocks, r[i, j])
+            for got in (h[j], mapped[i, j]):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_toggle_secant_without_coupling_matches_closed_form():

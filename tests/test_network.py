@@ -211,6 +211,17 @@ def test_passivity_certificate_is_void_at_the_lossless_limit():
     assert rcond_floor(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.0
     assert rcond_floor(np.full((4, 4), 1.0 / (4.0 * RHO))) == 0.0
     assert rcond_floor(np.zeros((3, 3))) == pytest.approx(1.0 / 3.0)
+    # a stack gives each item's own floor, bit for bit, void items included
+    gen = substream(66)
+    for lossless in (np.array([[0.0, 1.0], [1.0, 0.0]]), np.full((4, 4), 1.0 / (4.0 * RHO))):
+        n_s = lossless.shape[-1]
+        items = [lossless, np.zeros((n_s, n_s))]
+        items += [passive_coupling(n_s, eta, gen) for eta in (0.3, 0.9, 1.0 / RHO, 1.0)]
+        singles = [rcond_floor(a) for a in items]
+        assert all(type(f) is float for f in singles)
+        assert singles[0] == singles[-1] == 0.0 and singles[1] == pytest.approx(1.0 / n_s)
+        floors = rcond_floor(np.stack(items).reshape(2, 3, n_s, n_s))
+        assert floors.shape == (2, 3) and np.array_equal(floors.ravel(), singles)
 
 
 def test_spectral_norm_equals_the_matrix_2_norm():
