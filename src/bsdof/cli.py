@@ -40,6 +40,7 @@ from .sampling import (
     CHUNK,
     HISTOGRAM_BINS,
     IlluminationPolicy,
+    _draw_members,
     illuminations_from_uniforms,
     sample_distribution,
     write_histogram_csv,
@@ -302,20 +303,19 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
 
     Trial t reads at most 44 words of substream(seed, 4, t): 4 shape words,
     2 n_s load words, then 2 n_t illumination words, turned into loads and an
-    illumination by the sampler's own formulas.  One pass reads all 44 words
-    of every trial in windows of sampling.CHUNK trials and groups the trials
-    by their port counts (n_t, n_r, n_s); each group then runs in slices of
-    at most CHUNK // (n_s + 1) trials, so that a slice's oracle stack holds
-    at most CHUNK load rows.  A slice takes its trials' word rows, draws
-    their environments and runs every formula once, batched over its trials.
+    illumination by the sampler's own formulas.  The sampler's draw loop
+    (sampling._draw_members, every draw regular) reads all 44 words of every
+    trial, and the trials are grouped by their port counts (n_t, n_r, n_s);
+    each group then runs in slices of at most CHUNK // (n_s + 1) trials, so
+    that a slice's oracle stack holds at most CHUNK load rows.  A slice takes
+    its trials' word rows, draws their environments and runs every formula
+    once, batched over its trials.
     When a slice fails, its trials run again one at a time, and the error
     names the first trial that fails on its own.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    words = np.empty((trials, 44))
-    for w in np.split(np.arange(trials), range(CHUNK, trials, CHUNK)):
-        words[w] = substream_uniforms(seed, (4,), w, 44)
+    words = _draw_members(seed, (4,), trials, 44, lambda u: (u, np.ones(len(u), bool)), "trial")[0]
     shapes, first, group = np.unique(
         1 + (words[:, :3] * (4, 4, 16)).astype(int), axis=0, return_index=True, return_inverse=True
     )

@@ -3,11 +3,9 @@
 These probe an opaque map, however obtained (closed-form model, solver or
 measurement playback), in one evaluation on a stack of the base point and
 one probe point per column, and serve as the independent cross-check of the
-closed-form Jacobian.  complex_step_jacobian also takes a stack of base
-points (k, n_s) with one illumination each: its map then sees oracle stacks
-(k, n_s + 1, n_s), which ChannelMap.from_blocks evaluates on stacked blocks,
-one system per item, by one LU solve per row that forms none of the closed
-form's factors when the stack is certified:
+closed-form Jacobian.  complex_step_jacobian also takes k base points
+(k, n_s); ChannelMap.from_blocks evaluates their oracle stack
+(k, n_s + 1, n_s) on stacked blocks, one system per item:
 
 * complex_step_jacobian: forward difference along each complex load
   coordinate.  The map is holomorphic in r, so a plain one-sided step has
@@ -27,7 +25,7 @@ import numpy as np
 
 from .errors import OracleError, UnsupportedOperationError
 from .loads import LoadConstraint, toggle
-from .network import RCOND_MIN, Jacobian, ScatteringBlocks, channel, rcond_floor
+from .network import Jacobian, ScatteringBlocks, channel
 
 # Base relative step of the forward-difference probe.
 DEFAULT_STEP = 1e-6
@@ -45,16 +43,15 @@ class ChannelMap:
         """H(r) of each row through one network.channel call; rows below RCOND_MIN are NaN.
 
         Stacked blocks (..., rows, cols) map loads (..., k, n_s), each stack of k
-        rows through its own system, certified if every system holds rcond_floor.
+        rows through its own system; the certificate costs one SVD per map.
         """
         # each system's blocks broadcast over its own rows of loads
         per_row = ScatteringBlocks(
             *(b[..., None, :, :] for b in (blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st))
         )
-        certified = bool(np.all(rcond_floor(blocks.s_ss) >= RCOND_MIN))
 
         def channels(r: np.ndarray) -> np.ndarray:
-            h, ok = channel(per_row, r, certified)
+            h, ok = channel(per_row, r)
             h[~ok] = np.nan
             return h
 

@@ -21,10 +21,11 @@ out of a stack of matrices), and k stacked systems take loads (k, N_S), one
 configuration each.  The scalar APIs (coupling_resolvent,
 end_to_end_channel, closed_form_jacobian) are thin wrappers around them.
 factors and channel are the one entries to the factor pair and to H with
-their regularity mask: under the passivity certificate rcond_floor, computed
-once by the caller, they take LU solves and form no G; otherwise they gate
-on G's exact rcond.  Single-load changes update G and H at O(N_S^2) cost
-through a rank-1 Sherman-Morrison step instead of a fresh factorization.
+their regularity mask.  Blocks carry their own passivity certificate,
+ScatteringBlocks.certified: where it holds no admissible load is singular,
+so the solves skip G and its rcond; elsewhere they gate on G's exact rcond.
+Single-load changes update G and H at O(N_S^2) cost through a rank-1
+Sherman-Morrison step instead of a fresh factorization.
 """
 
 import json
@@ -175,6 +176,12 @@ class ScatteringBlocks:
         if self.s_st.shape[-2:] != (n_s, n_t):
             raise ValueError(f"s_st shape {self.s_st.shape} inconsistent with ({n_s}, {n_t})")
 
+    @cached_property
+    def certified(self) -> bool:
+        """rcond_floor(s_ss) >= RCOND_MIN for every stacked system: then no admissible
+        load is singular, and factors and channel skip the gate.  One SVD, on first use."""
+        return bool(np.all(rcond_floor(self.s_ss) >= RCOND_MIN))
+
     @property
     def n_tx(self) -> int:
         return self.s_rt.shape[-1]
@@ -288,18 +295,19 @@ def jacobian_factors(
     return blocks.s_rs @ g, w
 
 
-def factors(blocks: ScatteringBlocks, r: np.ndarray, certified: bool) -> tuple[np.ndarray, ...]:
+def factors(blocks: ScatteringBlocks, r: np.ndarray) -> tuple[np.ndarray, ...]:
     """The factor pair (S_RS G, W) of jacobian_factors and the mask ok of regular loads.
 
-    certified says that rcond_floor(blocks.s_ss) >= RCOND_MIN: ok is all True,
-    and S_RS G = solve(A^T, S_RS^T)^T and W = S_SS solve(A, diag(r) S_ST) + S_ST
-    take two LU solves instead of the dense inverse.  Otherwise G is formed
-    once through resolvent and ok is rcond >= RCOND_MIN.
+    On certified blocks ok is all True, and S_RS G = solve(A^T, S_RS^T)^T and
+    W = S_SS solve(A, diag(r) S_ST) + S_ST take two LU solves instead of the
+    dense inverse.  Otherwise G is formed once through resolvent and ok is
+    rcond >= RCOND_MIN.
     """
-    r = validate_loads(r, blocks.n_bs)
-    if not certified:
-        g, rcond = resolvent(blocks.s_ss, r)
+    r = np.asarray(r, dtype=complex)
+    if not blocks.certified:
+        g, rcond = resolvent(blocks.s_ss, r)  # which validates r
         return (*jacobian_factors(blocks, g, r), rcond >= RCOND_MIN)
+    validate_loads(r, blocks.n_bs)
     a = _load_matrix(blocks.s_ss, r)
     # numpy < 2 would read a 2-d right-hand side of a stacked solve as vectors
     rx_rhs = np.broadcast_to(blocks.s_rs.T, a.shape[:-2] + blocks.s_rs.T.shape)
@@ -313,14 +321,15 @@ def _solved_drive(a: np.ndarray, blocks: ScatteringBlocks, r: np.ndarray) -> np.
     return np.linalg.solve(a, r[..., :, None] * blocks.s_st)
 
 
-def channel(blocks: ScatteringBlocks, r: np.ndarray, certified: bool) -> tuple[np.ndarray, ...]:
-    """H(r) and the mask ok of regular loads, split on certified as in factors: certified,
-    H = S_RT + S_RS solve(A, diag(r) S_ST) forms no G or rcond and ok is all True; otherwise
-    H comes from resolvent's G and ok is rcond >= RCOND_MIN."""
-    r = validate_loads(r, blocks.n_bs)
-    if not certified:
-        g, rcond = resolvent(blocks.s_ss, r)
+def channel(blocks: ScatteringBlocks, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """H(r) and the mask ok of regular loads, split on blocks.certified as in factors:
+    certified, H = S_RT + S_RS solve(A, diag(r) S_ST) forms no G or rcond and ok is all
+    True; otherwise H comes from resolvent's G and ok is rcond >= RCOND_MIN."""
+    r = np.asarray(r, dtype=complex)
+    if not blocks.certified:
+        g, rcond = resolvent(blocks.s_ss, r)  # which validates r
         return _channel_from_resolvent(blocks, g, r), rcond >= RCOND_MIN
+    validate_loads(r, blocks.n_bs)
     drive = _solved_drive(_load_matrix(blocks.s_ss, r), blocks, r)
     return blocks.s_rt + blocks.s_rs @ drive, np.ones(r.shape[:-1], bool)
 

@@ -180,7 +180,6 @@ class _FrozenObjective:
     def __init__(self, blocks, load_set: np.ndarray):
         r = np.asarray(load_set, dtype=complex)
         n_r, dim = blocks.n_rx, blocks.n_tx**2
-        certified = rcond_floor(blocks.s_ss) >= RCOND_MIN
         self.quadratic = np.empty((len(r), dim, dim))
         self.trace_form = np.empty((len(r), dim))
         self.pairs = np.triu_indices(blocks.n_tx, 1)
@@ -189,7 +188,7 @@ class _FrozenObjective:
         def fill(start: int) -> None:
             # fixed slices: batched solves and matmuls give each member the same bits at any length
             s = slice(start, start + CHUNK)
-            rx, drive, ok = factors(blocks, r[s], certified)
+            rx, drive, ok = factors(blocks, r[s])
             if not ok.all():
                 raise SingularityError(f"load-set member {start + np.argmin(ok)} is singular")
             columns = _lift(rx.swapaxes(-1, -2), rx_pairs)  # V^T, one row lift(R_s) per load

@@ -4,21 +4,15 @@ Each sample i draws a load configuration (and, under the RAND policy, an
 illumination) from the substream keyed by (seed, i), evaluates the
 load-to-output Jacobian, and records its participation number.  Keying by
 sample index makes the run embarrassingly parallel and bit-reproducible for
-any worker count.  One draw loop, _draw_members (shared with
-optimize.sample_load_set), reads every draw through
-streams.substream_uniforms: draw c of member i is the c-th window of
-n_words words of its stream, so a singular draw is redrawn from the next
-words of its own stream.  Each pool span evaluates its chunk's first draws
-and then redraws its still-singular members together, so draws and redraws
-run in the workers and draw memory is per chunk.  The pool is _pool_map,
-which the optimizer's precompute and starts share; it maps in item order on
-at most BSDOF_THREADS workers.
+any worker count, and a singular draw is redrawn from the next words of its
+own stream.  One draw loop, _draw_members, serves the sampler, the
+optimizer's load set and the validation sweep, and one pool, _pool_map,
+runs its spans and the optimizer's work.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
-which avoids one SVD per sample.  Model mode takes its factors and its
-gate from network.factors, given the passivity certificate (rcond_floor)
-computed once per call.  Toggle mode forms G once through resolvent: its
+which avoids one SVD per sample.  Model mode takes its factors and its gate
+from network.factors.  Toggle mode forms G once through resolvent: its
 rcond is the gate, and the toggle reads diag(S_SS G) from it.
 """
 
@@ -41,7 +35,6 @@ from .network import (
     frobenius_norm,
     jacobian_factors,
     load_jacobian,
-    rcond_floor,
     resolvent,
     validate_illumination,
 )
@@ -211,19 +204,17 @@ def _chunk_m_values(
     x: np.ndarray,
     mode: str,
     constraint: LoadConstraint,
-    certified: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Participation numbers for a stack of draws.
 
     Returns (values, ok); ok is False where the coupling resolvent (or, in
     toggle mode, any toggled resolvent) is singular at the working
-    threshold.  Values at not-ok positions are meaningless.  Model mode
-    passes certified (rcond_floor(blocks.s_ss) >= RCOND_MIN) to factors.
-    Toggle mode forms G once for the gate, the factors and diag(S_SS G); an
-    exactly singular member gets a zero G and cannot abort the stack.
+    threshold.  Values at not-ok positions are meaningless.  Toggle mode
+    forms G once for the gate, the factors and diag(S_SS G); an exactly
+    singular member gets a zero G and cannot abort the stack.
     """
     if mode == "model":
-        rx, w, ok = factors(blocks, r, certified)
+        rx, w, ok = factors(blocks, r)
         return participation_from_jacobians(load_jacobian(rx, w, x), ok), ok
     g, rcond = resolvent(blocks.s_ss, r)
     ok = rcond >= RCOND_MIN
@@ -261,7 +252,6 @@ def sample_distribution(
         raise ValueError("n_samples must be at least 1")
     blocks = extract_blocks(system)
     n_s, n_t = blocks.n_bs, blocks.n_tx
-    certified = rcond_floor(blocks.s_ss) >= RCOND_MIN
     if policy.kind == "FIXED":
         validate_illumination(policy.fixed_x, n_t)
 
@@ -275,7 +265,7 @@ def sample_distribution(
             x = illuminations_from_uniforms(u[:, n_load:])
         else:
             x = np.repeat(policy.fixed_x[None, :], len(u), axis=0)
-        return _chunk_m_values(blocks, r, x, mode, constraint, certified)
+        return _chunk_m_values(blocks, r, x, mode, constraint)
 
     values, redraw_count = _draw_members(seed, (), n_samples, n_words, evaluate, "sample")
     return DofDistribution(

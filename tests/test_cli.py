@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bsdof.cli
+import bsdof.sampling
 from bsdof.cli import jacobian_validation_sweep, main
 from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.metrics import benchmark_eemdof
@@ -407,11 +408,11 @@ def test_sweep_runs_through_an_all_zero_magnitude_row(monkeypatch):
         return report, [drawn[t] for t in sorted(drawn)]
 
     expected, expected_draws = run()
-    batched = bsdof.cli.substream_uniforms
+    batched = bsdof.sampling.substream_uniforms
 
     def zero_magnitudes(seed, prefix, index, k):
         # trial 257's n_t magnitude words follow its 4 shape and 2 n_s load words;
-        # the sweep reads every trial's words in one pass of CHUNK windows
+        # the sweep reads every trial's words through the sampler's draw loop
         u = batched(seed, prefix, index, k)
         for row in np.flatnonzero(np.asarray(index) == 257):
             n_t, n_s = 1 + int(u[row, 0] * 4), 1 + int(u[row, 2] * 16)
@@ -422,7 +423,7 @@ def test_sweep_runs_through_an_all_zero_magnitude_row(monkeypatch):
     n_t, n_s = 1 + int(words[0] * 4), 1 + int(words[2] * 16)
     phases = words[4 + 2 * n_s + n_t : 4 + 2 * n_s + 2 * n_t]
     x_257 = np.exp(2j * np.pi * phases) / np.sqrt(n_t)
-    monkeypatch.setattr(bsdof.cli, "substream_uniforms", zero_magnitudes)
+    monkeypatch.setattr(bsdof.sampling, "substream_uniforms", zero_magnitudes)
     report, draws = run()
     assert report["max_fd_relative_error"] < report["fd_tolerance"]
     assert report["max_column_space_residual"] < report["residual_tolerance"]

@@ -1,8 +1,14 @@
 """Synthetic environment factory tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bsdof
 from bsdof.environment import (
     EnvironmentSpec,
     environment_ladder,
@@ -134,3 +140,21 @@ def test_spec_validation():
         EnvironmentSpec(2, 2, 4, 0.9, 1.5, seed=0)
     with pytest.raises(ValueError):
         EnvironmentSpec(2, 2, 4, 0.9, 1.0, seed=-1)
+
+
+def test_synth_env_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # from N = 68 up, threaded OpenBLAS can move the SVD behind the rescale by an ulp;
+    # the count is read when numpy loads, so each setting needs a fresh process
+    path = os.pathsep.join([str(Path(bsdof.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(blas, threads))
+        out = tmp_path / threads
+        argv = ["synth-env", "--nt", "3", "--nr", "4", "--ns", "64", "--seed", "0"]
+        subprocess.run(
+            [sys.executable, "-m", "bsdof.cli", *argv, "--out-dir", str(out)],
+            env=env, check=True, timeout=120,
+        )
+        written.append((out / "system.json").read_bytes())
+    assert written[0] == written[1]

@@ -14,14 +14,12 @@ from bsdof.fd import (
 from bsdof.loads import LoadConstraint, sample_loads
 from bsdof.metrics import participation_from_singular_values
 from bsdof.network import (
-    RCOND_MIN,
     ScatteringBlocks,
     ScatteringSystem,
     channel,
     closed_form_jacobian,
     end_to_end_channel,
     extract_blocks,
-    rcond_floor,
 )
 from bsdof.sampling import sample_random_illumination
 from bsdof.streams import standard_complex_gaussian, substream
@@ -196,7 +194,8 @@ def test_stacked_probe_failure_names_the_item():
         # one uncertified item puts every item of the stack on the gated path
         h = channel_map(np.stack([rows] * 3))
         for i, system in ((0, items[0]), (2, items[1])):
-            assert np.array_equal(h[i], channel(system, rows, False)[0])
+            system.certified = False
+            assert np.array_equal(h[i], channel(system, rows)[0])
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 1), (2, 3, 4), (4, 4, 16)])
@@ -204,12 +203,12 @@ def test_certified_channel_rows_equal_the_scalar_channel(shape):
     etas = (0.3, 0.6, 0.9)
     systems = [coupled_blocks(*shape, seed=84 + i, eta=eta) for i, eta in enumerate(etas)]
     stacked = stack_blocks(systems)
-    assert np.all(rcond_floor(stacked.s_ss) >= RCOND_MIN)
+    assert stacked.certified
     n_s = shape[2]
     r = np.stack([[uni_loads(n_s, substream(85, i, j)) for j in range(5)] for i in range(3)])
     mapped = ChannelMap.from_blocks(stacked)(r)
     for i, blocks in enumerate(systems):
-        h, ok = channel(blocks, r[i], True)
+        h, ok = channel(blocks, r[i])
         assert ok.shape == (5,) and ok.all()
         for j in range(5):
             ref = end_to_end_channel(blocks, r[i, j])

@@ -5,17 +5,28 @@ formulas, brute-force summation) rather than against the functions under
 test.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+import bsdof.network
 from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import PartitionError, PassivityError, SingularityError
-from bsdof.loads import LOAD_MAG_TOL, PIN_OFF, LoadConstraint, sample_loads, toggle
+from bsdof.loads import (
+    LOAD_MAG_TOL,
+    PIN_OFF,
+    LoadConstraint,
+    sample_loads,
+    toggle,
+    validate_loads,
+)
 from bsdof.network import (
     RCOND_MIN,
     Jacobian,
     ScatteringBlocks,
     ScatteringSystem,
+    channel,
     closed_form_jacobian,
     coupling_resolvent,
     end_to_end_channel,
@@ -224,6 +235,22 @@ def test_passivity_certificate_is_void_at_the_lossless_limit():
         assert floors.shape == (2, 3) and np.array_equal(floors.ravel(), singles)
 
 
+def test_blocks_certify_every_stacked_system_with_one_svd(monkeypatch):
+    systems = [coupled_system(2, 3, 4, seed=67 + i, eta=eta) for i, eta in enumerate((0.3, 0.9))]
+    ports = (systems[0].tx_ports, systems[0].rx_ports, systems[0].bs_ports)
+    stack = partition(np.stack([s.matrix for s in systems]), *ports)
+    floors = rcond_floor(stack.s_ss)
+    assert floors.shape == (2,) and np.all(floors >= RCOND_MIN)
+    calls = []
+    counted = lambda s_ss: calls.append(s_ss.shape) or rcond_floor(s_ss)
+    monkeypatch.setattr(bsdof.network, "rcond_floor", counted)
+    assert stack.certified and stack.certified and calls == [(2, 4, 4)]
+    # one lossless item voids the certificate of the whole stack
+    s_ss = stack.s_ss.copy()
+    s_ss[1] = np.eye(4)[::-1]
+    assert not ScatteringBlocks(stack.s_rt, stack.s_rs, s_ss, stack.s_st).certified
+
+
 def test_spectral_norm_equals_the_matrix_2_norm():
     gen = substream(63)
     matrices = [standard_complex_gaussian(gen, (n, m)) for n, m in ((3, 3), (5, 9), (24, 7))]
@@ -256,7 +283,8 @@ def test_solved_factors_equal_the_resolvent_ones(stacked):
     gen = substream(62)
     stack = np.array([sample_loads(LoadConstraint.uni(), 7, gen) for _ in range(5)])
     r = stack if stacked else stack[0]
-    rx_factor, w, ok = factors(blocks, r, True)
+    assert blocks.certified
+    rx_factor, w, ok = factors(blocks, r)
     assert ok.shape == r.shape[:-1] and ok.all()
     g = resolvent(blocks.s_ss, r)[0]
     rx_ref, w_ref = jacobian_factors(blocks, g, r)
@@ -269,9 +297,21 @@ def test_solved_factors_equal_the_resolvent_ones(stacked):
 @pytest.mark.parametrize("bad", [1.01, np.nan])
 def test_solved_factors_reject_inadmissible_loads(bad):
     blocks = extract_blocks(coupled_system(2, 2, 3, seed=63))
-    for certified in (True, False):
-        with pytest.raises(ValueError):
-            factors(blocks, np.array([[0.2, 0.1j, 0.0], [0.2, bad, -0.4j]]), certified)
+    for certified, solve in itertools.product((True, False), (factors, channel)):
+        blocks.certified = certified  # the gated branch too, on the same blocks
+        with pytest.raises(ValueError, match="finite and at most 1"):
+            solve(blocks, np.array([[0.2, 0.1j, 0.0], [0.2, bad, -0.4j]]))
+
+
+def test_each_solve_validates_its_loads_once(monkeypatch):
+    blocks = extract_blocks(coupled_system(2, 2, 3, seed=63))
+    calls = []
+    counted = lambda r, n_s: calls.append(n_s) or validate_loads(r, n_s)
+    monkeypatch.setattr(bsdof.network, "validate_loads", counted)
+    for certified, solve in itertools.product((True, False), (factors, channel)):
+        blocks.certified = certified
+        solve(blocks, np.array([[0.2, 0.1j, 0.0], [0.2, 0.5, -0.4j]]))
+    assert calls == [3] * 4
 
 
 def test_uncertified_factors_gate_on_the_exact_rcond():
@@ -284,9 +324,9 @@ def test_uncertified_factors_gate_on_the_exact_rcond():
         s_ss=(1.0 - 1e-13) * np.outer(u, u),
         s_st=0.3 * gen.standard_normal((4, 1)),
     )
-    assert rcond_floor(blocks.s_ss) < RCOND_MIN
+    assert not blocks.certified
     r = np.array([[1.0, -1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [0.5j, 0.0, -0.3, 1.0]])
-    rx_factor, w, ok = factors(blocks, r, False)
+    rx_factor, w, ok = factors(blocks, r)
     g, rcond = resolvent(blocks.s_ss, r)
     assert ok.tolist() == [True, False, True] and np.array_equal(ok, rcond >= RCOND_MIN)
     rx_ref, w_ref = jacobian_factors(blocks, g, r)

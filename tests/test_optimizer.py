@@ -21,6 +21,7 @@ from bsdof.network import (
 from bsdof.optimize import (
     OptimizationConfig,
     _FrozenObjective,
+    _lift,
     embed,
     mean_dof_objective,
     optimize_illumination,
@@ -100,7 +101,7 @@ def flat_resonant_blocks(seed, n_t=1):
 
 def jacobian_reference(blocks, load_set, x):
     """Mean M and its gradient dM/d conj(x) from each member's J and C = J J^H."""
-    rx, w, ok = factors(blocks, load_set, rcond_floor(blocks.s_ss) >= RCOND_MIN)
+    rx, w, ok = factors(blocks, load_set)
     assert ok.all()
     jac = load_jacobian(rx, w, x)
     gram = jac @ jac.conj().swapaxes(-1, -2)
@@ -355,6 +356,35 @@ def test_defaults_match_or_beat_the_recorded_nelder_mead_optima(direction, env_s
         assert best >= recorded * (1.0 - 1e-9)
     else:
         assert best <= recorded * (1.0 + 1e-9)
+
+
+def bloch_grid(k):
+    """k unit illuminations (cos(theta/2), e^{i phi} sin(theta/2)) on a Fibonacci sphere."""
+    z = 1.0 - (2.0 * np.arange(k) + 1.0) / k  # cos(theta), equal-area bands
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(k)  # the golden angle
+    return np.stack([np.sqrt((1.0 + z) / 2.0), np.exp(1j * phi) * np.sqrt((1.0 - z) / 2.0)], -1)
+
+
+@pytest.mark.parametrize("env_seed, constraint", [(100, UNI), (101, PIN)], ids=["uni", "pin"])
+def test_search_brackets_an_exhaustive_grid_at_two_inputs(env_seed, constraint):
+    # at n_t = 2 a unit illumination up to phase is a point on the Bloch sphere
+    system = system_for(2, 4, 16, seed=env_seed)
+    found = {
+        d: optimize_illumination(system, constraint, OptimizationConfig(direction=d, seed=11))
+        for d in ("MAX", "MIN")
+    }
+    blocks = extract_blocks(system)
+    objective = _FrozenObjective(blocks, sample_load_set(constraint, 16, 1500, 11, blocks.s_ss))
+    # M = tau^2 / phi per member, phi = xi^T Q xi written as one product with vec(xi xi^T)
+    quadratic = objective.quadratic.reshape(len(objective.quadratic), -1).T
+    grid = []
+    for x in np.array_split(bloch_grid(5000), 10):
+        xi = _lift(x, objective.pairs)
+        phi = (xi[:, :, None] * xi[:, None, :]).reshape(len(xi), -1) @ quadratic
+        grid.append(((xi @ objective.trace_form.T) ** 2 / phi).mean(axis=1))
+    grid = np.concatenate(grid)
+    assert found["MAX"].best_objective >= grid.max()
+    assert found["MIN"].best_objective <= grid.min()
 
 
 def test_config_validation():

@@ -15,7 +15,7 @@ from bsdof.cli import main
 from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
 from bsdof.errors import DegenerateInputError, SingularityError, UnsupportedOperationError
 from bsdof.fd import ChannelMap, discrete_toggle_jacobian
-from bsdof.loads import LoadConstraint, loads_from_uniforms, sample_loads
+from bsdof.loads import LOAD_MAG_TOL, LoadConstraint, loads_from_uniforms, sample_loads
 from bsdof.metrics import bs_eemdof_point, participation_from_singular_values
 from bsdof.optimize import OptimizationConfig, optimize_illumination, sample_load_set
 from bsdof.sampling import (
@@ -41,6 +41,7 @@ from bsdof.network import (
     rcond_floor,
     resolvent,
     save_system,
+    spectral_norm,
 )
 from bsdof.streams import substream, substream_uniforms
 
@@ -570,10 +571,30 @@ def test_uncertified_model_stack_survives_an_exactly_singular_member():
     )
     r = np.array([[0.5, 0.5j], [1.0, 1.0], [-0.3, 0.2]], dtype=complex)
     x = np.ones((3, 1), dtype=complex)
-    values, ok = _chunk_m_values(blocks, r, x, "model", PM, certified=False)
+    assert not blocks.certified
+    values, ok = _chunk_m_values(blocks, r, x, "model", PM)
     assert ok.tolist() == [True, False, True]
     for i in (0, 2):
         assert values[i] == pytest.approx(bs_eemdof_point(blocks, r[i], x[i]).m, rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 2), (2, 2, 8), (3, 4, 16), (3, 4, 64)])
+def test_certified_toggle_denominators_clear_the_passivity_bound(dims):
+    # denom = 1 - delta_k (S_SS G)_kk is an eigenvalue of A^-1 A' for the toggled A', so
+    # |denom| >= sigma_min(A') / sigma_max(A) >= (1 - rho eta) / (1 + rho eta), eta = ||S_SS||_2
+    for seed in range(3):
+        blocks = extract_blocks(system_for(*dims, seed=sum(dims) + seed, eta=0.95))
+        assert blocks.certified
+        rho_eta = (1.0 + LOAD_MAG_TOL) * spectral_norm(blocks.s_ss)
+        bound = (1.0 - rho_eta) / (1.0 + rho_eta)
+        for constraint in (PIN, PM):
+            n_words = constraint.uniforms_per_draw(dims[2])
+            r = loads_from_uniforms(constraint, substream_uniforms(seed, (), range(256), n_words))
+            g = resolvent(blocks.s_ss, r)[0]
+            on, off = constraint.on_value, constraint.off_value
+            delta = np.where(r == on, off, on) - r
+            denom = 1.0 - delta * np.einsum("kj,cjk->ck", blocks.s_ss, g)
+            assert np.abs(denom).min() >= bound >= RCOND_MIN
 
 
 def test_mostly_singular_environment_is_rejected():
