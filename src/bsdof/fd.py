@@ -16,6 +16,11 @@ closed-form Jacobian.  complex_step_jacobian also takes k base points
 
 Samplers differentiate by toggles when loads are two-state hardware
 (experimental mode) and in closed form when a network model is available.
+
+The closed form goes through network.coupling_resolvent and from_blocks
+through network.channel, so oracle and closed form share no solve.  One
+uncertified system in a from_blocks stack puts every row on channel's gated
+path; every validate-jacobian system (eta <= 0.9) is certified.
 """
 
 from dataclasses import dataclass

@@ -68,7 +68,7 @@ def validate_illumination(x: np.ndarray, n_t: int | None = None) -> np.ndarray:
     if n_t is not None and x.shape[-1] != n_t:
         raise ValueError(f"expected {n_t} illumination entries, got {x.shape[-1]}")
     norm = frobenius_norm(x, 1)
-    off = np.abs(norm - 1.0) > UNIT_NORM_TOL
+    off = ~(np.abs(norm - 1.0) <= UNIT_NORM_TOL)
     if off.any():
         raise ValueError(f"illumination norm {norm[off][0]!r} is not 1 within {UNIT_NORM_TOL}")
     return x

@@ -4,8 +4,10 @@ The objective is the mean participation number over a frozen set of load
 realizations (common random numbers), so every candidate illumination sees
 the same Monte-Carlo noise and the landscape is deterministic.  Members of the
 load set whose coupling resolvent is singular are redrawn before the search
-starts; on a system whose passivity certificate (network.rcond_floor)
-reaches RCOND_MIN no member can be singular, and the gate is skipped.
+starts, through the sampler's draw loop, so a set of fewer than 99 members
+fails on its first singular draw, as a sampler run of that size does.  On a
+system whose passivity certificate (network.rcond_floor) reaches RCOND_MIN
+no member can be singular, and the gate is skipped.
 
 The search runs L-BFGS-B in the real embedding R^{2 n_t} on the raw
 iterate.  M has degree 0 in x (it ignores the global phase and scale of the
@@ -60,6 +62,7 @@ from .network import (
     factors,
     rcond_floor,
     resolvent,
+    validate_illumination,
 )
 from .sampling import CHUNK, _draw_members, _pool_map, illuminations_from_uniforms
 from .streams import substream_uniforms
@@ -78,7 +81,7 @@ _DIRECTIONS = ("MAX", "MIN")
 class OptimizationConfig:
     direction: str = "MAX"
     n_objective_samples: int = 1500
-    n_starts: int = 8
+    n_starts: int = 8  # with 3, two of the ten criterion-7 minimizations end in a worse basin
     max_iterations: int = 2000
     f_tolerance: float = 1e-8
     seed: int = 0
@@ -112,7 +115,7 @@ def embed(x: np.ndarray) -> np.ndarray:
 def project(v: np.ndarray) -> np.ndarray:
     """Real vector -> unit-norm complex illumination.
 
-    Raises DegenerateInputError below the projectable-norm floor.
+    Raises DegenerateInputError below the projectable-norm floor or for a NaN norm.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.size % 2 != 0:
@@ -120,7 +123,7 @@ def project(v: np.ndarray) -> np.ndarray:
     half = v.size // 2
     x = v[:half] + 1j * v[half:]
     norm = np.linalg.norm(x)
-    if norm < DEGENERATE_NORM:
+    if not norm >= DEGENERATE_NORM:
         raise DegenerateInputError(f"cannot project vector of norm {norm!r} onto the sphere")
     return x / norm
 
@@ -222,12 +225,14 @@ class _FrozenObjective:
 def mean_dof_objective(
     blocks: ScatteringBlocks, x: np.ndarray, constraint: LoadConstraint, load_set: np.ndarray
 ) -> float:
-    """Mean DOF metric of illumination x over an explicit frozen load set.
+    """Mean DOF metric of illumination x, of any nonzero scale, over an explicit frozen load set.
 
-    Raises SingularityError naming the first member whose coupling resolvent is singular.
+    Raises DegenerateInputError for an x that cannot be scaled onto the unit
+    sphere (zero, underflowing or NaN), ValueError for an infinite x or one of
+    the wrong length, and SingularityError naming the first singular member.
     """
-    x = np.asarray(x, dtype=complex)
-    return _FrozenObjective(blocks, load_set)(x / np.linalg.norm(x))
+    x = validate_illumination(project(embed(x)), blocks.n_tx)
+    return _FrozenObjective(blocks, load_set)(x)
 
 
 def optimize_illumination(

@@ -7,7 +7,8 @@ sample index makes the run embarrassingly parallel and bit-reproducible for
 any worker count, and a singular draw is redrawn from the next words of its
 own stream.  One draw loop, _draw_members, serves the sampler, the
 optimizer's load set and the validation sweep, and one pool, _pool_map,
-runs its spans and the optimizer's work.
+runs its spans and the optimizer's work.  Draws and redraws run in the
+workers, so draw memory is per chunk.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,

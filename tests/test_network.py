@@ -21,6 +21,7 @@ from bsdof.loads import (
     toggle,
     validate_loads,
 )
+from bsdof.metrics import bs_eemdof_point
 from bsdof.network import (
     RCOND_MIN,
     Jacobian,
@@ -44,9 +45,10 @@ from bsdof.network import (
     spectral_norm,
     system_from_dict,
     system_to_dict,
+    validate_illumination,
     woodbury_channel_update,
 )
-from bsdof.sampling import sample_random_illumination
+from bsdof.sampling import IlluminationPolicy, sample_random_illumination
 from bsdof.streams import standard_complex_gaussian, substream
 
 
@@ -171,6 +173,21 @@ def test_loads_outside_the_unit_disk_are_rejected(bad):
     # measured coefficients a rounding step above 1 stay admissible
     assert abs(PIN_OFF) > 1.0
     closed_form_jacobian(blocks, np.full(3, PIN_OFF), x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf])
+def test_non_finite_illuminations_are_rejected(bad):
+    blocks = extract_blocks(coupled_system(3, 2, 3, seed=23))
+    r = sample_loads(LoadConstraint.uni(), 3, substream(24))
+    x = np.array([bad, 1.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="not 1"):
+        validate_illumination(x, 3)
+    with pytest.raises(ValueError, match="not 1"):
+        closed_form_jacobian(blocks, r, x)
+    with pytest.raises(ValueError, match="not 1"):
+        IlluminationPolicy.fixed(x)
+    with pytest.raises(ValueError, match="not 1"):
+        bs_eemdof_point(blocks, r, x)
 
 
 RHO = 1.0 + LOAD_MAG_TOL

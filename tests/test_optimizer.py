@@ -52,6 +52,8 @@ def test_embedding_round_trip():
 def test_projection_rejects_degenerate_input():
     with pytest.raises(DegenerateInputError):
         project(np.zeros(6))
+    with pytest.raises(DegenerateInputError, match="nan"):
+        project(np.array([np.nan, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         project(np.ones(5))
 
@@ -185,6 +187,23 @@ def test_objective_rejects_active_loads():
     x = sample_random_illumination(2, substream(30))
     with pytest.raises(ValueError):
         mean_dof_objective(extract_blocks(system), x, PIN, load_set)
+
+
+@pytest.mark.parametrize(
+    "x, error",
+    [
+        (np.zeros(3), DegenerateInputError),
+        (np.array([1e-200, 0.0, 0.0]), DegenerateInputError),
+        (np.array([np.nan, 1.0, 0.0]), DegenerateInputError),
+        (np.array([1.0, 0.0]), ValueError),
+    ],
+    ids=["zero", "underflow", "nan", "short"],
+)
+def test_objective_rejects_a_degenerate_illumination(x, error):
+    blocks = extract_blocks(system_for(3, 2, 4, seed=29))
+    load_set = sample_load_set(PIN, 4, 8, seed=30, s_ss=blocks.s_ss)
+    with pytest.raises(error):
+        mean_dof_objective(blocks, x, PIN, load_set)
 
 
 def test_load_set_is_deterministic_per_member():

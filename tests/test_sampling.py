@@ -77,13 +77,11 @@ def test_random_illumination_has_unit_norm():
 
 
 def test_random_illumination_is_sphere_symmetric():
-    # Haar on the sphere: each |x_i|^2 averages 1/dim
-    stream = substream(77)
+    # Haar on the sphere: each |x_i|^2 averages 1/dim.  One block of the
+    # stream's words gives row by row the draws of the scalar sampler.
     n = 100_000
-    acc = 0.0
-    for _ in range(n):
-        acc += abs(sample_random_illumination(3, stream)[1]) ** 2
-    assert abs(acc / n - 1.0 / 3.0) < 0.005
+    x = illuminations_from_uniforms(substream(77).random((n, 6)))
+    assert abs(np.mean(np.abs(x[:, 1]) ** 2) - 1.0 / 3.0) < 0.005
 
 
 def test_fixed_policy_collapses_without_coupling():
