@@ -40,7 +40,6 @@ from .sampling import (
     CHUNK,
     HISTOGRAM_BINS,
     IlluminationPolicy,
-    _draw_members,
     illuminations_from_uniforms,
     sample_distribution,
     write_histogram_csv,
@@ -303,9 +302,9 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
 
     Trial t reads at most 44 words of substream(seed, 4, t): 4 shape words,
     2 n_s load words, then 2 n_t illumination words, turned into loads and an
-    illumination by the sampler's own formulas.  The sampler's draw loop
-    (sampling._draw_members, every draw regular) reads all 44 words of every
-    trial, and the trials are grouped by their port counts (n_t, n_r, n_s);
+    illumination by the sampler's own formulas.  No trial is ever redrawn, so
+    the sweep reads all 44 words of every trial itself, over windows of CHUNK
+    trials, and the trials are grouped by their port counts (n_t, n_r, n_s);
     each group then runs in slices of at most CHUNK // (n_s + 1) trials, so
     that a slice's oracle stack holds at most CHUNK load rows.  A slice takes
     its trials' word rows, draws their environments and runs every formula
@@ -315,7 +314,8 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    words = _draw_members(seed, (4,), trials, 44, lambda u: (u, np.ones(len(u), bool)), "trial")[0]
+    windows = np.split(np.arange(trials), range(CHUNK, trials, CHUNK))
+    words = np.concatenate([substream_uniforms(seed, (4,), w, 44) for w in windows])
     shapes, first, group = np.unique(
         1 + (words[:, :3] * (4, 4, 16)).astype(int), axis=0, return_index=True, return_inverse=True
     )

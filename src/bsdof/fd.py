@@ -145,8 +145,8 @@ def discrete_toggle_jacobian(
     return _secant_jacobian(lambda r: (channel_map(r) @ x[:, None])[..., 0], r0, flip, "toggled")
 
 
-def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray, step: float = 1e-2) -> np.ndarray:
-    """Forward-difference Jacobian of x -> H x at expansion point x0.
+def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of x -> H x at expansion point x0, step 1e-2.
 
     The map is linear, so the result is H for any step and any x0; this is
     the sanity probe showing that a fixed channel has no operating-point
@@ -154,4 +154,4 @@ def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray, step: float = 1e-2) ->
     """
     h = np.asarray(h, dtype=complex)
     x0 = np.asarray(x0, dtype=complex)
-    return _secant_jacobian(lambda x: x @ h.T, x0, lambda i: (x0[i] + step, step), "probed").matrix
+    return _secant_jacobian(lambda x: x @ h.T, x0, lambda i: (x0[i] + 1e-2, 1e-2), "probed").matrix

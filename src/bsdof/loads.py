@@ -99,18 +99,12 @@ class LoadConstraint:
     def uni(cls) -> "LoadConstraint":
         return cls("UNI")
 
-    def to_dict(self) -> dict:
-        if self.kind == "UNI":
-            return {"kind": "UNI"}
-        return {
-            "kind": self.kind,
-            "on": [self.on_value.real, self.on_value.imag],
-            "off": [self.off_value.real, self.off_value.imag],
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> "LoadConstraint":
-        """Inverse of to_dict (on/off may be [re] alone); wrong JSON types raise ValueError."""
+        """Constraint from a config.json payload; wrong JSON types raise ValueError.
+
+        Two-state kinds take optional on/off values as [re, im] or [re].
+        """
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ValueError(f"a constraint is a JSON object with a 'kind', got {payload!r}")
         if payload["kind"] == "UNI":

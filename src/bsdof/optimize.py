@@ -138,8 +138,11 @@ def sample_load_set(
     the sampler's draw loop (sampling._draw_members), so downstream
     evaluation never trips on them and a pathological coupling fails before
     any search.  When rcond_floor(s_ss) reaches RCOND_MIN no member can be
-    singular, and no resolvent is formed.
+    singular, and no resolvent is formed.  Raises ValueError when n_s is not
+    the load count of s_ss or n_members is below 1.
     """
+    if n_s != np.shape(s_ss)[-1]:
+        raise ValueError(f"n_s = {n_s} does not match the {np.shape(s_ss)[-1]} loads of s_ss")
     return _gated_load_set(constraint, n_s, n_members, seed, s_ss)[0]
 
 
@@ -182,6 +185,8 @@ class _FrozenObjective:
 
     def __init__(self, blocks, load_set: np.ndarray):
         r = np.asarray(load_set, dtype=complex)
+        if not len(r):
+            raise ValueError("the load set is empty")
         n_r, dim = blocks.n_rx, blocks.n_tx**2
         self.quadratic = np.empty((len(r), dim, dim))
         self.trace_form = np.empty((len(r), dim))
@@ -228,8 +233,9 @@ def mean_dof_objective(
     """Mean DOF metric of illumination x, of any nonzero scale, over an explicit frozen load set.
 
     Raises DegenerateInputError for an x that cannot be scaled onto the unit
-    sphere (zero, underflowing or NaN), ValueError for an infinite x or one of
-    the wrong length, and SingularityError naming the first singular member.
+    sphere (zero, underflowing or NaN), ValueError for an infinite x, one of
+    the wrong length or an empty load set, and SingularityError naming the
+    first singular member.
     """
     x = validate_illumination(project(embed(x)), blocks.n_tx)
     return _FrozenObjective(blocks, load_set)(x)

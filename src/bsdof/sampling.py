@@ -5,10 +5,10 @@ illumination) from the substream keyed by (seed, i), evaluates the
 load-to-output Jacobian, and records its participation number.  Keying by
 sample index makes the run embarrassingly parallel and bit-reproducible for
 any worker count, and a singular draw is redrawn from the next words of its
-own stream.  One draw loop, _draw_members, serves the sampler, the
-optimizer's load set and the validation sweep, and one pool, _pool_map,
-runs its spans and the optimizer's work.  Draws and redraws run in the
-workers, so draw memory is per chunk.
+own stream.  One draw loop, _draw_members, serves the two callers whose
+draws can be rejected, the sampler and the optimizer's load set, and one
+pool, _pool_map, runs its spans and the optimizer's work.  Draws and
+redraws run in the workers, so draw memory is per chunk.
 
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
@@ -166,11 +166,13 @@ def _draw_members(seed: int, prefix: tuple, n: int, n_words: int, evaluate, labe
     evaluate maps a stack of word rows (m, n_words) to (values, ok).  Spans
     of CHUNK members run on the pool; each evaluates its first draws, then
     redraws all of its still-singular members together at their next
-    window.  Raises
-    SingularityError naming the lowest member still singular after
-    MAX_REDRAWS_PER_SAMPLE redraws, or when more than MAX_SINGULAR_FRACTION
-    of all n + redraws draws were singular.
+    window.  Raises ValueError naming label when n < 1, and SingularityError
+    naming the lowest member still singular after MAX_REDRAWS_PER_SAMPLE
+    redraws, or when more than MAX_SINGULAR_FRACTION of all n + redraws
+    draws were singular.
     """
+    if n < 1:
+        raise ValueError(f"{label} count must be at least 1, got {n}")
 
     def run_span(start: int):
         index = np.arange(start, min(start + CHUNK, n))
@@ -248,9 +250,6 @@ def sample_distribution(
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "toggle" and not constraint.discrete:
         raise UnsupportedOperationError("toggle mode needs a two-state constraint")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     blocks = extract_blocks(system)
     n_s, n_t = blocks.n_bs, blocks.n_tx
     if policy.kind == "FIXED":
@@ -262,13 +261,10 @@ def sample_distribution(
 
     def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = loads_from_uniforms(constraint, u[:, :n_load])
-        if policy.kind == "RAND":
-            x = illuminations_from_uniforms(u[:, n_load:])
-        else:
-            x = np.repeat(policy.fixed_x[None, :], len(u), axis=0)
+        x = policy.fixed_x if policy.kind == "FIXED" else illuminations_from_uniforms(u[:, n_load:])
         return _chunk_m_values(blocks, r, x, mode, constraint)
 
-    values, redraw_count = _draw_members(seed, (), n_samples, n_words, evaluate, "sample")
+    values, redraw_count = _draw_members(seed, (), int(n_samples), n_words, evaluate, "sample")
     return DofDistribution(
         samples=values,
         n_tilde=min(blocks.n_rx, n_s),

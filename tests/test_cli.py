@@ -380,6 +380,27 @@ def test_validation_sweep_numbers_are_pinned(trials, seed, fd_error, residual):
     assert report["max_column_space_residual"] == residual
 
 
+def test_sweep_reads_its_trial_words_without_the_draw_loop(monkeypatch):
+    # no trial can be rejected, so neither the redraw loop nor its pool is needed
+    def unused(*args, **kwargs):
+        raise AssertionError("the sweep must not call the draw loop or its pool")
+
+    monkeypatch.setattr(bsdof.sampling, "_draw_members", unused)
+    monkeypatch.setattr(bsdof.sampling, "_pool_map", unused)
+    rows = {}
+    validation_slice = bsdof.cli._validation_slice
+
+    def slice_recording(seed, index, u, shape, step):
+        rows.update(zip(index.tolist(), u))
+        return validation_slice(seed, index, u, shape, step)
+
+    monkeypatch.setattr(bsdof.cli, "_validation_slice", slice_recording)
+    assert jacobian_validation_sweep(300, 2)["max_fd_relative_error"] == 5.899583439422721e-07
+    assert sorted(rows) == list(range(300))
+    for t in (0, 1, 255, 256, 299):  # both sides of the first window boundary
+        assert np.array_equal(rows[t], substream(2, 4, t).random(44))
+
+
 def test_sweep_runs_through_an_all_zero_magnitude_row(monkeypatch):
     validation_slice = bsdof.cli._validation_slice
 
@@ -408,11 +429,11 @@ def test_sweep_runs_through_an_all_zero_magnitude_row(monkeypatch):
         return report, [drawn[t] for t in sorted(drawn)]
 
     expected, expected_draws = run()
-    batched = bsdof.sampling.substream_uniforms
+    batched = bsdof.cli.substream_uniforms
 
     def zero_magnitudes(seed, prefix, index, k):
         # trial 257's n_t magnitude words follow its 4 shape and 2 n_s load words;
-        # the sweep reads every trial's words through the sampler's draw loop
+        # the sweep reads every trial's words itself, in windows of CHUNK trials
         u = batched(seed, prefix, index, k)
         for row in np.flatnonzero(np.asarray(index) == 257):
             n_t, n_s = 1 + int(u[row, 0] * 4), 1 + int(u[row, 2] * 16)
@@ -423,7 +444,7 @@ def test_sweep_runs_through_an_all_zero_magnitude_row(monkeypatch):
     n_t, n_s = 1 + int(words[0] * 4), 1 + int(words[2] * 16)
     phases = words[4 + 2 * n_s + n_t : 4 + 2 * n_s + 2 * n_t]
     x_257 = np.exp(2j * np.pi * phases) / np.sqrt(n_t)
-    monkeypatch.setattr(bsdof.sampling, "substream_uniforms", zero_magnitudes)
+    monkeypatch.setattr(bsdof.cli, "substream_uniforms", zero_magnitudes)
     report, draws = run()
     assert report["max_fd_relative_error"] < report["fd_tolerance"]
     assert report["max_column_space_residual"] < report["residual_tolerance"]

@@ -1,9 +1,12 @@
 """Load-constraint families: defaults, sampling statistics, toggling."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from bsdof.cli import _constraint_from_args, build_parser
 from bsdof.errors import InconsistentStateError, UnsupportedOperationError
 from bsdof.loads import (
     LOAD_MAG_TOL,
@@ -107,8 +110,20 @@ def test_inadmissible_state_values_are_rejected(bad):
 
 
 def test_dict_roundtrip():
-    for constraint in (LoadConstraint.pin(), LoadConstraint.pm(), LoadConstraint.uni()):
-        assert LoadConstraint.from_dict(constraint.to_dict()) == constraint
-    payload = LoadConstraint.uni().to_dict()
-    assert payload["kind"] == "UNI"
-    assert "on" not in payload and "off" not in payload
+    # the payloads that the CLI writes into config.json
+    cases = [
+        ("pin", [], {"kind": "PIN"}, LoadConstraint.pin()),
+        ("pm", [], {"kind": "PM"}, LoadConstraint.pm()),
+        ("uni", [], {"kind": "UNI"}, LoadConstraint.uni()),
+        (
+            "pin",
+            ["--on=0.5,0.25", "--off=-0.5"],
+            {"kind": "PIN", "on": [0.5, 0.25], "off": [-0.5]},
+            LoadConstraint.pin(0.5 + 0.25j, -0.5),
+        ),
+    ]
+    for kind, states, expected, constraint in cases:
+        argv = ["bs-dist", "--out-dir", "-", "--constraint", kind, *states]
+        payload = json.loads(json.dumps(_constraint_from_args(build_parser().parse_args(argv))))
+        assert payload == expected
+        assert LoadConstraint.from_dict(payload) == constraint

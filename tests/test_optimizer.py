@@ -217,6 +217,24 @@ def test_load_set_is_deterministic_per_member():
     assert not np.array_equal(first, sample_load_set(PIN, 8, 40, seed=32, s_ss=uncoupled))
 
 
+@pytest.mark.parametrize("n_members", [0, -3])
+def test_load_set_rejects_a_member_count_below_one(n_members):
+    with pytest.raises(ValueError, match="load-set member count must be at least 1"):
+        sample_load_set(PIN, 8, n_members, seed=31, s_ss=np.zeros((8, 8)))
+
+
+def test_load_set_rejects_a_load_count_that_disagrees_with_the_coupling():
+    # the certified gate never reads s_ss, so the mismatch must be caught up front
+    with pytest.raises(ValueError, match="n_s = 5 does not match the 4 loads"):
+        sample_load_set(UNI, 5, 3, seed=0, s_ss=np.zeros((4, 4)))
+
+
+def test_objective_rejects_an_empty_load_set():
+    blocks = extract_blocks(system_for(3, 2, 4, seed=29))
+    with pytest.raises(ValueError, match="load set is empty"):
+        mean_dof_objective(blocks, np.ones(3), UNI, np.empty((0, 4)))
+
+
 def test_load_set_redraws_members_that_resonate():
     # rank-1 coupling along the flat vector: all-ON is the one singular state
     u = np.ones(8) / np.sqrt(8.0)
