@@ -23,12 +23,14 @@ from .fd import DEFAULT_STEP, ChannelMap, complex_step_jacobian
 from .loads import LoadConstraint, loads_from_uniforms
 from .metrics import benchmark_eemdof, column_space_residual
 from .network import (
+    RCOND_MIN,
     ScatteringSystem,
     closed_form_jacobian,
     complex_to_pairs,
     extract_blocks,
     frobenius_norm,
     load_system,
+    norm_floor,
     pairs_to_complex,
     partition,
     require_passive,
@@ -355,6 +357,7 @@ def _validation_slice(seed: int, index: np.ndarray, u: np.ndarray, shape: tuple,
     matrices, norms = synth_matrices(specs)
     require_passive(norms)
     blocks = partition(matrices, *specs[0].ports)
+    blocks.certified = bool(np.all(norm_floor(norms, n_s) >= RCOND_MIN))
     r0 = loads_from_uniforms(LoadConstraint.uni(), u[:, 4 : 4 + 2 * n_s])
     x = illuminations_from_uniforms(u[:, 4 + 2 * n_s : 4 + 2 * n_s + 2 * n_t])
     closed = closed_form_jacobian(blocks, r0, x).matrix

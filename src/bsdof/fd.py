@@ -20,7 +20,7 @@ Samplers differentiate by toggles when loads are two-state hardware
 The closed form goes through network.coupling_resolvent and from_blocks
 through network.channel, so oracle and closed form share no solve.  One
 uncertified system in a from_blocks stack puts every row on channel's gated
-path; every validate-jacobian system (eta <= 0.9) is certified.
+path; validate-jacobian certifies its systems (eta <= 0.9) by their norms.
 """
 
 from dataclasses import dataclass
@@ -48,12 +48,13 @@ class ChannelMap:
         """H(r) of each row through one network.channel call; rows below RCOND_MIN are NaN.
 
         Stacked blocks (..., rows, cols) map loads (..., k, n_s), each stack of k
-        rows through its own system; the certificate costs one SVD per map.
+        rows through its own system, under blocks.certified (one SVD unless set).
         """
         # each system's blocks broadcast over its own rows of loads
         per_row = ScatteringBlocks(
             *(b[..., None, :, :] for b in (blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st))
         )
+        per_row.certified = blocks.certified
 
         def channels(r: np.ndarray) -> np.ndarray:
             h, ok = channel(per_row, r)

@@ -20,10 +20,10 @@ may be stacked too: ScatteringBlocks takes leading axes (partition cuts them
 out of a stack of matrices), and k stacked systems take loads (k, N_S), one
 configuration each.  The scalar APIs (coupling_resolvent,
 end_to_end_channel, closed_form_jacobian) are thin wrappers around them.
-factors and channel are the one entries to the factor pair and to H with
-their regularity mask.  Blocks carry their own passivity certificate,
-ScatteringBlocks.certified: where it holds no admissible load is singular,
-so the solves skip G and its rcond; elsewhere they gate on G's exact rcond.
+factors, channel and toggle_factors give, with a mask of regular loads, the
+factor pair, H, and the pair with the toggle denominators.  Blocks carry the
+passivity certificate ScatteringBlocks.certified: where it holds no admissible
+load is singular, so the solves skip G and its rcond, else gate on that rcond.
 Single-load changes update G and H at O(N_S^2) cost through a rank-1
 Sherman-Morrison step instead of a fresh factorization.
 """
@@ -179,7 +179,7 @@ class ScatteringBlocks:
     @cached_property
     def certified(self) -> bool:
         """rcond_floor(s_ss) >= RCOND_MIN for every stacked system: then no admissible
-        load is singular, and factors and channel skip the gate.  One SVD, on first use."""
+        load is singular, and the solves skip the gate.  One SVD, on first use, unless set."""
         return bool(np.all(rcond_floor(self.s_ss) >= RCOND_MIN))
 
     @property
@@ -240,9 +240,14 @@ def rcond_floor(s_ss: np.ndarray) -> float | np.ndarray:
     stack (..., n_s, n_s) gives one floor per item, a single matrix a float.
     """
     s_ss = np.asarray(s_ss, dtype=complex)
-    bound = (1.0 + LOAD_MAG_TOL) * np.asarray(spectral_norm(s_ss))
-    floor = np.where(bound < 1.0, (1.0 - bound) / (s_ss.shape[-1] * (1.0 + bound)), 0.0)
+    floor = norm_floor(spectral_norm(s_ss), s_ss.shape[-1])
     return float(floor) if floor.ndim == 0 else floor
+
+
+def norm_floor(eta, n_s: int) -> np.ndarray:
+    """rcond_floor from each eta >= ||S_SS||_2 of n_s loads: it falls as eta rises."""
+    bound = (1.0 + LOAD_MAG_TOL) * np.asarray(eta)
+    return np.where(bound < 1.0, (1.0 - bound) / (n_s * (1.0 + bound)), 0.0)
 
 
 def _load_matrix(s_ss: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -309,11 +314,31 @@ def factors(blocks: ScatteringBlocks, r: np.ndarray) -> tuple[np.ndarray, ...]:
         return (*jacobian_factors(blocks, g, r), rcond >= RCOND_MIN)
     validate_loads(r, blocks.n_bs)
     a = _load_matrix(blocks.s_ss, r)
+    w = blocks.s_ss @ _solved_drive(a, blocks, r) + blocks.s_st
+    return _rows_times_g(a, blocks.s_rs), w, np.ones(r.shape[:-1], bool)
+
+
+def toggle_factors(blocks: ScatteringBlocks, r: np.ndarray, delta: np.ndarray) -> tuple:
+    """factors' (S_RS G, W, ok) with 1 - delta diag(S_SS G), the rank-1 denominators of
+    changing each load k by delta_k, before ok, for loads (c, n_s) on one system.
+    Certified, S_RS G and S_SS G come from one solve of A^T, with no G or rcond."""
+    r = np.asarray(r, dtype=complex)
+    if not blocks.certified:
+        g, rcond = resolvent(blocks.s_ss, r)  # which validates r
+        denom = 1.0 - delta * np.einsum("kj,cjk->ck", blocks.s_ss, g)
+        return (*jacobian_factors(blocks, g, r), denom, rcond >= RCOND_MIN)
+    validate_loads(r, blocks.n_bs)
+    solved = _rows_times_g(_load_matrix(blocks.s_ss, r), np.concatenate([blocks.s_rs, blocks.s_ss]))
+    rx, ss_g = np.split(solved, [blocks.n_rx], axis=1)
+    w = ss_g @ (r[:, :, None] * blocks.s_st) + blocks.s_st
+    return rx, w, 1.0 - delta * np.diagonal(ss_g, axis1=1, axis2=2), np.ones(len(r), bool)
+
+
+def _rows_times_g(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows G = solve(A^T, rows^T)^T for rows (m, n_s): one LU per load row, no G."""
     # numpy < 2 would read a 2-d right-hand side of a stacked solve as vectors
-    rx_rhs = np.broadcast_to(blocks.s_rs.T, a.shape[:-2] + blocks.s_rs.T.shape)
-    rx_t = np.linalg.solve(a.swapaxes(-1, -2), rx_rhs)
-    drive = _solved_drive(a, blocks, r)
-    return rx_t.swapaxes(-1, -2), blocks.s_ss @ drive + blocks.s_st, np.ones(r.shape[:-1], bool)
+    rhs = np.broadcast_to(rows.T, a.shape[:-2] + rows.T.shape)
+    return np.linalg.solve(a.swapaxes(-1, -2), rhs).swapaxes(-1, -2)
 
 
 def _solved_drive(a: np.ndarray, blocks: ScatteringBlocks, r: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ redraws run in the workers, so draw memory is per chunk.
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
 which avoids one SVD per sample.  Model mode takes its factors and its gate
-from network.factors.  Toggle mode forms G once through resolvent: its
-rcond is the gate, and the toggle reads diag(S_SS G) from it.
+from network.factors, toggle mode from network.toggle_factors, which also
+gives the rank-1 denominators 1 - delta_k (S_SS G)_kk of its toggles.
 """
 
 import json
@@ -34,9 +34,8 @@ from .network import (
     extract_blocks,
     factors,
     frobenius_norm,
-    jacobian_factors,
     load_jacobian,
-    resolvent,
+    toggle_factors,
     validate_illumination,
 )
 from .streams import TWO_PI, box_muller, substream_uniforms
@@ -213,21 +212,18 @@ def _chunk_m_values(
     Returns (values, ok); ok is False where the coupling resolvent (or, in
     toggle mode, any toggled resolvent) is singular at the working
     threshold.  Values at not-ok positions are meaningless.  Toggle mode
-    forms G once for the gate, the factors and diag(S_SS G); an exactly
-    singular member gets a zero G and cannot abort the stack.
+    also gates on its denominators, which certified blocks provably clear;
+    uncertified, an exactly singular member cannot abort the stack.
     """
     if mode == "model":
         rx, w, ok = factors(blocks, r)
         return participation_from_jacobians(load_jacobian(rx, w, x), ok), ok
-    g, rcond = resolvent(blocks.s_ss, r)
-    ok = rcond >= RCOND_MIN
-    jac = load_jacobian(*jacobian_factors(blocks, g, r), x)
     delta = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value) - r
-    denom = 1.0 - delta * np.einsum("kj,cjk->ck", blocks.s_ss, g)
+    rx, w, denom, ok = toggle_factors(blocks, r, delta)
     ok &= np.abs(denom).min(axis=1) >= RCOND_MIN
     with np.errstate(divide="ignore", invalid="ignore"):
-        jac = jac * ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
-    return participation_from_jacobians(jac, ok), ok
+        scale = ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
+    return participation_from_jacobians(load_jacobian(rx, w, x) * scale, ok), ok
 
 
 def sample_distribution(

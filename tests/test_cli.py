@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bsdof.cli
+import bsdof.network
 import bsdof.sampling
 from bsdof.cli import jacobian_validation_sweep, main
 from bsdof.environment import EnvironmentSpec, synth_environment
@@ -399,6 +400,15 @@ def test_sweep_reads_its_trial_words_without_the_draw_loop(monkeypatch):
     assert sorted(rows) == list(range(300))
     for t in (0, 1, 255, 256, 299):  # both sides of the first window boundary
         assert np.array_equal(rows[t], substream(2, 4, t).random(44))
+
+
+def test_sweep_certifies_its_systems_from_their_norms(monkeypatch):
+    # ||S_SS||_2 <= ||S||_2 <= 0.9: synth_matrices' norms certify every slice without an SVD
+    def no_svd(*args):
+        raise AssertionError("the sweep computed an S_SS certificate")
+
+    monkeypatch.setattr(bsdof.network, "rcond_floor", no_svd)
+    assert jacobian_validation_sweep(300, 2)["max_fd_relative_error"] == 5.899583439422721e-07
 
 
 def test_sweep_runs_through_an_all_zero_magnitude_row(monkeypatch):

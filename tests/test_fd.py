@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bsdof.network
 from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import OracleError, UnsupportedOperationError
 from bsdof.fd import (
@@ -196,6 +197,26 @@ def test_stacked_probe_failure_names_the_item():
         for i, system in ((0, items[0]), (2, items[1])):
             system.certified = False
             assert np.array_equal(h[i], channel(system, rows)[0])
+
+
+def test_channel_map_takes_the_certificate_of_its_blocks(monkeypatch):
+    # a certificate the caller has set costs the map no SVD, and picks its branch
+    blocks = coupled_blocks(2, 3, 4, seed=86)
+    r = np.stack([uni_loads(4, substream(87, j)) for j in range(5)])
+
+    def no_svd(*args):
+        raise AssertionError("the map computed its own certificate")
+
+    calls = []
+    resolvent = bsdof.network.resolvent
+    monkeypatch.setattr(bsdof.network, "rcond_floor", no_svd)
+    monkeypatch.setattr(bsdof.network, "resolvent", lambda *a: calls.append(1) or resolvent(*a))
+    for certified in (True, False):
+        blocks.certified = certified
+        h = ChannelMap.from_blocks(blocks)(r)
+        assert len(calls) == (0 if certified else 1)
+        assert np.array_equal(h, channel(blocks, r)[0])
+        calls.clear()
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 1), (2, 3, 4), (4, 4, 16)])

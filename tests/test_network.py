@@ -17,6 +17,7 @@ from bsdof.loads import (
     LOAD_MAG_TOL,
     PIN_OFF,
     LoadConstraint,
+    loads_from_uniforms,
     sample_loads,
     toggle,
     validate_loads,
@@ -37,6 +38,7 @@ from bsdof.network import (
     incident_drive,
     jacobian_factors,
     load_system,
+    norm_floor,
     partition,
     rcond_floor,
     require_passive,
@@ -45,11 +47,12 @@ from bsdof.network import (
     spectral_norm,
     system_from_dict,
     system_to_dict,
+    toggle_factors,
     validate_illumination,
     woodbury_channel_update,
 )
 from bsdof.sampling import IlluminationPolicy, sample_random_illumination
-from bsdof.streams import standard_complex_gaussian, substream
+from bsdof.streams import standard_complex_gaussian, substream, substream_uniforms
 
 
 def incident_map(blocks, r):
@@ -218,6 +221,9 @@ def test_passivity_certificate_bounds_rcond_and_toggle_denominators(n_s):
         s_ss = passive_coupling(n_s, eta, gen)
         floor = rcond_floor(s_ss)
         assert floor == pytest.approx((1 - RHO * eta) / (n_s * (1 + RHO * eta)), rel=1e-12)
+        # the floor from the norm alone, and from an upper bound on it, which certifies less
+        assert norm_floor(spectral_norm(s_ss), n_s) == floor
+        assert norm_floor(1.01 * spectral_norm(s_ss), n_s) < floor
         margin = (1 - RHO * eta) / (1 + RHO * eta)
         for _ in range(20):
             r = admissible_loads(n_s, gen)
@@ -348,6 +354,56 @@ def test_uncertified_factors_gate_on_the_exact_rcond():
     assert ok.tolist() == [True, False, True] and np.array_equal(ok, rcond >= RCOND_MIN)
     rx_ref, w_ref = jacobian_factors(blocks, g, r)
     assert np.array_equal(rx_factor, rx_ref) and np.array_equal(w, w_ref)
+
+
+def toggle_draws(dims, constraint, seed):
+    """Certified blocks of an environment at dims, 256 two-state draws and their toggle steps."""
+    blocks = extract_blocks(coupled_system(*dims, seed=seed))
+    n_words = constraint.uniforms_per_draw(dims[2])
+    r = loads_from_uniforms(constraint, substream_uniforms(seed, (), range(256), n_words))
+    on, off = constraint.on_value, constraint.off_value
+    return blocks, r, np.where(r == on, off, on) - r
+
+
+TOGGLE_CASES = list(
+    itertools.product([(1, 1, 2), (2, 2, 8), (3, 4, 16), (3, 4, 64)], ["pin", "pm"])
+)
+
+
+@pytest.mark.parametrize("dims, kind", TOGGLE_CASES)
+def test_certified_toggle_factors_agree_with_the_gated_ones(dims, kind, monkeypatch):
+    blocks, r, delta = toggle_draws(dims, getattr(LoadConstraint, kind)(), seed=sum(dims))
+    assert blocks.certified
+    gated = ScatteringBlocks(blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st)
+    gated.certified = False
+    reference = toggle_factors(gated, r, delta)
+
+    def no_inverse(*args):
+        raise AssertionError("the dense resolvent was formed")
+
+    monkeypatch.setattr(bsdof.network.np.linalg, "inv", no_inverse)
+    monkeypatch.setattr(bsdof.network, "resolvent", no_inverse)
+    got = toggle_factors(blocks, r, delta)
+    assert got[3].shape == (256,) and got[3].all() and reference[3].all()
+    for value, ref in zip(got[:3], reference[:3]):
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dims, kind", TOGGLE_CASES)
+def test_gated_toggle_factors_keep_the_resolvent_bits(dims, kind):
+    blocks, r, delta = toggle_draws(dims, getattr(LoadConstraint, kind)(), seed=sum(dims))
+    blocks.certified = False
+    rx_factor, w, denom, ok = toggle_factors(blocks, r, delta)
+    g, rcond = resolvent(blocks.s_ss, r)
+    rx_ref, w_ref = jacobian_factors(blocks, g, r)
+    assert np.array_equal(rx_factor, rx_ref) and np.array_equal(w, w_ref)
+    # outside the assert, whose rewriting keeps every temporary alive: only here does numpy
+    # reuse a large einsum result as the product's output, with the operands swapped, and
+    # a complex product rounds differently in the other order
+    denom_ref = 1.0 - delta * np.einsum("kj,cjk->ck", blocks.s_ss, g)
+    assert np.array_equal(denom, denom_ref)
+    assert np.array_equal(ok, rcond >= RCOND_MIN)
 
 
 def test_partition_of_a_stack_gives_each_matrix_its_blocks():

@@ -42,6 +42,7 @@ from bsdof.network import (
     resolvent,
     save_system,
     spectral_norm,
+    toggle_factors,
 )
 from bsdof.streams import substream, substream_uniforms
 
@@ -526,14 +527,22 @@ def test_certified_model_mode_forms_no_inverse(monkeypatch):
     assert rcond_floor(extract_blocks(system).s_ss) >= RCOND_MIN
     policy = IlluminationPolicy.rand()
     reference = sample_distribution(system, policy, PIN, 300, seed=45)
+    monkeypatch.setattr(ScatteringBlocks, "certified", False)
+    gated_toggle = sample_distribution(system, policy, PIN, 300, seed=45, mode="toggle")
+    monkeypatch.undo()
 
     def no_inverse(*args):
         raise AssertionError("the dense resolvent was formed")
 
     # network.resolvent forms every dense inverse of the package
     monkeypatch.setattr(bsdof.network.np.linalg, "inv", no_inverse)
+    monkeypatch.setattr(bsdof.network, "resolvent", no_inverse)
     dist = sample_distribution(system, policy, PIN, 300, seed=45)
     assert np.array_equal(dist.samples, reference.samples)
+    # certified toggle mode forms none either; the same system made uncertified still does
+    toggle = sample_distribution(system, policy, PIN, 300, seed=45, mode="toggle")
+    assert np.allclose(toggle.samples, gated_toggle.samples, rtol=1e-13, atol=0.0)
+    monkeypatch.setattr(ScatteringBlocks, "certified", False)
     with pytest.raises(AssertionError, match="dense resolvent"):
         sample_distribution(system, policy, PIN, 300, seed=45, mode="toggle")
 
@@ -593,6 +602,8 @@ def test_certified_toggle_denominators_clear_the_passivity_bound(dims):
             delta = np.where(r == on, off, on) - r
             denom = 1.0 - delta * np.einsum("kj,cjk->ck", blocks.s_ss, g)
             assert np.abs(denom).min() >= bound >= RCOND_MIN
+            # and the ones the certified branch builds from diag(S_SS G) without G
+            assert np.abs(toggle_factors(blocks, r, delta)[2]).min() >= bound
 
 
 def test_mostly_singular_environment_is_rejected():
