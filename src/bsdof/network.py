@@ -24,8 +24,12 @@ factors, channel and toggle_factors give, with a mask of regular loads, the
 factor pair, H, and the pair with the toggle denominators.  Blocks carry the
 passivity certificate ScatteringBlocks.certified: where it holds no admissible
 load is singular, so the solves skip G and its rcond, else gate on that rcond.
-Single-load changes update G and H at O(N_S^2) cost through a rank-1
-Sherman-Morrison step instead of a fresh factorization.
+two_state_factors gives factors' result for two-state loads as a Woodbury
+change of at most N_S // 2 loads from the all-on or the all-off configuration,
+through one half-size capacitance matrix C per draw; det A = det A_b det C, so
+on certified blocks C is regular wherever A is.  Single-load changes update G
+and H at O(N_S^2) cost through a rank-1 Sherman-Morrison step instead of a
+fresh factorization.
 """
 
 import json
@@ -334,6 +338,52 @@ def toggle_factors(blocks: ScatteringBlocks, r: np.ndarray, delta: np.ndarray) -
     return rx, w, 1.0 - delta * np.diagonal(ss_g, axis1=1, axis2=2), np.ones(len(r), bool)
 
 
+def two_state_factors(blocks: ScatteringBlocks, r: np.ndarray, on: complex, off: complex) -> tuple:
+    """factors' (S_RS G, W, ok) for loads (c, n_s) on one system, each entry on or off.
+
+    Certified, each draw is a change of k = n_s // 2 selected loads from its base b, the
+    state most of its loads take (on in a tie): the loads that differ from b, then loads
+    that do not, with delta = 0, in index order.  From one solve of A_b^T per base,
+    M_b = S_SS A_b^-1, B_b = S_RS A_b^-1 and P_b = (I + b M_b) S_ST, and with
+    C = I_k - diag(delta) M_b[sel, sel] the Woodbury identity gives
+
+        S_RS G = B_b + B_b[:, sel] C^-1 diag(delta) M_b[sel, :],
+        W      = P_b + M_b[:, sel] C^-1 diag(delta) P_b[sel, :],
+
+    through one solve of C^T (n_r right-hand sides) and one of C (n_t).  det A =
+    det A_b det C and A_b is admissible, so C is regular wherever A is and ok is all True.
+    The fixed width k keeps each draw's bits apart from the rest of its stack.
+    Uncertified, this is factors.
+    """
+    r = np.asarray(r, dtype=complex)
+    if not blocks.certified:
+        return factors(blocks, r)
+    states = validate_loads([on, off])
+    is_on = r == states[0]
+    n_s, n_r = blocks.n_bs, blocks.n_rx
+    if r.ndim != 2 or r.shape[1] != n_s or not (is_on | (r == states[1])).all():
+        raise ValueError(f"expected loads (c, {n_s}) of the two states {on} and {off}")
+    a = _load_matrix(blocks.s_ss, np.repeat(states[:, None], n_s, axis=1))
+    b_rx, m = np.split(_rows_times_g(a, np.concatenate([blocks.s_rs, blocks.s_ss])), [n_r], 1)
+    p = m @ (states[:, None, None] * blocks.s_st) + blocks.s_st
+    # per draw, base 0 (on) or 1 (off); the rows of base b's matrices start at b n_s
+    base = (2 * is_on.sum(axis=1) < n_s).astype(np.intp)
+    k = n_s // 2
+    sel = np.argsort(is_on == (base == 0)[:, None], axis=1, kind="stable")[:, :k]
+    row = sel + n_s * base[:, None]
+    delta = (np.take_along_axis(r, sel, axis=1) - states[base][:, None])[:, :, None]
+    c = -delta * m.reshape(-1)[n_s * row[:, :, None] + sel[:, None, :]]
+    c.reshape(len(r), k * k)[:, :: k + 1] += 1.0
+    rows_of = lambda x: x.reshape(2 * n_s, -1)[row]
+    z = np.linalg.solve(c.swapaxes(1, 2), rows_of(b_rx.swapaxes(1, 2)))
+    rx = b_rx[base]
+    rx += (delta * z).swapaxes(1, 2) @ rows_of(m)
+    y = np.linalg.solve(c, delta * rows_of(p))
+    w = p[base]
+    w += (y.swapaxes(1, 2) @ rows_of(m.swapaxes(1, 2))).swapaxes(1, 2)
+    return rx, w, np.ones(len(r), bool)
+
+
 def _rows_times_g(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """rows G = solve(A^T, rows^T)^T for rows (m, n_s): one LU per load row, no G."""
     # numpy < 2 would read a 2-d right-hand side of a stacked solve as vectors
@@ -424,17 +474,18 @@ def woodbury_channel_update(
         G' = G + (delta / (1 - delta t_k)) G[:, k] (S_SS[k, :] G),
 
     with t_k = (S_SS G)[k, k].  Returns (G', H') at O(N_S^2) cost.  Raises
-    SingularityError when |1 - delta t_k| < RCOND_MIN.
+    ValueError for inadmissible loads and SingularityError when
+    |1 - delta t_k| < RCOND_MIN.
     """
     g = np.asarray(base_resolvent, dtype=complex)
-    r = np.asarray(base_r, dtype=complex)
     n_s = g.shape[0]
+    r = validate_loads(base_r, n_s)
     k = int(changed_index)
     if k < 0 or k >= n_s:
         raise IndexError(f"changed_index {k} out of range for {n_s} loads")
-    delta = complex(new_value) - r[k]
     r_new = r.copy()
-    r_new[k] = new_value
+    r_new[k] = validate_loads([new_value])[0]
+    delta = r_new[k] - r[k]
     t_row = blocks.s_ss[k, :] @ g
     denom = 1.0 - delta * t_row[k]
     if abs(denom) < RCOND_MIN:

@@ -13,7 +13,8 @@ redraws run in the workers, so draw memory is per chunk.
 Evaluation is vectorized over fixed-size chunks through the batched network
 kernel and the Gram-form reduction of metrics.participation_from_jacobians,
 which avoids one SVD per sample.  Model mode takes its factors and its gate
-from network.factors, toggle mode from network.toggle_factors, which also
+from network.two_state_factors under a two-state constraint, from
+network.factors under UNI; toggle mode from network.toggle_factors, which also
 gives the rank-1 denominators 1 - delta_k (S_SS G)_kk of its toggles.
 """
 
@@ -36,6 +37,7 @@ from .network import (
     frobenius_norm,
     load_jacobian,
     toggle_factors,
+    two_state_factors,
     validate_illumination,
 )
 from .streams import TWO_PI, box_muller, substream_uniforms
@@ -211,12 +213,17 @@ def _chunk_m_values(
 
     Returns (values, ok); ok is False where the coupling resolvent (or, in
     toggle mode, any toggled resolvent) is singular at the working
-    threshold.  Values at not-ok positions are meaningless.  Toggle mode
-    also gates on its denominators, which certified blocks provably clear;
-    uncertified, an exactly singular member cannot abort the stack.
+    threshold.  Values at not-ok positions are meaningless.  Two-state
+    model draws take their factors from network.two_state_factors, UNI
+    draws from network.factors.  Toggle mode also gates on its denominators,
+    which certified blocks provably clear; uncertified, an exactly singular
+    member cannot abort the stack.
     """
     if mode == "model":
-        rx, w, ok = factors(blocks, r)
+        if constraint.discrete:
+            rx, w, ok = two_state_factors(blocks, r, constraint.on_value, constraint.off_value)
+        else:
+            rx, w, ok = factors(blocks, r)
         return participation_from_jacobians(load_jacobian(rx, w, x), ok), ok
     delta = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value) - r
     rx, w, denom, ok = toggle_factors(blocks, r, delta)

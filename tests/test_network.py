@@ -22,7 +22,7 @@ from bsdof.loads import (
     toggle,
     validate_loads,
 )
-from bsdof.metrics import bs_eemdof_point
+from bsdof.metrics import bs_eemdof_point, participation_from_jacobians
 from bsdof.network import (
     RCOND_MIN,
     Jacobian,
@@ -37,6 +37,7 @@ from bsdof.network import (
     frobenius_norm,
     incident_drive,
     jacobian_factors,
+    load_jacobian,
     load_system,
     norm_floor,
     partition,
@@ -48,10 +49,17 @@ from bsdof.network import (
     system_from_dict,
     system_to_dict,
     toggle_factors,
+    two_state_factors,
     validate_illumination,
     woodbury_channel_update,
 )
-from bsdof.sampling import IlluminationPolicy, sample_random_illumination
+from bsdof.sampling import (
+    CHUNK,
+    IlluminationPolicy,
+    illuminations_from_uniforms,
+    sample_distribution,
+    sample_random_illumination,
+)
 from bsdof.streams import standard_complex_gaussian, substream, substream_uniforms
 
 
@@ -406,6 +414,85 @@ def test_gated_toggle_factors_keep_the_resolvent_bits(dims, kind):
     assert np.array_equal(ok, rcond >= RCOND_MIN)
 
 
+TWO_STATES = {
+    "pin": LoadConstraint.pin(),
+    "pm": LoadConstraint.pm(),
+    "custom": LoadConstraint("PIN", 0.3 + 0.4j, -0.9j),
+}
+
+
+def two_state_draws(dims, constraint, seed, eta=0.9):
+    """Certified blocks at dims and 256 draws of the constraint, led by all on and all off."""
+    blocks = extract_blocks(coupled_system(*dims, seed=seed, eta=eta))
+    u = substream_uniforms(seed, (), range(254), dims[2])
+    states = np.repeat([[constraint.on_value], [constraint.off_value]], dims[2], axis=1)
+    return blocks, np.concatenate([states, loads_from_uniforms(constraint, u)])
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.95])
+@pytest.mark.parametrize("kind", TWO_STATES)
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (2, 2, 8), (3, 4, 16), (3, 4, 64)])
+def test_two_state_factors_agree_with_the_solved_ones(dims, kind, eta, monkeypatch):
+    constraint = TWO_STATES[kind]
+    blocks, r = two_state_draws(dims, constraint, seed=sum(dims), eta=eta)
+    assert blocks.certified
+    gated = ScatteringBlocks(blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st)
+    gated.certified = False
+    reference = factors(gated, r)
+
+    def no_inverse(*args):
+        raise AssertionError("the dense resolvent was formed")
+
+    monkeypatch.setattr(bsdof.network.np.linalg, "inv", no_inverse)
+    monkeypatch.setattr(bsdof.network, "resolvent", no_inverse)
+    got = two_state_factors(blocks, r, constraint.on_value, constraint.off_value)
+    assert got[2].shape == (256,) and got[2].all() and reference[2].all()
+    for value, ref in zip(got[:2], reference[:2]):
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 2), (3, 4, 16), (3, 4, 64)])
+def test_two_state_factor_rows_do_not_depend_on_their_stack(dims):
+    pin = TWO_STATES["pin"]
+    blocks, r = two_state_draws(dims, pin, seed=66)
+    whole = two_state_factors(blocks, r, pin.on_value, pin.off_value)
+    subset = np.sort(substream(67).choice(len(r), 37, replace=False))
+    for rows in [subset, *([i] for i in range(len(r)))]:
+        part = two_state_factors(blocks, r[rows], pin.on_value, pin.off_value)
+        for got, full in zip(part, whole):
+            assert np.array_equal(got, full[rows])
+
+
+def test_two_state_factors_reject_loads_off_the_two_states():
+    pin = TWO_STATES["pin"]
+    blocks, r = two_state_draws((2, 2, 4), pin, seed=68)
+    for bad in (r[:, :3], r[0], np.where(r == pin.on_value, 0.5, r)):
+        with pytest.raises(ValueError, match="two states"):
+            two_state_factors(blocks, bad, pin.on_value, pin.off_value)
+    with pytest.raises(ValueError, match="finite and at most 1"):
+        two_state_factors(blocks, r, pin.on_value, np.nan)
+
+
+@pytest.mark.parametrize("kind, certified", [("uni", True), ("uni", False), ("pin", False)])
+def test_solved_factor_samples_keep_their_bits(kind, certified, monkeypatch):
+    # UNI draws and uncertified blocks sample through factors, chunk by chunk
+    system = coupled_system(3, 4, 8, seed=69)
+    constraint = LoadConstraint.from_dict({"kind": kind.upper()})
+    if not certified:
+        monkeypatch.setattr(ScatteringBlocks, "certified", False)
+    dist = sample_distribution(system, IlluminationPolicy.rand(), constraint, 300, seed=70)
+    blocks, n_load = extract_blocks(system), constraint.uniforms_per_draw(8)
+    u = substream_uniforms(70, (), range(300), n_load + 6)
+    expected = []
+    for chunk in (u[:CHUNK], u[CHUNK:]):
+        rx, w, ok = factors(blocks, loads_from_uniforms(constraint, chunk[:, :n_load]))
+        x = illuminations_from_uniforms(chunk[:, n_load:])
+        expected.append(participation_from_jacobians(load_jacobian(rx, w, x), ok))
+    assert dist.redraw_count == 0
+    assert np.array_equal(dist.samples, np.concatenate(expected))
+
+
 def test_partition_of_a_stack_gives_each_matrix_its_blocks():
     gen = substream(65)
     stack = 0.1 * standard_complex_gaussian(gen, (3, 7, 7))
@@ -605,6 +692,19 @@ def test_woodbury_singular_denominator():
         woodbury_channel_update(blocks, np.eye(1), np.zeros(1), 0, 1.0)
     with pytest.raises(IndexError):
         woodbury_channel_update(blocks, np.eye(1), np.zeros(1), 4, 0.5)
+
+
+@pytest.mark.parametrize(
+    "base, new",
+    [(0.0, np.nan), (0.0, 1.01), (0.0, 5.0), (np.nan, 0.5)],
+    ids=["nan", "1.01", "5", "nan-base"],
+)
+def test_woodbury_rejects_inadmissible_loads(base, new):
+    blocks = extract_blocks(coupled_system(2, 2, 4, seed=13))
+    r = np.array([0.2, base, -0.4j, 0.5])
+    g = coupling_resolvent(blocks.s_ss, np.nan_to_num(r))
+    with pytest.raises(ValueError, match="finite and at most 1"):
+        woodbury_channel_update(blocks, g, r, 1, new)
 
 
 def test_serialization_roundtrip(tmp_path):

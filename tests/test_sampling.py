@@ -16,7 +16,11 @@ from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
 from bsdof.errors import DegenerateInputError, SingularityError, UnsupportedOperationError
 from bsdof.fd import ChannelMap, discrete_toggle_jacobian
 from bsdof.loads import LOAD_MAG_TOL, LoadConstraint, loads_from_uniforms, sample_loads
-from bsdof.metrics import bs_eemdof_point, participation_from_singular_values
+from bsdof.metrics import (
+    bs_eemdof_point,
+    participation_from_jacobians,
+    participation_from_singular_values,
+)
 from bsdof.optimize import OptimizationConfig, optimize_illumination, sample_load_set
 from bsdof.sampling import (
     CHUNK,
@@ -38,6 +42,8 @@ from bsdof.network import (
     ScatteringSystem,
     coupling_resolvent,
     extract_blocks,
+    factors,
+    load_jacobian,
     rcond_floor,
     resolvent,
     save_system,
@@ -230,6 +236,30 @@ def test_every_sample_equals_its_scalar_svd_reference(mode, constraint, policy_k
     assert dist.redraw_count == 0
     ref = _scalar_reference(system, policy, constraint, 43, n, mode)
     assert np.allclose(dist.samples, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "constraint", [PIN, LoadConstraint("PIN", 0.3 + 0.4j, -0.9j)], ids=["PIN", "custom"]
+)
+@pytest.mark.parametrize("n_s, env_seed", [(10, 0), (12, 1)])
+def test_sampler_matches_the_exact_two_state_distribution(n_s, env_seed, constraint):
+    # all 2^n_s equally likely configurations, through the resolvent of an uncertified copy
+    system = system_for(3, 4, n_s, seed=env_seed)
+    blocks = extract_blocks(system)
+    blocks.certified = False
+    x = illuminations_from_uniforms(substream_uniforms(9, (3,), [0], 6))[0]
+    on = (np.arange(2**n_s)[:, None] >> np.arange(n_s)) & 1 == 1
+    rx, w, ok = factors(blocks, np.where(on, constraint.on_value, constraint.off_value))
+    assert ok.all()
+    exact = np.sort(participation_from_jacobians(load_jacobian(rx, w, x), ok))
+    n = 10_000
+    dist = sample_distribution(system, IlluminationPolicy.fixed(x), constraint, n, seed=4)
+    assert abs(dist.mean - exact.mean()) <= 4.0 * exact.std() / math.sqrt(n)
+    # both distributions are steps, so the largest CDF gap sits at one of their atoms
+    atoms = np.concatenate([exact, dist.samples])
+    cdf = lambda values, at: np.searchsorted(values, at, side="right") / values.size
+    ks = np.abs(cdf(np.sort(dist.samples), atoms) - cdf(exact, atoms)).max()
+    assert ks < 1.63 / math.sqrt(n)
 
 
 def test_toggle_mode_tracks_the_model_mode():
