@@ -103,12 +103,10 @@ class LoadConstraint:
     def from_dict(cls, payload: dict) -> "LoadConstraint":
         """Constraint from a config.json payload; wrong JSON types raise ValueError.
 
-        Two-state kinds take optional on/off values as [re, im] or [re].
+        Two-state kinds take optional on/off values as [re, im] or [re]; UNI takes none.
         """
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ValueError(f"a constraint is a JSON object with a 'kind', got {payload!r}")
-        if payload["kind"] == "UNI":
-            return cls.uni()
         states = [payload.get("on"), payload.get("off")]
         for v in states:
             real = isinstance(v, list) and all(type(p) in (int, float) for p in v)  # no bool

@@ -21,15 +21,15 @@ out of a stack of matrices), and k stacked systems take loads (k, N_S), one
 configuration each.  The scalar APIs (coupling_resolvent,
 end_to_end_channel, closed_form_jacobian) are thin wrappers around them.
 factors, channel and toggle_factors give, with a mask of regular loads, the
-factor pair, H, and the pair with the toggle denominators.  Blocks carry the
-passivity certificate ScatteringBlocks.certified: where it holds no admissible
-load is singular, so the solves skip G and its rcond, else gate on that rcond.
-two_state_factors gives factors' result for two-state loads as a Woodbury
-change of at most N_S // 2 loads from the all-on or the all-off configuration,
-through one half-size capacitance matrix C per draw; det A = det A_b det C, so
-on certified blocks C is regular wherever A is.  Single-load changes update G
-and H at O(N_S^2) cost through a rank-1 Sherman-Morrison step instead of a
-fresh factorization.
+factor pair, H, and the pair with the two-state toggle denominators, which the
+mask gates too.  Blocks carry the passivity certificate
+ScatteringBlocks.certified: where it holds no admissible load is singular, so
+the solves skip G and its rcond, else gate on that rcond.  two_state_factors
+gives factors' result for two-state loads as a Woodbury change of at most
+N_S // 2 loads from all on or all off, through one half-size capacitance
+matrix C per draw; det A = det A_b det C, so on certified blocks C is regular
+wherever A is.  Both two-state solves take their certified tables from one
+solve against [S_RS; S_SS].  Single-load changes update G and H in O(N_S^2).
 """
 
 import json
@@ -97,10 +97,10 @@ def require_passive(norm) -> None:
 
 
 def _integer(value, what: str) -> int:
-    """An integer read from JSON: an int or an integral float; anything else is a ValueError."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    """An integer read from JSON: an int or an integral float, not a bool; else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)) or value % 1:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _validate_port_group(name: str, ports, n_total: int) -> tuple:
@@ -322,20 +322,21 @@ def factors(blocks: ScatteringBlocks, r: np.ndarray) -> tuple[np.ndarray, ...]:
     return _rows_times_g(a, blocks.s_rs), w, np.ones(r.shape[:-1], bool)
 
 
-def toggle_factors(blocks: ScatteringBlocks, r: np.ndarray, delta: np.ndarray) -> tuple:
-    """factors' (S_RS G, W, ok) with 1 - delta diag(S_SS G), the rank-1 denominators of
-    changing each load k by delta_k, before ok, for loads (c, n_s) on one system.
-    Certified, S_RS G and S_SS G come from one solve of A^T, with no G or rcond."""
+def toggle_factors(blocks: ScatteringBlocks, r: np.ndarray, on: complex, off: complex) -> tuple:
+    """factors' (S_RS G, W), the denominators 1 - delta diag(S_SS G) of toggling each load k of
+    two-state loads (c, n_s) on one system to its other state, and ok, which also needs every
+    |denominator| >= RCOND_MIN.  Certified, one solve of A^T gives S_RS G and S_SS G, no G."""
     r = np.asarray(r, dtype=complex)
-    if not blocks.certified:
+    delta = np.where(r == on, off, on) - r
+    if blocks.certified:
+        validate_loads(r, blocks.n_bs)
+        rx, ss_g, w = _two_state_tables(blocks, r)
+        denom, ok = 1.0 - delta * np.diagonal(ss_g, axis1=1, axis2=2), np.ones(len(r), bool)
+    else:
         g, rcond = resolvent(blocks.s_ss, r)  # which validates r
         denom = 1.0 - delta * np.einsum("kj,cjk->ck", blocks.s_ss, g)
-        return (*jacobian_factors(blocks, g, r), denom, rcond >= RCOND_MIN)
-    validate_loads(r, blocks.n_bs)
-    solved = _rows_times_g(_load_matrix(blocks.s_ss, r), np.concatenate([blocks.s_rs, blocks.s_ss]))
-    rx, ss_g = np.split(solved, [blocks.n_rx], axis=1)
-    w = ss_g @ (r[:, :, None] * blocks.s_st) + blocks.s_st
-    return rx, w, 1.0 - delta * np.diagonal(ss_g, axis1=1, axis2=2), np.ones(len(r), bool)
+        (rx, w), ok = jacobian_factors(blocks, g, r), rcond >= RCOND_MIN
+    return rx, w, denom, ok & (np.abs(denom).min(axis=1) >= RCOND_MIN)
 
 
 def two_state_factors(blocks: ScatteringBlocks, r: np.ndarray, on: complex, off: complex) -> tuple:
@@ -353,27 +354,23 @@ def two_state_factors(blocks: ScatteringBlocks, r: np.ndarray, on: complex, off:
     through one solve of C^T (n_r right-hand sides) and one of C (n_t).  det A =
     det A_b det C and A_b is admissible, so C is regular wherever A is and ok is all True.
     The fixed width k keeps each draw's bits apart from the rest of its stack.
-    Uncertified, this is factors.
+    Uncertified, this is factors, after the same check that each load takes a state.
     """
     r = np.asarray(r, dtype=complex)
-    if not blocks.certified:
-        return factors(blocks, r)
-    states = validate_loads([on, off])
+    states, n_s = validate_loads([on, off]), blocks.n_bs
     is_on = r == states[0]
-    n_s, n_r = blocks.n_bs, blocks.n_rx
     if r.ndim != 2 or r.shape[1] != n_s or not (is_on | (r == states[1])).all():
         raise ValueError(f"expected loads (c, {n_s}) of the two states {on} and {off}")
-    a = _load_matrix(blocks.s_ss, np.repeat(states[:, None], n_s, axis=1))
-    b_rx, m = np.split(_rows_times_g(a, np.concatenate([blocks.s_rs, blocks.s_ss])), [n_r], 1)
-    p = m @ (states[:, None, None] * blocks.s_st) + blocks.s_st
+    if not blocks.certified:
+        return factors(blocks, r)
+    b_rx, m, p = _two_state_tables(blocks, np.repeat(states[:, None], n_s, axis=1))
     # per draw, base 0 (on) or 1 (off); the rows of base b's matrices start at b n_s
     base = (2 * is_on.sum(axis=1) < n_s).astype(np.intp)
     k = n_s // 2
     sel = np.argsort(is_on == (base == 0)[:, None], axis=1, kind="stable")[:, :k]
     row = sel + n_s * base[:, None]
     delta = (np.take_along_axis(r, sel, axis=1) - states[base][:, None])[:, :, None]
-    c = -delta * m.reshape(-1)[n_s * row[:, :, None] + sel[:, None, :]]
-    c.reshape(len(r), k * k)[:, :: k + 1] += 1.0
+    c = _load_matrix(m.reshape(-1)[n_s * row[:, :, None] + sel[:, None, :]], delta[:, :, 0])
     rows_of = lambda x: x.reshape(2 * n_s, -1)[row]
     z = np.linalg.solve(c.swapaxes(1, 2), rows_of(b_rx.swapaxes(1, 2)))
     rx = b_rx[base]
@@ -382,6 +379,13 @@ def two_state_factors(blocks: ScatteringBlocks, r: np.ndarray, on: complex, off:
     w = p[base]
     w += (y.swapaxes(1, 2) @ rows_of(m.swapaxes(1, 2))).swapaxes(1, 2)
     return rx, w, np.ones(len(r), bool)
+
+
+def _two_state_tables(blocks: ScatteringBlocks, r: np.ndarray) -> tuple:
+    """S_RS G, S_SS G and W for loads (c, n_s) on certified blocks: one solve of A^T, no G."""
+    solved = _rows_times_g(_load_matrix(blocks.s_ss, r), np.concatenate([blocks.s_rs, blocks.s_ss]))
+    rx, ss_g = np.split(solved, [blocks.n_rx], axis=1)
+    return rx, ss_g, ss_g @ (r[:, :, None] * blocks.s_st) + blocks.s_st
 
 
 def _rows_times_g(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -507,10 +511,14 @@ def complex_to_pairs(z: np.ndarray) -> list:
 def pairs_to_complex(pairs) -> np.ndarray:
     """Inverse of complex_to_pairs; anything but a list of [re, im] numbers is a ValueError."""
     try:
-        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        z = np.array([complex(re, im) for re, im in pairs], dtype=complex)
     except TypeError:
         kind = type(pairs).__name__
         raise ValueError(f"expected a list of [re, im] number pairs, got a {kind}") from None
+    # complex() reads a JSON bool as 0 or 1, so only a pair of zeros and ones can hold one
+    if any(bool in map(type, pairs[i]) for i in np.flatnonzero(np.isin(z, (0, 1, 1j, 1 + 1j)))):
+        raise ValueError("expected a list of [re, im] number pairs, got a bool in one")
+    return z
 
 
 def system_to_dict(system: ScatteringSystem) -> dict:
@@ -535,7 +543,7 @@ def system_from_dict(payload: dict) -> ScatteringSystem:
     if matrix.size != n * n:
         raise ValueError(f"matrix has {matrix.size} entries, expected {n * n}")
     ohms = payload.get("reference_impedance_ohms", 50.0)
-    if not isinstance(ohms, numbers.Real):
+    if not isinstance(ohms, numbers.Real) or isinstance(ohms, bool):
         raise ValueError(f"reference_impedance_ohms must be a number, got {ohms!r}")
     return ScatteringSystem(
         n_total=n,

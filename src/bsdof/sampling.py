@@ -15,7 +15,7 @@ kernel and the Gram-form reduction of metrics.participation_from_jacobians,
 which avoids one SVD per sample.  Model mode takes its factors and its gate
 from network.two_state_factors under a two-state constraint, from
 network.factors under UNI; toggle mode from network.toggle_factors, which also
-gives the rank-1 denominators 1 - delta_k (S_SS G)_kk of its toggles.
+gives the rank-1 denominators 1 - delta_k (S_SS G)_kk and gates on them.
 """
 
 import json
@@ -30,7 +30,6 @@ from .errors import SingularityError, UnsupportedOperationError
 from .loads import LoadConstraint, loads_from_uniforms
 from .metrics import participation_from_jacobians
 from .network import (
-    RCOND_MIN,
     ScatteringBlocks,
     extract_blocks,
     factors,
@@ -215,9 +214,9 @@ def _chunk_m_values(
     toggle mode, any toggled resolvent) is singular at the working
     threshold.  Values at not-ok positions are meaningless.  Two-state
     model draws take their factors from network.two_state_factors, UNI
-    draws from network.factors.  Toggle mode also gates on its denominators,
-    which certified blocks provably clear; uncertified, an exactly singular
-    member cannot abort the stack.
+    draws from network.factors; toggle draws take theirs, with the gate on
+    their denominators, from network.toggle_factors and add the secant scale.
+    Uncertified, an exactly singular member cannot abort the stack.
     """
     if mode == "model":
         if constraint.discrete:
@@ -225,9 +224,7 @@ def _chunk_m_values(
         else:
             rx, w, ok = factors(blocks, r)
         return participation_from_jacobians(load_jacobian(rx, w, x), ok), ok
-    delta = np.where(r == constraint.on_value, constraint.off_value, constraint.on_value) - r
-    rx, w, denom, ok = toggle_factors(blocks, r, delta)
-    ok &= np.abs(denom).min(axis=1) >= RCOND_MIN
+    rx, w, denom, ok = toggle_factors(blocks, r, constraint.on_value, constraint.off_value)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = ((constraint.on_value - constraint.off_value) / denom)[:, None, :]
     return participation_from_jacobians(load_jacobian(rx, w, x) * scale, ok), ok

@@ -599,6 +599,16 @@ def test_negative_real_part_takes_the_equals_form(tmp_path):
     assert read_json(out / "config.json")["constraint"]["off"] == [-0.5, 0.2]
 
 
+def test_uni_rejects_state_values_and_writes_nothing(tmp_path, capsys):
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    out = tmp_path / "dist"
+    argv = ["bs-dist", "--system", path, "--constraint", "uni", "--on=0.5,0", "--n", "20"]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: UNI constraint takes no on/off values\n"
+    assert not out.exists()
+
+
 def test_real_only_state_replays(tmp_path):
     path = make_system_file(tmp_path, 2, 2, 4, seed=1)
     first, second = tmp_path / "a", tmp_path / "b"
@@ -625,12 +635,15 @@ def test_real_only_state_replays(tmp_path):
         ("config", lambda c: c | {"constraint": {"kind": "PIN", "on": "1"}}),
         ("config", lambda c: c | {"constraint": {"kind": "PIN", "on": []}}),
         ("config", lambda c: c | {"constraint": {"kind": "PIN", "on": [True]}}),
+        ("config", lambda c: c | {"constraint": {"kind": "UNI", "on": [0.5]}}),
+        ("config", lambda c: c | {"policy": "fixed", "fixed_x": [[True, False], [0.0, 0.0]]}),
     ],
     ids=[
         "config-system-int", "config-system-null", "config-constraint-string",
         "config-constraint-empty", "config-fixed-x-int", "system-list", "system-no-matrix",
         "system-matrix-int", "system-ports-string", "system-n-total-fraction",
-        "config-state-string", "config-state-empty", "config-state-bool",
+        "config-state-string", "config-state-empty", "config-state-bool", "config-uni-state",
+        "config-fixed-x-bool",
     ],
 )
 def test_wrong_json_types_exit_with_an_error(tmp_path, capsys, target, edit):

@@ -109,6 +109,13 @@ def test_inadmissible_state_values_are_rejected(bad):
     assert LoadConstraint.pin(on=0.5 + 0j).off_value == PIN_OFF
 
 
+def test_uni_payloads_take_no_state_values():
+    assert LoadConstraint.from_dict({"kind": "UNI"}) == LoadConstraint.uni()
+    for payload in ({"kind": "UNI", "on": [0.5, 0.0]}, {"kind": "UNI", "off": [0.5]}):
+        with pytest.raises(ValueError, match="UNI constraint takes no on/off values"):
+            LoadConstraint.from_dict(payload)
+
+
 def test_dict_roundtrip():
     # the payloads that the CLI writes into config.json
     cases = [

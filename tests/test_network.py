@@ -380,18 +380,20 @@ TOGGLE_CASES = list(
 
 @pytest.mark.parametrize("dims, kind", TOGGLE_CASES)
 def test_certified_toggle_factors_agree_with_the_gated_ones(dims, kind, monkeypatch):
-    blocks, r, delta = toggle_draws(dims, getattr(LoadConstraint, kind)(), seed=sum(dims))
+    constraint = getattr(LoadConstraint, kind)()
+    states = constraint.on_value, constraint.off_value
+    blocks, r, _ = toggle_draws(dims, constraint, seed=sum(dims))
     assert blocks.certified
     gated = ScatteringBlocks(blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st)
     gated.certified = False
-    reference = toggle_factors(gated, r, delta)
+    reference = toggle_factors(gated, r, *states)
 
     def no_inverse(*args):
         raise AssertionError("the dense resolvent was formed")
 
     monkeypatch.setattr(bsdof.network.np.linalg, "inv", no_inverse)
     monkeypatch.setattr(bsdof.network, "resolvent", no_inverse)
-    got = toggle_factors(blocks, r, delta)
+    got = toggle_factors(blocks, r, *states)
     assert got[3].shape == (256,) and got[3].all() and reference[3].all()
     for value, ref in zip(got[:3], reference[:3]):
         assert value.shape == ref.shape
@@ -400,9 +402,10 @@ def test_certified_toggle_factors_agree_with_the_gated_ones(dims, kind, monkeypa
 
 @pytest.mark.parametrize("dims, kind", TOGGLE_CASES)
 def test_gated_toggle_factors_keep_the_resolvent_bits(dims, kind):
-    blocks, r, delta = toggle_draws(dims, getattr(LoadConstraint, kind)(), seed=sum(dims))
+    constraint = getattr(LoadConstraint, kind)()
+    blocks, r, delta = toggle_draws(dims, constraint, seed=sum(dims))
     blocks.certified = False
-    rx_factor, w, denom, ok = toggle_factors(blocks, r, delta)
+    rx_factor, w, denom, ok = toggle_factors(blocks, r, constraint.on_value, constraint.off_value)
     g, rcond = resolvent(blocks.s_ss, r)
     rx_ref, w_ref = jacobian_factors(blocks, g, r)
     assert np.array_equal(rx_factor, rx_ref) and np.array_equal(w, w_ref)
@@ -412,6 +415,27 @@ def test_gated_toggle_factors_keep_the_resolvent_bits(dims, kind):
     denom_ref = 1.0 - delta * np.einsum("kj,cjk->ck", blocks.s_ss, g)
     assert np.array_equal(denom, denom_ref)
     assert np.array_equal(ok, rcond >= RCOND_MIN)
+    assert np.array_equal(ok, (rcond >= RCOND_MIN) & (np.abs(denom_ref).min(axis=1) >= RCOND_MIN))
+
+
+def test_toggle_factors_gate_on_their_denominators():
+    # seven of eight PM loads on: A is regular (rcond 0.1), but toggling the eighth one on
+    # makes every load on, where the flat rank-1 coupling resonates
+    u = np.ones(8) / np.sqrt(8.0)
+    gen = substream(72)
+    s_rs, s_st = 0.3 * gen.standard_normal((2, 8)), 0.3 * gen.standard_normal((8, 1))
+    pm = LoadConstraint.pm()
+    r = np.array([[pm.on_value] * 7 + [pm.off_value], [pm.on_value, pm.off_value] * 4])
+    resonant = ScatteringBlocks(np.zeros((2, 1)), s_rs, (1.0 - 1e-13) * np.outer(u, u), s_st)
+    assert not resonant.certified
+    _, _, denom, ok = toggle_factors(resonant, r, pm.on_value, pm.off_value)
+    assert np.all(resolvent(resonant.s_ss, r)[1] > 0.09)
+    assert np.abs(denom[0]).min() < RCOND_MIN <= np.abs(denom[1]).min()
+    assert ok.tolist() == [False, True]
+    # a certified coupling clears every denominator, so its mask stays all True
+    damped = ScatteringBlocks(np.zeros((2, 1)), s_rs, 0.5 * np.outer(u, u), s_st)
+    assert damped.certified
+    assert toggle_factors(damped, r, pm.on_value, pm.off_value)[3].all()
 
 
 TWO_STATES = {
@@ -467,11 +491,14 @@ def test_two_state_factor_rows_do_not_depend_on_their_stack(dims):
 def test_two_state_factors_reject_loads_off_the_two_states():
     pin = TWO_STATES["pin"]
     blocks, r = two_state_draws((2, 2, 4), pin, seed=68)
-    for bad in (r[:, :3], r[0], np.where(r == pin.on_value, 0.5, r)):
-        with pytest.raises(ValueError, match="two states"):
-            two_state_factors(blocks, bad, pin.on_value, pin.off_value)
-    with pytest.raises(ValueError, match="finite and at most 1"):
-        two_state_factors(blocks, r, pin.on_value, np.nan)
+    # uncertified blocks, which go through factors, check the loads alike
+    for certified in (True, False):
+        blocks.certified = certified
+        for bad in (r[:, :3], r[0], np.where(r == pin.on_value, 0.5, r)):
+            with pytest.raises(ValueError, match="two states"):
+                two_state_factors(blocks, bad, pin.on_value, pin.off_value)
+        with pytest.raises(ValueError, match="finite and at most 1"):
+            two_state_factors(blocks, r, pin.on_value, np.nan)
 
 
 @pytest.mark.parametrize("kind, certified", [("uni", True), ("uni", False), ("pin", False)])
@@ -719,6 +746,26 @@ def test_serialization_roundtrip(tmp_path):
     path = tmp_path / "system.json"
     save_system(system, path)
     assert np.array_equal(load_system(path).matrix, system.matrix)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d | {"tx_ports": [False]}, "tx_ports index must be an integer"),
+        (lambda d: d | {"reference_impedance_ohms": True}, "must be a number"),
+        (lambda d: d | {"matrix": [[True, False], *d["matrix"][1:]]}, "got a bool"),
+    ],
+    ids=["port", "impedance", "matrix-pair"],
+)
+def test_json_booleans_are_not_numbers(edit, message):
+    # port 0 takes no role and couples to nothing, so reading false as 0 or a pair
+    # [true, false] as S[0, 0] = 1 would give a valid system
+    matrix = np.zeros((4, 4), dtype=complex)
+    matrix[1:, 1:] = 0.3 * standard_complex_gaussian(substream(73), (3, 3))
+    payload = system_to_dict(ScatteringSystem(4, matrix, (1,), (2,), (3,)))
+    system_from_dict(payload)
+    with pytest.raises(ValueError, match=message):
+        system_from_dict(edit(payload))
 
 
 def test_partition_validation():

@@ -248,18 +248,24 @@ def test_sampler_matches_the_exact_two_state_distribution(n_s, env_seed, constra
     blocks = extract_blocks(system)
     blocks.certified = False
     x = illuminations_from_uniforms(substream_uniforms(9, (3,), [0], 6))[0]
-    on = (np.arange(2**n_s)[:, None] >> np.arange(n_s)) & 1 == 1
-    rx, w, ok = factors(blocks, np.where(on, constraint.on_value, constraint.off_value))
-    assert ok.all()
-    exact = np.sort(participation_from_jacobians(load_jacobian(rx, w, x), ok))
-    n = 10_000
-    dist = sample_distribution(system, IlluminationPolicy.fixed(x), constraint, n, seed=4)
-    assert abs(dist.mean - exact.mean()) <= 4.0 * exact.std() / math.sqrt(n)
-    # both distributions are steps, so the largest CDF gap sits at one of their atoms
-    atoms = np.concatenate([exact, dist.samples])
-    cdf = lambda values, at: np.searchsorted(values, at, side="right") / values.size
-    ks = np.abs(cdf(np.sort(dist.samples), atoms) - cdf(exact, atoms)).max()
-    assert ks < 1.63 / math.sqrt(n)
+    on, off = constraint.on_value, constraint.off_value
+    r = np.where((np.arange(2**n_s)[:, None] >> np.arange(n_s)) & 1 == 1, on, off)
+    rx, w, ok = factors(blocks, r)
+    model = load_jacobian(rx, w, x)
+    # toggle mode's secants: the toggle factors scaled by (on - off) / denom
+    rx, w, denom, toggle_ok = toggle_factors(blocks, r, on, off)
+    toggle = load_jacobian(rx, w, x) * ((on - off) / denom)[:, None, :]
+    assert ok.all() and toggle_ok.all()
+    n, policy = 10_000, IlluminationPolicy.fixed(x)
+    for mode, jacobians in (("model", model), ("toggle", toggle)):
+        exact = np.sort(participation_from_jacobians(jacobians))
+        dist = sample_distribution(system, policy, constraint, n, seed=4, mode=mode)
+        assert abs(dist.mean - exact.mean()) <= 4.0 * exact.std() / math.sqrt(n), mode
+        # both distributions are steps, so the largest CDF gap sits at one of their atoms
+        atoms = np.concatenate([exact, dist.samples])
+        cdf = lambda values, at: np.searchsorted(values, at, side="right") / values.size
+        ks = np.abs(cdf(np.sort(dist.samples), atoms) - cdf(exact, atoms)).max()
+        assert ks < 1.63 / math.sqrt(n), mode
 
 
 def test_toggle_mode_tracks_the_model_mode():
@@ -609,7 +615,7 @@ def test_uncertified_model_stack_survives_an_exactly_singular_member():
     r = np.array([[0.5, 0.5j], [1.0, 1.0], [-0.3, 0.2]], dtype=complex)
     x = np.ones((3, 1), dtype=complex)
     assert not blocks.certified
-    values, ok = _chunk_m_values(blocks, r, x, "model", PM)
+    values, ok = _chunk_m_values(blocks, r, x, "model", LoadConstraint.uni())
     assert ok.tolist() == [True, False, True]
     for i in (0, 2):
         assert values[i] == pytest.approx(bs_eemdof_point(blocks, r[i], x[i]).m, rel=1e-12)
@@ -633,7 +639,7 @@ def test_certified_toggle_denominators_clear_the_passivity_bound(dims):
             denom = 1.0 - delta * np.einsum("kj,cjk->ck", blocks.s_ss, g)
             assert np.abs(denom).min() >= bound >= RCOND_MIN
             # and the ones the certified branch builds from diag(S_SS G) without G
-            assert np.abs(toggle_factors(blocks, r, delta)[2]).min() >= bound
+            assert np.abs(toggle_factors(blocks, r, on, off)[2]).min() >= bound
 
 
 def test_mostly_singular_environment_is_rejected():

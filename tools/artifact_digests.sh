@@ -6,16 +6,18 @@
 #   optimize-x UNI MAX, optimizer seed 11, at (3, 4, 16);
 #   validate-jacobian, 1,000 trials;
 # plus bs-dist under the FIXED policy (its default illumination, UNI loads,
-# n=3,000 at (3, 4, 16), seed 2), and two runs that redraw on an 8-load
-# system whose flat rank-1 coupling resonates when every load is ON
-# (tests/test_sampling.py::flat_resonant_rank2_system):
+# n=3,000 at (3, 4, 16), seed 2), and three runs on an 8-load system whose
+# flat rank-1 coupling resonates when every load is ON
+# (tests/test_sampling.py::flat_resonant_rank2_system), so it is uncertified:
 #   bs-dist model with PM loads, n=2,000, seed 0 (5 redraws);
 #   optimize-x with PM loads, 2 starts, 400 objective samples, final n=2,000,
-#   seed 0 (load-set members 6, 30 and 174 redrawn, 5 final redraws).
+#   seed 0 (load-set members 6, 30 and 174 redrawn, 5 final redraws);
+#   bs-dist toggle with PIN loads, n=2,000, seed 0, through the gated
+#   toggle factors (0 redraws).
 # The resonant system file is built by the checkout's own save_system.
 # Runs in a fresh temporary directory with relative paths, because
 # config.json and summary.json record the --system path as given.  Run it on
-# two checkouts and diff the outputs: a refactor must print the same 35 lines.
+# two checkouts and diff the outputs: a refactor must print the same 39 lines.
 #
 #   tools/artifact_digests.sh <checkout>
 set -eu
@@ -56,4 +58,6 @@ bsdof bs-dist --system resonant.json --mode model --constraint pm --n 2000 --see
     --out-dir mc-redraw
 bsdof optimize-x --system resonant.json --constraint pm --starts 2 --objective-samples 400 \
     --final-n 2000 --seed 0 --out-dir opt-redraw
+bsdof bs-dist --system resonant.json --mode toggle --constraint pin --n 2000 --seed 0 \
+    --out-dir mc-toggle-gated
 find . -name '*.json' -o -name '*.csv' | sort | xargs sha256sum
