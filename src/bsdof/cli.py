@@ -123,12 +123,10 @@ def _config_from_args(args) -> dict:
 
 
 def _constraint_from_args(args) -> dict:
-    kind = args.constraint.upper()
-    payload = {"kind": kind}
-    if args.on is not None:
-        payload["on"] = [float(p) for p in args.on.split(",")]
-    if args.off is not None:
-        payload["off"] = [float(p) for p in args.off.split(",")]
+    payload = {"kind": args.constraint.upper()}
+    for key in ("on", "off"):
+        if getattr(args, key) is not None:
+            payload[key] = [float(p) for p in getattr(args, key).split(",")]
     LoadConstraint.from_dict(payload)  # validate early
     return payload
 
@@ -209,6 +207,12 @@ def _check_counts(config: dict, *keys: str) -> None:
             raise ValueError(f"{key} must be at least 1, got {config[key]}")
 
 
+def _write_distribution(dist, out_dir: Path, bins: int) -> None:
+    write_samples_csv(dist, out_dir / "samples.csv")
+    write_summary_json(dist, out_dir / "summary.json")
+    write_histogram_csv(dist, out_dir / "histogram.csv", n_bins=bins)
+
+
 def run_bs_dist(config: dict, out_dir: Path) -> int:
     _check_counts(config, "bins")
     system = load_system(config["system"])
@@ -226,9 +230,7 @@ def run_bs_dist(config: dict, out_dir: Path) -> int:
     )
     elapsed = time.perf_counter() - started
     _echo_config(config, out_dir)
-    write_samples_csv(dist, out_dir / "samples.csv")
-    write_summary_json(dist, out_dir / "summary.json")
-    write_histogram_csv(dist, out_dir / "histogram.csv", n_bins=config["bins"])
+    _write_distribution(dist, out_dir, config["bins"])
     print(
         f"{dist.n_samples} samples in {elapsed:.2f}s: M = {dist.mean:.4f} "
         f"+/- {dist.std:.4f} (cap {dist.n_tilde}, {dist.redraw_count} redraws)"
@@ -279,9 +281,7 @@ def run_optimize_x(config: dict, out_dir: Path) -> int:
         mode="model",
         system_label=str(config["system"]),
     )
-    write_samples_csv(dist, out_dir / "samples.csv")
-    write_summary_json(dist, out_dir / "summary.json")
-    write_histogram_csv(dist, out_dir / "histogram.csv", n_bins=config["bins"])
+    _write_distribution(dist, out_dir, config["bins"])
     print(
         f"{opt_config.direction} objective {result.best_objective:.4f} "
         f"({result.objective_evaluations} evaluations, {result.load_set_redraws} load-set "

@@ -2,9 +2,9 @@
 
 These probe an opaque map, however obtained (closed-form model, solver or
 measurement playback), in one evaluation on a stack of the base point and
-one probe point per column, and serve as the independent cross-check of the
-closed-form Jacobian.  complex_step_jacobian also takes k base points
-(k, n_s); ChannelMap.from_blocks evaluates their oracle stack
+an array of probe points, one per column, and serve as the independent
+cross-check of the closed-form Jacobian.  complex_step_jacobian also takes
+k base points (k, n_s); ChannelMap.from_blocks evaluates their oracle stack
 (k, n_s + 1, n_s) on stacked blocks, one system per item:
 
 * complex_step_jacobian: forward difference along each complex load
@@ -18,7 +18,8 @@ Samplers differentiate by toggles when loads are two-state hardware
 (experimental mode) and in closed form when a network model is available.
 
 The closed form goes through network.coupling_resolvent and from_blocks
-through network.channel, so oracle and closed form share no solve.  One
+through network.channel, so oracle and closed form share no solve; the
+toggle oracle shares only loads.on_mask, the two-state check.  One
 uncertified system in a from_blocks stack puts every row on channel's gated
 path; validate-jacobian certifies its systems (eta <= 0.9) by their norms.
 """
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OracleError, UnsupportedOperationError
-from .loads import LoadConstraint, toggle
+from .loads import LoadConstraint, on_mask
 from .network import Jacobian, ScatteringBlocks, channel
 
 # Base relative step of the forward-difference probe.
@@ -67,14 +68,14 @@ class ChannelMap:
         return np.asarray(self.evaluator(r), dtype=complex)
 
 
-def _secant_jacobian(f: Callable, v0: np.ndarray, probe: Callable, what: str) -> Jacobian:
-    """Column i is (f(v) - f(v0)) / divisor, where v is v0 with entry i set to
-    value and (value, divisor) = probe(i).  v0 may be a stack (..., n), and
-    probe(i) then gives a value and a divisor per item.  One call of f maps
-    the stack (..., n + 1, n) of every v0 and v to (..., n + 1, m); a raising
-    f or a non-finite row raises OracleError naming the point."""
+def _secant_jacobian(
+    f: Callable, v0: np.ndarray, values: np.ndarray, divisors: np.ndarray, what: str
+) -> Jacobian:
+    """Column i is (f(v) - f(v0)) / divisors[..., i], where v is v0 with entry i set to
+    values[..., i].  v0 may be a stack (..., n), and values and divisors share its shape.
+    One call of f maps the stack (..., n + 1, n) of every v0 and v to (..., n + 1, m); a
+    raising f or a non-finite row raises OracleError naming the point."""
     n = v0.shape[-1]
-    values, divisors = (np.stack(p, axis=-1) for p in zip(*map(probe, range(n))))
     stack = np.repeat(v0[..., None, :], n + 1, axis=-2)
     stack[..., np.arange(1, n + 1), np.arange(n)] = values
     try:
@@ -110,10 +111,7 @@ def complex_step_jacobian(
     r0, x = np.asarray(r0, dtype=complex), np.asarray(x)
     h = step * (1.0 + np.hypot(r0.real, r0.imag))  # np.abs on an array can be an ulp off
     return _secant_jacobian(
-        lambda r: (channel_map(r) @ x[..., None, :, None])[..., 0],
-        r0,
-        lambda i: (r0[..., i] + h[..., i], h[..., i]),
-        "perturbed",
+        lambda r: (channel_map(r) @ x[..., None, :, None])[..., 0], r0, r0 + h, h, "perturbed"
     )
 
 
@@ -137,13 +135,12 @@ def discrete_toggle_jacobian(
     if wrt not in ("controls", "reflection"):
         raise ValueError(f"wrt must be 'controls' or 'reflection', got {wrt!r}")
     r0, x = np.asarray(r0, dtype=complex), np.asarray(x)
-
-    def flip(i: int) -> tuple:
-        other = toggle(r0, i, constraint)[i]
-        sign = 1.0 if r0[i] == constraint.off_value else -1.0
-        return other, sign if wrt == "controls" else other - r0[i]
-
-    return _secant_jacobian(lambda r: (channel_map(r) @ x[:, None])[..., 0], r0, flip, "toggled")
+    is_on = on_mask(r0, constraint.on_value, constraint.off_value)
+    other = np.where(is_on, constraint.off_value, constraint.on_value)
+    divisors = np.where(is_on, -1.0, 1.0) if wrt == "controls" else other - r0
+    return _secant_jacobian(
+        lambda r: (channel_map(r) @ x[:, None])[..., 0], r0, other, divisors, "toggled"
+    )
 
 
 def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -155,4 +152,5 @@ def linear_map_fd_jacobian(h: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h, dtype=complex)
     x0 = np.asarray(x0, dtype=complex)
-    return _secant_jacobian(lambda x: x @ h.T, x0, lambda i: (x0[i] + 1e-2, 1e-2), "probed").matrix
+    step = np.full(x0.shape, 1e-2)  # real: a complex divisor would round differently
+    return _secant_jacobian(lambda x: x @ h.T, x0, x0 + step, step, "probed").matrix

@@ -10,6 +10,7 @@ Three families cover the practically relevant programmable loads:
 
 validate_loads is the one admissibility check on load values (finite,
 |r| <= 1 + LOAD_MAG_TOL): constraint states pass it, and so does every solve.
+on_mask is the one two-state check, which every two-state caller reads.
 
 loads_from_uniforms is the one draw formula: the samplers feed it words of
 streams.substream_uniforms, and sample_loads (a reference helper for tests
@@ -57,7 +58,7 @@ class LoadConstraint:
     """A load family: two-state (PIN, PM) or continuous (UNI).
 
     For two-state kinds, on_value / off_value are the admissible reflection
-    coefficients.  UNI carries no state values.
+    coefficients; only PIN takes custom ones.  UNI carries no state values.
     """
 
     kind: str
@@ -67,9 +68,9 @@ class LoadConstraint:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}, expected one of {_KINDS}")
+        if self.kind != "PIN" and (self.on_value, self.off_value) != (None, None):
+            raise ValueError(f"{self.kind} constraint takes no on/off values")
         if self.kind == "UNI":
-            if self.on_value is not None or self.off_value is not None:
-                raise ValueError("UNI constraint takes no on/off values")
             return
         on = complex(self.on_value if self.on_value is not None else _DEFAULTS[self.kind][0])
         off = complex(self.off_value if self.off_value is not None else _DEFAULTS[self.kind][1])
@@ -93,7 +94,7 @@ class LoadConstraint:
 
     @classmethod
     def pm(cls) -> "LoadConstraint":
-        return cls("PM", PM_ON, PM_OFF)
+        return cls("PM")
 
     @classmethod
     def uni(cls) -> "LoadConstraint":
@@ -103,7 +104,7 @@ class LoadConstraint:
     def from_dict(cls, payload: dict) -> "LoadConstraint":
         """Constraint from a config.json payload; wrong JSON types raise ValueError.
 
-        Two-state kinds take optional on/off values as [re, im] or [re]; UNI takes none.
+        PIN takes optional on/off values as [re, im] or [re]; PM and UNI take none.
         """
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ValueError(f"a constraint is a JSON object with a 'kind', got {payload!r}")
@@ -139,25 +140,26 @@ def sample_loads(constraint: LoadConstraint, n_s: int, stream: np.random.Generat
     return loads_from_uniforms(constraint, stream.random(constraint.uniforms_per_draw(n_s)))
 
 
-def toggle(r: np.ndarray, index: int, constraint: LoadConstraint) -> np.ndarray:
-    """Flip the state of one two-state load; returns a new configuration.
+def on_mask(r: np.ndarray, on: complex, off: complex) -> np.ndarray:
+    """r == on for two-state loads of any shape; InconsistentStateError names the first
+    load that equals neither on nor off exactly."""
+    r = np.asarray(r)
+    is_on = r == on
+    stray = (r != on) & (r != off)
+    if stray.any():
+        at = tuple(np.argwhere(stray)[0].tolist())
+        raise InconsistentStateError(
+            f"load {at} value {r[at]} takes neither of the two states on ({on}) and off ({off})"
+        )
+    return is_on
 
-    The entry at index must equal the constraint's on or off value exactly
-    (sampled configurations always do).
-    """
+
+def toggle(r: np.ndarray, index: int, constraint: LoadConstraint) -> np.ndarray:
+    """A new configuration with load index flipped to its other state; on_mask checks that
+    it takes one (sampled configurations always do)."""
     if not constraint.discrete:
         raise UnsupportedOperationError("toggle is undefined for continuous (UNI) loads")
-    r = np.asarray(r, dtype=complex)
-    value = r[index]
-    if value == constraint.on_value:
-        flipped = constraint.off_value
-    elif value == constraint.off_value:
-        flipped = constraint.on_value
-    else:
-        raise InconsistentStateError(
-            f"load {index} value {value} is neither on ({constraint.on_value}) "
-            f"nor off ({constraint.off_value})"
-        )
-    out = r.copy()
-    out[index] = flipped
+    on, off = constraint.on_value, constraint.off_value
+    out = np.array(r, dtype=complex)
+    out[index] = off if on_mask(out[index], on, off) else on
     return out

@@ -26,10 +26,9 @@ mask gates too.  Blocks carry the passivity certificate
 ScatteringBlocks.certified: where it holds no admissible load is singular, so
 the solves skip G and its rcond, else gate on that rcond.  two_state_factors
 gives factors' result for two-state loads as a Woodbury change of at most
-N_S // 2 loads from all on or all off, through one half-size capacitance
-matrix C per draw; det A = det A_b det C, so on certified blocks C is regular
-wherever A is.  Both two-state solves take their certified tables from one
-solve against [S_RS; S_SS].  Single-load changes update G and H in O(N_S^2).
+N_S // 2 loads from all on or all off.  Both two-state solves check their
+loads through loads.on_mask and take their certified tables from one solve
+against [S_RS; S_SS].  Single-load changes update G and H in O(N_S^2).
 """
 
 import json
@@ -41,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PartitionError, PassivityError, SingularityError
-from .loads import LOAD_MAG_TOL, validate_loads
+from .loads import LOAD_MAG_TOL, on_mask, validate_loads
 
 # Spectral-norm slack when validating passivity of a loaded matrix.
 PASSIVITY_TOL = 1e-9
@@ -322,14 +321,21 @@ def factors(blocks: ScatteringBlocks, r: np.ndarray) -> tuple[np.ndarray, ...]:
     return _rows_times_g(a, blocks.s_rs), w, np.ones(r.shape[:-1], bool)
 
 
+def _two_state_loads(blocks: ScatteringBlocks, r: np.ndarray, on: complex, off: complex) -> tuple:
+    """(r, states, is_on) of loads (c, n_s) on one system, each of the validated states [on, off]."""
+    r, states = np.asarray(r, dtype=complex), validate_loads([on, off])
+    if r.ndim != 2 or r.shape[1] != blocks.n_bs:
+        raise ValueError(f"expected loads (c, {blocks.n_bs}) of the two states {on} and {off}")
+    return r, states, on_mask(r, *states)
+
+
 def toggle_factors(blocks: ScatteringBlocks, r: np.ndarray, on: complex, off: complex) -> tuple:
     """factors' (S_RS G, W), the denominators 1 - delta diag(S_SS G) of toggling each load k of
     two-state loads (c, n_s) on one system to its other state, and ok, which also needs every
     |denominator| >= RCOND_MIN.  Certified, one solve of A^T gives S_RS G and S_SS G, no G."""
-    r = np.asarray(r, dtype=complex)
-    delta = np.where(r == on, off, on) - r
+    r, states, is_on = _two_state_loads(blocks, r, on, off)
+    delta = np.where(is_on, states[1], states[0]) - r
     if blocks.certified:
-        validate_loads(r, blocks.n_bs)
         rx, ss_g, w = _two_state_tables(blocks, r)
         denom, ok = 1.0 - delta * np.diagonal(ss_g, axis1=1, axis2=2), np.ones(len(r), bool)
     else:
@@ -354,20 +360,16 @@ def two_state_factors(blocks: ScatteringBlocks, r: np.ndarray, on: complex, off:
     through one solve of C^T (n_r right-hand sides) and one of C (n_t).  det A =
     det A_b det C and A_b is admissible, so C is regular wherever A is and ok is all True.
     The fixed width k keeps each draw's bits apart from the rest of its stack.
-    Uncertified, this is factors, after the same check that each load takes a state.
+    Uncertified, this is factors, after the same check of the loads.
     """
-    r = np.asarray(r, dtype=complex)
-    states, n_s = validate_loads([on, off]), blocks.n_bs
-    is_on = r == states[0]
-    if r.ndim != 2 or r.shape[1] != n_s or not (is_on | (r == states[1])).all():
-        raise ValueError(f"expected loads (c, {n_s}) of the two states {on} and {off}")
+    r, states, is_on = _two_state_loads(blocks, r, on, off)
     if not blocks.certified:
         return factors(blocks, r)
+    n_s = blocks.n_bs
     b_rx, m, p = _two_state_tables(blocks, np.repeat(states[:, None], n_s, axis=1))
     # per draw, base 0 (on) or 1 (off); the rows of base b's matrices start at b n_s
     base = (2 * is_on.sum(axis=1) < n_s).astype(np.intp)
-    k = n_s // 2
-    sel = np.argsort(is_on == (base == 0)[:, None], axis=1, kind="stable")[:, :k]
+    sel = np.argsort(is_on == (base == 0)[:, None], axis=1, kind="stable")[:, : n_s // 2]
     row = sel + n_s * base[:, None]
     delta = (np.take_along_axis(r, sel, axis=1) - states[base][:, None])[:, :, None]
     c = _load_matrix(m.reshape(-1)[n_s * row[:, :, None] + sel[:, None, :]], delta[:, :, 0])

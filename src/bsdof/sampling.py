@@ -10,12 +10,9 @@ draws can be rejected, the sampler and the optimizer's load set, and one
 pool, _pool_map, runs its spans and the optimizer's work.  Draws and
 redraws run in the workers, so draw memory is per chunk.
 
-Evaluation is vectorized over fixed-size chunks through the batched network
-kernel and the Gram-form reduction of metrics.participation_from_jacobians,
-which avoids one SVD per sample.  Model mode takes its factors and its gate
-from network.two_state_factors under a two-state constraint, from
-network.factors under UNI; toggle mode from network.toggle_factors, which also
-gives the rank-1 denominators 1 - delta_k (S_SS G)_kk and gates on them.
+Evaluation is vectorized over fixed-size chunks (_chunk_m_values) through the
+batched network kernel and the Gram-form reduction of
+metrics.participation_from_jacobians, which avoids one SVD per sample.
 """
 
 import json
@@ -214,8 +211,9 @@ def _chunk_m_values(
     toggle mode, any toggled resolvent) is singular at the working
     threshold.  Values at not-ok positions are meaningless.  Two-state
     model draws take their factors from network.two_state_factors, UNI
-    draws from network.factors; toggle draws take theirs, with the gate on
-    their denominators, from network.toggle_factors and add the secant scale.
+    draws from network.factors; toggle draws take theirs, with the rank-1
+    denominators 1 - delta_k (S_SS G)_kk and the gate on them, from
+    network.toggle_factors and add the secant scale.
     Uncertified, an exactly singular member cannot abort the stack.
     """
     if mode == "model":
@@ -243,8 +241,8 @@ def sample_distribution(
 
     mode "model" differentiates the closed-form channel model; "toggle"
     uses the exact secant across single-load flips (two-state constraints
-    only), evaluated through rank-1 resolvent updates.  Deterministic in
-    seed regardless of BSDOF_THREADS.
+    only), scaled by network.toggle_factors' rank-1 denominators.
+    Deterministic in seed regardless of BSDOF_THREADS.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")

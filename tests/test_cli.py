@@ -602,11 +602,14 @@ def test_negative_real_part_takes_the_equals_form(tmp_path):
 def test_uni_rejects_state_values_and_writes_nothing(tmp_path, capsys):
     path = make_system_file(tmp_path, 2, 2, 4, seed=1)
     out = tmp_path / "dist"
-    argv = ["bs-dist", "--system", path, "--constraint", "uni", "--on=0.5,0", "--n", "20"]
     capsys.readouterr()
-    assert main([*argv, "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == "error: UNI constraint takes no on/off values\n"
-    assert not out.exists()
+    # PM is exactly +1 / -1, so it rejects custom states too
+    for kind in ("uni", "pm"):
+        argv = ["bs-dist", "--system", path, "--constraint", kind, "--on=0.5,0", "--n", "20"]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        expected = f"error: {kind.upper()} constraint takes no on/off values\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
 
 def test_real_only_state_replays(tmp_path):

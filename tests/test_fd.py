@@ -5,7 +5,7 @@ import pytest
 
 import bsdof.network
 from bsdof.environment import EnvironmentSpec, synth_environment
-from bsdof.errors import OracleError, UnsupportedOperationError
+from bsdof.errors import InconsistentStateError, OracleError, UnsupportedOperationError
 from bsdof.fd import (
     ChannelMap,
     complex_step_jacobian,
@@ -278,6 +278,16 @@ def test_toggle_needs_a_two_state_family():
         discrete_toggle_jacobian(
             ChannelMap.from_blocks(blocks), r0, x, LoadConstraint.uni()
         )
+
+
+def test_toggle_rejects_a_stray_load_before_calling_the_map():
+    calls = []
+    channel_map = ChannelMap(lambda r: calls.append(r) or np.zeros(r.shape[:-1] + (1, 1)))
+    constraint = LoadConstraint.pin()
+    r0 = np.array([constraint.on_value, 0.5, constraint.off_value])
+    with pytest.raises(InconsistentStateError):
+        discrete_toggle_jacobian(channel_map, r0, np.ones(1), constraint)
+    assert calls == []
 
 
 def test_wrt_must_be_a_known_axis():

@@ -13,6 +13,7 @@ from bsdof.loads import (
     PIN_OFF,
     PIN_ON,
     LoadConstraint,
+    on_mask,
     sample_loads,
     toggle,
 )
@@ -85,6 +86,15 @@ def test_toggle_rejects_bad_inputs():
         toggle(np.array([0.5 + 0j]), 0, LoadConstraint.pm())
 
 
+def test_on_mask_names_the_first_stray_load():
+    r = sample_loads(LoadConstraint.pin(), 12, substream(104)).reshape(3, 4)
+    assert np.array_equal(on_mask(r, PIN_ON, PIN_OFF), r == PIN_ON)
+    stray = r.copy()
+    stray[1, 2] = stray[2, 0] = 0.5
+    with pytest.raises(InconsistentStateError, match=r"load \(1, 2\) value"):
+        on_mask(stray, PIN_ON, PIN_OFF)
+
+
 def test_custom_two_state_values():
     custom = LoadConstraint.pin(on=0.5j, off=-0.5 + 0j)
     r = sample_loads(custom, 200, substream(103))
@@ -111,9 +121,11 @@ def test_inadmissible_state_values_are_rejected(bad):
 
 def test_uni_payloads_take_no_state_values():
     assert LoadConstraint.from_dict({"kind": "UNI"}) == LoadConstraint.uni()
-    for payload in ({"kind": "UNI", "on": [0.5, 0.0]}, {"kind": "UNI", "off": [0.5]}):
-        with pytest.raises(ValueError, match="UNI constraint takes no on/off values"):
-            LoadConstraint.from_dict(payload)
+    # PM is exactly +1 / -1, so it takes no custom states either
+    for kind in ("UNI", "PM"):
+        for payload in ({"kind": kind, "on": [0.5, 0.0]}, {"kind": kind, "off": [0.5]}):
+            with pytest.raises(ValueError, match=f"{kind} constraint takes no on/off values"):
+                LoadConstraint.from_dict(payload)
 
 
 def test_dict_roundtrip():

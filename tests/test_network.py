@@ -12,7 +12,12 @@ import pytest
 
 import bsdof.network
 from bsdof.environment import EnvironmentSpec, synth_environment
-from bsdof.errors import PartitionError, PassivityError, SingularityError
+from bsdof.errors import (
+    InconsistentStateError,
+    PartitionError,
+    PassivityError,
+    SingularityError,
+)
 from bsdof.loads import (
     LOAD_MAG_TOL,
     PIN_OFF,
@@ -491,14 +496,17 @@ def test_two_state_factor_rows_do_not_depend_on_their_stack(dims):
 def test_two_state_factors_reject_loads_off_the_two_states():
     pin = TWO_STATES["pin"]
     blocks, r = two_state_draws((2, 2, 4), pin, seed=68)
-    # uncertified blocks, which go through factors, check the loads alike
-    for certified in (True, False):
+    stray = np.where(r == pin.on_value, 0.5, r)
+    # both two-state solves, on both branches, check their loads alike
+    for solve, certified in itertools.product((two_state_factors, toggle_factors), (True, False)):
         blocks.certified = certified
-        for bad in (r[:, :3], r[0], np.where(r == pin.on_value, 0.5, r)):
+        for bad in (r[:, :3], r[0], stray):
             with pytest.raises(ValueError, match="two states"):
-                two_state_factors(blocks, bad, pin.on_value, pin.off_value)
+                solve(blocks, bad, pin.on_value, pin.off_value)
+        with pytest.raises(InconsistentStateError, match=r"load \(0, 0\)"):
+            solve(blocks, stray, pin.on_value, pin.off_value)
         with pytest.raises(ValueError, match="finite and at most 1"):
-            two_state_factors(blocks, r, pin.on_value, np.nan)
+            solve(blocks, r, pin.on_value, np.nan)
 
 
 @pytest.mark.parametrize("kind, certified", [("uni", True), ("uni", False), ("pin", False)])
@@ -711,6 +719,25 @@ def test_woodbury_matches_full_recomputation():
     h_full = end_to_end_channel(blocks, r1)
     assert np.linalg.norm(g_inc - g_full) / np.linalg.norm(g_full) < 1e-10
     assert np.linalg.norm(h_inc - h_full) / np.linalg.norm(h_full) < 1e-10
+
+
+def test_woodbury_gray_code_walk_tracks_every_pin_configuration():
+    """One rank-1 update per step through all 2^10 PIN configurations, in Gray-code order
+    from all off, stays on the batched resolvent and channel of each configuration."""
+    pin = LoadConstraint.pin()
+    blocks = extract_blocks(coupled_system(3, 4, 10, seed=0, eta=0.9))
+    codes = np.arange(1024) ^ (np.arange(1024) >> 1)
+    is_on = (codes[:, None] >> np.arange(10)) & 1 == 1
+    configs = np.where(is_on, pin.on_value, pin.off_value)
+    g_ref, rcond = resolvent(blocks.s_ss, configs)
+    h_ref, _ = channel(blocks, configs)
+    assert rcond.min() >= RCOND_MIN
+    g, h = g_ref[0], h_ref[0]
+    for step in range(1, 1024):
+        (k,) = np.flatnonzero(configs[step] != configs[step - 1])
+        g, h = woodbury_channel_update(blocks, g, configs[step - 1], k, configs[step, k])
+        assert np.abs(g - g_ref[step]).max() <= 1e-12 * np.abs(g_ref[step]).max()
+        assert np.abs(h - h_ref[step]).max() <= 1e-12 * np.abs(h_ref[step]).max()
 
 
 def test_woodbury_singular_denominator():

@@ -6,7 +6,8 @@
 #   optimize-x UNI MAX, optimizer seed 11, at (3, 4, 16);
 #   validate-jacobian, 1,000 trials;
 # plus bs-dist under the FIXED policy (its default illumination, UNI loads,
-# n=3,000 at (3, 4, 16), seed 2), and three runs on an 8-load system whose
+# n=3,000 at (3, 4, 16), seed 2), bs-dist toggle with the custom PIN states
+# on 0.5+0.25j and off -0.5 (n=2,000 at (3, 4, 16), seed 3), and three runs on an 8-load system whose
 # flat rank-1 coupling resonates when every load is ON
 # (tests/test_sampling.py::flat_resonant_rank2_system), so it is uncertified:
 #   bs-dist model with PM loads, n=2,000, seed 0 (5 redraws);
@@ -17,7 +18,7 @@
 # The resonant system file is built by the checkout's own save_system.
 # Runs in a fresh temporary directory with relative paths, because
 # config.json and summary.json record the --system path as given.  Run it on
-# two checkouts and diff the outputs: a refactor must print the same 39 lines.
+# two checkouts and diff the outputs: a refactor must print the same 43 lines.
 #
 #   tools/artifact_digests.sh <checkout>
 set -eu
@@ -34,6 +35,8 @@ bsdof bs-dist --system env64/system.json --mode model --n 10000 --seed 0 --out-d
 bsdof bs-dist --system env16/system.json --mode toggle --n 40000 --seed 0 --out-dir mc-toggle
 bsdof bs-dist --system env16/system.json --policy fixed --constraint uni --n 3000 --seed 2 \
     --out-dir mc-fixed
+bsdof bs-dist --system env16/system.json --mode toggle --constraint pin --on=0.5,0.25 \
+    --off=-0.5 --n 2000 --seed 3 --out-dir mc-toggle-custom
 bsdof optimize-x --system env16/system.json --constraint uni --direction max --seed 11 \
     --out-dir opt-uni
 # exit 1 only reports a tolerance miss; its artifacts are still the result
