@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentStateError, UnsupportedOperationError
+from .streams import TWO_PI
 
 # Measured reflection coefficients of a representative PIN-diode element.
 PIN_ON = -0.8116 + 0.0j
@@ -129,7 +130,7 @@ def loads_from_uniforms(constraint: LoadConstraint, u: np.ndarray) -> np.ndarray
     if constraint.discrete:
         return np.where(u < 0.5, constraint.on_value, constraint.off_value)
     n_s = u.shape[-1] // 2
-    return u[..., :n_s] * np.exp(1j * (2.0 * np.pi * u[..., n_s:]))
+    return u[..., :n_s] * np.exp(1j * (TWO_PI * u[..., n_s:]))
 
 
 def sample_loads(constraint: LoadConstraint, n_s: int, stream: np.random.Generator) -> np.ndarray:
@@ -141,8 +142,10 @@ def sample_loads(constraint: LoadConstraint, n_s: int, stream: np.random.Generat
 
 
 def on_mask(r: np.ndarray, on: complex, off: complex) -> np.ndarray:
-    """r == on for two-state loads of any shape; InconsistentStateError names the first
-    load that equals neither on nor off exactly."""
+    """r == on for two-state loads of any shape; InconsistentStateError for equal states,
+    or naming the first load that equals neither on nor off exactly."""
+    if on == off:
+        raise InconsistentStateError(f"the two states must differ, both are {on}")
     r = np.asarray(r)
     is_on = r == on
     stray = (r != on) & (r != off)

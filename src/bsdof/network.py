@@ -13,22 +13,22 @@ closed form
     J(r0, x) = S_RS G(r0) diag(W(r0) x),
     W(r)     = S_SS G(r) diag(r) S_ST + S_ST,
 
-with W x the wave incident on the loads under illumination x.  Each of these
-formulas has one batched implementation over loads of shape (..., N_S):
-resolvent, jacobian_factors, incident_drive and load_jacobian.  The systems
-may be stacked too: ScatteringBlocks takes leading axes (partition cuts them
-out of a stack of matrices), and k stacked systems take loads (k, N_S), one
-configuration each.  The scalar APIs (coupling_resolvent,
-end_to_end_channel, closed_form_jacobian) are thin wrappers around them.
-factors, channel and toggle_factors give, with a mask of regular loads, the
-factor pair, H, and the pair with the two-state toggle denominators, which the
-mask gates too.  Blocks carry the passivity certificate
-ScatteringBlocks.certified: where it holds no admissible load is singular, so
-the solves skip G and its rcond, else gate on that rcond.  two_state_factors
-gives factors' result for two-state loads as a Woodbury change of at most
-N_S // 2 loads from all on or all off.  Both two-state solves check their
-loads through loads.on_mask and take their certified tables from one solve
-against [S_RS; S_SS].  Single-load changes update G and H in O(N_S^2).
+with W x the wave incident on the loads under illumination x.  All of it is
+batched over loads (..., N_S) and over stacked systems (ScatteringBlocks
+takes leading axes, partition cuts them out of a stack of matrices, and k
+systems take loads (k, N_S)).  resolvent forms G and its rcond,
+jacobian_factors (S_RS G, W) from G and load_jacobian J from that pair; the
+scalar APIs (coupling_resolvent, end_to_end_channel, closed_form_jacobian)
+wrap them.  Blocks carry the passivity certificate ScatteringBlocks.certified:
+where it holds no admissible load is singular, so the solves form no G or
+rcond; else they gate their mask ok of regular loads on resolvent's rcond.
+(S_RS G, W, ok) comes from factors for any loads (certified: two LU solves),
+from two_state_factors for loads each on or off (certified: a Woodbury change
+of at most N_S // 2 loads from all on or all off), and, with the toggle
+denominators that ok gates too, from toggle_factors; channel gives H.  The
+two-state entries check their loads through loads.on_mask and take their
+certified tables from one solve against [S_RS; S_SS].  Single-load changes
+update G and H in O(N_S^2).
 """
 
 import json

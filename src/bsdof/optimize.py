@@ -42,10 +42,11 @@ negated objective.  The search keeps no bookkeeping of its own: per-start
 traces, the winner and the objective-evaluation count are read from the
 OptimizeResult that scipy returns for each start.
 
-The precompute (fixed slices of sampling.CHUNK members) and the starts run
-on the sampler's worker pool.  Starts are kept in start order, so no result
-depends on BSDOF_THREADS or on which start finishes first; scipy's L-BFGS-B
-keeps its state per call, and value_and_gradient writes no instance state.
+The precompute (fixed slices of sampling.CHUNK members, factored as the
+sampler factors a model-mode chunk) and the starts run on the sampler's
+worker pool.  Starts are kept in start order, so no result depends on
+BSDOF_THREADS or on which start finishes first; scipy's L-BFGS-B keeps its
+state per call, and value_and_gradient writes no instance state.
 """
 
 from dataclasses import dataclass, field
@@ -59,12 +60,11 @@ from .network import (
     ScatteringBlocks,
     ScatteringSystem,
     extract_blocks,
-    factors,
     rcond_floor,
     resolvent,
     validate_illumination,
 )
-from .sampling import CHUNK, _draw_members, _pool_map, illuminations_from_uniforms
+from .sampling import CHUNK, _draw_members, _model_factors, _pool_map, illuminations_from_uniforms
 from .streams import substream_uniforms
 
 # Substream key namespaces under the optimization seed.
@@ -176,14 +176,14 @@ class _FrozenObjective:
     """Mean participation number over a fixed load set, as a lifted quadratic form.
 
     Per member the quadratic form Q = T^T T and the trace form tau_m = Pi^T w
-    of the module docstring are precomputed once from network.factors, over
-    fixed slices of sampling.CHUNK members on the worker pool, and the factor
-    pair is freed.  A member keeps n_t^4 + n_t^2 floats (90 at n_t = 3), so
-    the precompute grows quartically in n_t; n_t is 1-4 in the package's
+    of the module docstring are precomputed once from sampling._model_factors,
+    over fixed slices of sampling.CHUNK members on the worker pool, and the
+    factor pair is freed.  A member keeps n_t^4 + n_t^2 floats (90 at n_t = 3),
+    so the precompute grows quartically in n_t; n_t is 1-4 in the package's
     tests, tools and benchmark workloads.
     """
 
-    def __init__(self, blocks, load_set: np.ndarray):
+    def __init__(self, blocks, load_set: np.ndarray, constraint: LoadConstraint):
         r = np.asarray(load_set, dtype=complex)
         if not len(r):
             raise ValueError("the load set is empty")
@@ -196,7 +196,7 @@ class _FrozenObjective:
         def fill(start: int) -> None:
             # fixed slices: batched solves and matmuls give each member the same bits at any length
             s = slice(start, start + CHUNK)
-            rx, drive, ok = factors(blocks, r[s])
+            rx, drive, ok = _model_factors(blocks, r[s], constraint)
             if not ok.all():
                 raise SingularityError(f"load-set member {start + np.argmin(ok)} is singular")
             columns = _lift(rx.swapaxes(-1, -2), rx_pairs)  # V^T, one row lift(R_s) per load
@@ -232,13 +232,14 @@ def mean_dof_objective(
 ) -> float:
     """Mean DOF metric of illumination x, of any nonzero scale, over an explicit frozen load set.
 
-    Raises DegenerateInputError for an x that cannot be scaled onto the unit
-    sphere (zero, underflowing or NaN), ValueError for an infinite x, one of
-    the wrong length or an empty load set, and SingularityError naming the
-    first singular member.
+    constraint picks the factor path, as in the sampler.  Raises
+    DegenerateInputError for an x that cannot be scaled onto the unit sphere
+    (zero, underflowing or NaN), ValueError for an infinite x, one of the
+    wrong length, an empty load set or loads off a two-state constraint's
+    states, and SingularityError naming the first singular member.
     """
     x = validate_illumination(project(embed(x)), blocks.n_tx)
-    return _FrozenObjective(blocks, load_set)(x)
+    return _FrozenObjective(blocks, load_set, constraint)(x)
 
 
 def optimize_illumination(
@@ -263,7 +264,7 @@ def optimize_illumination(
     load_set, redraws = _gated_load_set(
         constraint, blocks.n_bs, config.n_objective_samples, config.seed, blocks.s_ss
     )
-    objective = _FrozenObjective(blocks, load_set)
+    objective = _FrozenObjective(blocks, load_set, constraint)
 
     def wrapped(v):
         if np.linalg.norm(v) < DEGENERATE_NORM:

@@ -6,9 +6,10 @@ load-to-output Jacobian, and records its participation number.  Keying by
 sample index makes the run embarrassingly parallel and bit-reproducible for
 any worker count, and a singular draw is redrawn from the next words of its
 own stream.  One draw loop, _draw_members, serves the two callers whose
-draws can be rejected, the sampler and the optimizer's load set, and one
-pool, _pool_map, runs its spans and the optimizer's work.  Draws and
-redraws run in the workers, so draw memory is per chunk.
+draws can be rejected, the sampler and the optimizer's load set; one pool,
+_pool_map, runs its spans and the optimizer's work; and one factor step,
+_model_factors, serves both their model-mode solves.  Draws and redraws run
+in the workers, so draw memory is per chunk.
 
 Evaluation is vectorized over fixed-size chunks (_chunk_m_values) through the
 batched network kernel and the Gram-form reduction of
@@ -198,6 +199,13 @@ def _draw_members(seed: int, prefix: tuple, n: int, n_words: int, evaluate, labe
     return np.concatenate([v for v, _ in spans]), redraws
 
 
+def _model_factors(blocks: ScatteringBlocks, r: np.ndarray, constraint: LoadConstraint) -> tuple:
+    """factors' (S_RS G, W, ok), from two_state_factors under a two-state constraint."""
+    if constraint.discrete:
+        return two_state_factors(blocks, r, constraint.on_value, constraint.off_value)
+    return factors(blocks, r)
+
+
 def _chunk_m_values(
     blocks: ScatteringBlocks,
     r: np.ndarray,
@@ -207,20 +215,15 @@ def _chunk_m_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Participation numbers for a stack of draws.
 
-    Returns (values, ok); ok is False where the coupling resolvent (or, in
-    toggle mode, any toggled resolvent) is singular at the working
-    threshold.  Values at not-ok positions are meaningless.  Two-state
-    model draws take their factors from network.two_state_factors, UNI
-    draws from network.factors; toggle draws take theirs, with the rank-1
-    denominators 1 - delta_k (S_SS G)_kk and the gate on them, from
-    network.toggle_factors and add the secant scale.
+    Returns (values, ok); ok is False where a draw's resolvent is singular at
+    the working threshold or, in toggle mode, a rank-1 denominator
+    1 - delta_k (S_SS G)_kk falls below it; values there are meaningless.
+    Model draws take their factors from _model_factors, toggle draws theirs
+    and the denominators from network.toggle_factors, scaled by the secant.
     Uncertified, an exactly singular member cannot abort the stack.
     """
     if mode == "model":
-        if constraint.discrete:
-            rx, w, ok = two_state_factors(blocks, r, constraint.on_value, constraint.off_value)
-        else:
-            rx, w, ok = factors(blocks, r)
+        rx, w, ok = _model_factors(blocks, r, constraint)
         return participation_from_jacobians(load_jacobian(rx, w, x), ok), ok
     rx, w, denom, ok = toggle_factors(blocks, r, constraint.on_value, constraint.off_value)
     with np.errstate(divide="ignore", invalid="ignore"):

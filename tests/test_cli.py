@@ -640,13 +640,18 @@ def test_real_only_state_replays(tmp_path):
         ("config", lambda c: c | {"constraint": {"kind": "PIN", "on": [True]}}),
         ("config", lambda c: c | {"constraint": {"kind": "UNI", "on": [0.5]}}),
         ("config", lambda c: c | {"policy": "fixed", "fixed_x": [[True, False], [0.0, 0.0]]}),
+        ("config", lambda c: c | {"constraint": {"kind": "FOO"}}),
+        ("system", lambda s: s | {"matrix": [[float("nan"), 0.0], *s["matrix"][1:]]}),
+        ("system", lambda s: s | {"tx_ports": []}),
+        ("system", lambda s: s | {"n_total": s["n_total"] + 1}),
     ],
     ids=[
         "config-system-int", "config-system-null", "config-constraint-string",
         "config-constraint-empty", "config-fixed-x-int", "system-list", "system-no-matrix",
         "system-matrix-int", "system-ports-string", "system-n-total-fraction",
         "config-state-string", "config-state-empty", "config-state-bool", "config-uni-state",
-        "config-fixed-x-bool",
+        "config-fixed-x-bool", "config-constraint-kind", "system-matrix-nan",
+        "system-ports-empty", "system-n-total-mismatch",
     ],
 )
 def test_wrong_json_types_exit_with_an_error(tmp_path, capsys, target, edit):
@@ -660,3 +665,33 @@ def test_wrong_json_types_exit_with_an_error(tmp_path, capsys, target, edit):
     flag = ["--config", str(bad)] if target == "config" else ["--system", str(bad), "--n", "20"]
     assert main(["bs-dist", *flag, "--out-dir", str(tmp_path / "again")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "again").exists()
+
+
+def zero_rx_bs_system_file(tmp_path):
+    system = synth_environment(EnvironmentSpec(2, 2, 4, 0.9, 1.0, seed=1))
+    matrix = system.matrix.copy()
+    matrix[np.ix_(system.rx_ports, system.bs_ports)] = 0.0
+    # zeroing a block can raise the spectral norm, so halve the matrix to stay passive
+    save_system(replace(system, matrix=0.5 * matrix), tmp_path / "system.json")
+    return str(tmp_path / "system.json")
+
+
+@pytest.mark.parametrize(
+    "threads, make_system, message",
+    [
+        ("-1", lambda p: make_system_file(p, 2, 2, 4, seed=1), "BSDOF_THREADS must be nonnegative"),
+        ("0", zero_rx_bs_system_file, "zero Jacobian; participation undefined"),
+    ],
+    ids=["threads-negative", "zero-rx-bs-block"],
+)
+def test_a_failing_run_exits_with_an_error_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, threads, make_system, message
+):
+    monkeypatch.setenv("BSDOF_THREADS", threads)
+    path = make_system(tmp_path)
+    out = tmp_path / "dist"
+    capsys.readouterr()
+    assert main(["bs-dist", "--system", path, "--n", "20", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

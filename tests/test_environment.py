@@ -129,6 +129,8 @@ def test_ladder_rejects_bad_strengths():
         environment_ladder(base, (0.4, 0.7))
     with pytest.raises(ValueError):
         environment_ladder(base, ())
+    with pytest.raises(ValueError, match="leading strength must be positive"):
+        environment_ladder(base, (0.0, 0.0))
 
 
 def test_spec_validation():

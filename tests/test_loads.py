@@ -95,6 +95,11 @@ def test_on_mask_names_the_first_stray_load():
         on_mask(stray, PIN_ON, PIN_OFF)
 
 
+def test_sample_loads_needs_at_least_one_load():
+    with pytest.raises(ValueError, match="n_s must be at least 1"):
+        sample_loads(LoadConstraint.pin(), 0, substream(105))
+
+
 def test_custom_two_state_values():
     custom = LoadConstraint.pin(on=0.5j, off=-0.5 + 0j)
     r = sample_loads(custom, 200, substream(103))

@@ -84,6 +84,11 @@ def test_zero_input_is_an_error():
         participation_from_singular_values((0.0, 0.0))
 
 
+def test_negative_singular_values_are_rejected():
+    with pytest.raises(ValueError, match="singular values must be nonnegative"):
+        participation_from_singular_values([-1.0])
+
+
 def test_conventional_eemdof_matches_eigenvalue_oracle():
     assert participation_number(np.eye(4)).m == 4.0
 

@@ -330,13 +330,21 @@ def test_solved_factors_equal_the_resolvent_ones(stacked):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("bad", [1.01, np.nan])
-def test_solved_factors_reject_inadmissible_loads(bad):
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([[0.2, 0.1j, 0.0], [0.2, 1.01, -0.4j]], "finite and at most 1"),
+        ([[0.2, 0.1j, 0.0], [0.2, np.nan, -0.4j]], "finite and at most 1"),
+        ([[0.2, 0.1j], [0.2, -0.4j]], r"expected loads of shape \(\.\.\., 3\)"),
+    ],
+    ids=["1.01", "nan", "width"],
+)
+def test_solved_factors_reject_inadmissible_loads(bad, message):
     blocks = extract_blocks(coupled_system(2, 2, 3, seed=63))
     for certified, solve in itertools.product((True, False), (factors, channel)):
         blocks.certified = certified  # the gated branch too, on the same blocks
-        with pytest.raises(ValueError, match="finite and at most 1"):
-            solve(blocks, np.array([[0.2, 0.1j, 0.0], [0.2, bad, -0.4j]]))
+        with pytest.raises(ValueError, match=message):
+            solve(blocks, np.array(bad))
 
 
 def test_each_solve_validates_its_loads_once(monkeypatch):
@@ -507,6 +515,8 @@ def test_two_state_factors_reject_loads_off_the_two_states():
             solve(blocks, stray, pin.on_value, pin.off_value)
         with pytest.raises(ValueError, match="finite and at most 1"):
             solve(blocks, r, pin.on_value, np.nan)
+        with pytest.raises(InconsistentStateError, match="must differ"):
+            solve(blocks, np.full_like(r, pin.on_value), pin.on_value, pin.on_value)
 
 
 @pytest.mark.parametrize("kind, certified", [("uni", True), ("uni", False), ("pin", False)])
@@ -803,6 +813,12 @@ def test_partition_validation():
         ScatteringSystem(n_total=4, matrix=s, tx_ports=(0,), rx_ports=(1,), bs_ports=(2, 7))
     with pytest.raises(PartitionError):
         ScatteringSystem(n_total=4, matrix=s, tx_ports=(0, 0), rx_ports=(1,), bs_ports=(2,))
+
+
+def test_matrix_shape_must_match_the_port_count():
+    with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match n_total=4"):
+        ScatteringSystem(n_total=4, matrix=np.zeros((3, 3)), tx_ports=(0,), rx_ports=(1,),
+                         bs_ports=(2,))
 
 
 def test_passivity_validation():

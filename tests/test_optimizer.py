@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+import bsdof.optimize
+import bsdof.sampling
 from bsdof.environment import EnvironmentSpec, synth_environment
-from bsdof.errors import DegenerateInputError, OptimizationFailedError, SingularityError
+from bsdof.errors import (
+    DegenerateInputError,
+    InconsistentStateError,
+    OptimizationFailedError,
+    SingularityError,
+)
 from bsdof.loads import LoadConstraint
 from bsdof.metrics import bs_eemdof_point, participation_from_jacobians
 from bsdof.network import (
@@ -85,7 +92,7 @@ def test_basis_objective_equals_the_jacobian_form(n_r, n_s):
     x = sample_random_illumination(3, substream(n_s + 2))
     rx, w = jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, load_set), load_set)
     reference = participation_from_jacobians(load_jacobian(rx, w, x)).mean()
-    value = _FrozenObjective(blocks, load_set)(x)
+    value = _FrozenObjective(blocks, load_set, UNI)(x)
     assert abs(value - reference) <= 1e-13 * reference
 
 
@@ -131,12 +138,37 @@ def test_lifted_objective_matches_the_jacobian_reference(dims, constraint):
     n_s = blocks.n_bs
     load_set = sample_load_set(constraint, n_s, 300, seed=n_s, s_ss=blocks.s_ss)
     x = 1.7 * sample_random_illumination(blocks.n_tx, substream(n_s + 1))
-    value, grad = _FrozenObjective(blocks, load_set).value_and_gradient(x)
+    value, grad = _FrozenObjective(blocks, load_set, constraint).value_and_gradient(x)
     reference, reference_grad = jacobian_reference(blocks, load_set, x)
     assert abs(value - reference) <= 1e-13 * reference
     # M has degree 0 in x, so its gradient scales as M / |x| (and is 0 for one tx port)
     scale = reference / np.linalg.norm(x)
     assert np.linalg.norm(grad - reference_grad) <= 1e-12 * scale
+
+
+def test_two_state_load_sets_take_the_two_state_factors(monkeypatch):
+    blocks = extract_blocks(system_for(3, 4, 16, seed=49))
+    assert blocks.certified
+    x = sample_random_illumination(3, substream(50))
+    load_sets = [sample_load_set(c, 16, 300, seed=51, s_ss=blocks.s_ss) for c in (PIN, PM, UNI)]
+    references = [jacobian_reference(blocks, load_set, x)[0] for load_set in load_sets]
+
+    def no_factors(*args):
+        raise AssertionError("network.factors was called")
+
+    # the sampler's factor choice is the optimizer's: certified two-state sets never reach factors
+    monkeypatch.setattr(bsdof.sampling, "factors", no_factors)
+    monkeypatch.setattr(bsdof.optimize, "factors", no_factors, raising=False)
+    for constraint, load_set, reference in zip((PIN, PM), load_sets, references):
+        value = mean_dof_objective(blocks, x, constraint, load_set)
+        assert abs(value - reference) <= 1e-13 * reference
+    with pytest.raises(AssertionError, match="network.factors was called"):
+        mean_dof_objective(blocks, x, UNI, load_sets[2])
+    # the constraint now checks its load set: a load off the two states is named
+    stray = load_sets[0].copy()
+    stray[7, 3] = 0.5
+    with pytest.raises(InconsistentStateError, match=r"load \(7, 3\)"):
+        mean_dof_objective(blocks, x, PIN, stray)
 
 
 def test_starts_are_the_per_start_substream_illuminations(monkeypatch):
@@ -278,7 +310,7 @@ def test_gradient_matches_central_differences(dims, constraint, seed):
     n_t, n_r, n_s = dims
     blocks = extract_blocks(system_for(n_t, n_r, n_s, seed=seed))
     load_set = sample_load_set(constraint, n_s, 500, seed=seed + 1, s_ss=blocks.s_ss)
-    objective = _FrozenObjective(blocks, load_set)
+    objective = _FrozenObjective(blocks, load_set, constraint)
     # a raw iterate off the unit sphere: M has degree 0 in x
     x = 2.5 * sample_random_illumination(n_t, substream(seed + 2))
     value, grad = objective.value_and_gradient(x)
@@ -411,7 +443,8 @@ def test_search_brackets_an_exhaustive_grid_at_two_inputs(env_seed, constraint):
         for d in ("MAX", "MIN")
     }
     blocks = extract_blocks(system)
-    objective = _FrozenObjective(blocks, sample_load_set(constraint, 16, 1500, 11, blocks.s_ss))
+    load_set = sample_load_set(constraint, 16, 1500, 11, blocks.s_ss)
+    objective = _FrozenObjective(blocks, load_set, constraint)
     # M = tau^2 / phi per member, phi = xi^T Q xi written as one product with vec(xi xi^T)
     quadratic = objective.quadratic.reshape(len(objective.quadratic), -1).T
     grid = []

@@ -194,10 +194,11 @@ def test_sampler_runs_through_an_all_zero_magnitude_row(monkeypatch):
 
 
 def test_thread_override_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("BSDOF_THREADS", "many")
     system = system_for(2, 2, 4, seed=8)
-    with pytest.raises(ValueError):
-        sample_distribution(system, IlluminationPolicy.rand(), PIN, 8, seed=0)
+    for value, message in (("many", "must be an integer"), ("-1", "must be nonnegative")):
+        monkeypatch.setenv("BSDOF_THREADS", value)
+        with pytest.raises(ValueError, match=message):
+            sample_distribution(system, IlluminationPolicy.rand(), PIN, 8, seed=0)
 
 
 def _scalar_reference(system, policy, constraint, seed, n, mode):
@@ -405,7 +406,7 @@ def test_worker_count_does_not_change_the_search(monkeypatch, make_system, min_r
     try:
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("BSDOF_THREADS", threads)
-            objective = bsdof.optimize._FrozenObjective(blocks, load_set)
+            objective = bsdof.optimize._FrozenObjective(blocks, load_set, PM)
             precomputes.append((objective.quadratic, objective.trace_form))
             runs.append(optimize_illumination(system, PM, config))
     finally:
@@ -588,7 +589,7 @@ def test_certified_precompute_forms_no_inverse(monkeypatch):
     blocks = extract_blocks(system)
     assert rcond_floor(blocks.s_ss) >= RCOND_MIN
     load_set = sample_load_set(PIN, 16, 300, seed=47, s_ss=blocks.s_ss)
-    reference = bsdof.optimize._FrozenObjective(blocks, load_set)
+    reference = bsdof.optimize._FrozenObjective(blocks, load_set, PIN)
     resonant = extract_blocks(flat_resonant_rank2_system())
     resonant_set = sample_load_set(PM, 8, 300, seed=47, s_ss=resonant.s_ss)
 
@@ -596,12 +597,12 @@ def test_certified_precompute_forms_no_inverse(monkeypatch):
         raise AssertionError("the dense resolvent was formed")
 
     monkeypatch.setattr(bsdof.network.np.linalg, "inv", no_inverse)
-    objective = bsdof.optimize._FrozenObjective(blocks, load_set)
+    objective = bsdof.optimize._FrozenObjective(blocks, load_set, PIN)
     assert np.array_equal(objective.quadratic, reference.quadratic)
     assert np.array_equal(objective.trace_form, reference.trace_form)
     # an uncertified coupling still forms G for its exact rcond
     with pytest.raises(AssertionError, match="dense resolvent"):
-        bsdof.optimize._FrozenObjective(resonant, resonant_set)
+        bsdof.optimize._FrozenObjective(resonant, resonant_set, PM)
 
 
 def test_uncertified_model_stack_survives_an_exactly_singular_member():
@@ -756,6 +757,8 @@ def test_policy_validation():
         IlluminationPolicy("RAND", fixed_x=np.ones(2))
     with pytest.raises(ValueError):
         IlluminationPolicy("ARBITRARY")
+    with pytest.raises(ValueError, match=r"must be 1-d, got shape \(1, 2\)"):
+        IlluminationPolicy.fixed(np.ones((1, 2)) / math.sqrt(2.0))
     with pytest.raises(ValueError):
         sample_distribution(
             system_for(2, 2, 4, seed=0),

@@ -37,6 +37,11 @@ def test_out_of_range_keys_are_rejected(seed, indices, named):
         substream_uniforms(seed, (), indices, 4)
 
 
+def test_scalar_substream_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        substream(-1)
+
+
 def test_batched_transforms_equal_their_scalar_wrappers():
     """Rows of the batched draw are the scalar draws of the same streams."""
     n_t, n_s, rows = 3, 16, 2000

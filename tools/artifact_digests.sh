@@ -7,8 +7,10 @@
 #   validate-jacobian, 1,000 trials;
 # plus bs-dist under the FIXED policy (its default illumination, UNI loads,
 # n=3,000 at (3, 4, 16), seed 2), bs-dist toggle with the custom PIN states
-# on 0.5+0.25j and off -0.5 (n=2,000 at (3, 4, 16), seed 3), and three runs on an 8-load system whose
-# flat rank-1 coupling resonates when every load is ON
+# on 0.5+0.25j and off -0.5 (n=2,000 at (3, 4, 16), seed 3), optimize-x PIN
+# MAX through the certified two-state precompute (optimizer seed 5, 3 starts,
+# 600 objective samples, final n=2,000 at (3, 4, 16)), and three runs on an
+# 8-load system whose flat rank-1 coupling resonates when every load is ON
 # (tests/test_sampling.py::flat_resonant_rank2_system), so it is uncertified:
 #   bs-dist model with PM loads, n=2,000, seed 0 (5 redraws);
 #   optimize-x with PM loads, 2 starts, 400 objective samples, final n=2,000,
@@ -18,7 +20,7 @@
 # The resonant system file is built by the checkout's own save_system.
 # Runs in a fresh temporary directory with relative paths, because
 # config.json and summary.json record the --system path as given.  Run it on
-# two checkouts and diff the outputs: a refactor must print the same 43 lines.
+# two checkouts and diff the outputs: a refactor must print the same 49 lines.
 #
 #   tools/artifact_digests.sh <checkout>
 set -eu
@@ -39,6 +41,8 @@ bsdof bs-dist --system env16/system.json --mode toggle --constraint pin --on=0.5
     --off=-0.5 --n 2000 --seed 3 --out-dir mc-toggle-custom
 bsdof optimize-x --system env16/system.json --constraint uni --direction max --seed 11 \
     --out-dir opt-uni
+bsdof optimize-x --system env16/system.json --constraint pin --direction max --seed 5 \
+    --starts 3 --objective-samples 600 --final-n 2000 --out-dir opt-pin
 # exit 1 only reports a tolerance miss; its artifacts are still the result
 bsdof validate-jacobian --trials 1000 --seed 0 --out-dir validate || [ $? -eq 1 ]
 PYTHONPATH="$src" python3 - <<'PY'
