@@ -42,11 +42,9 @@ from .sampling import (
     CHUNK,
     HISTOGRAM_BINS,
     IlluminationPolicy,
+    histogram,
     illuminations_from_uniforms,
     sample_distribution,
-    write_histogram_csv,
-    write_samples_csv,
-    write_summary_json,
 )
 from .streams import substream_uniforms
 
@@ -208,9 +206,14 @@ def _check_counts(config: dict, *keys: str) -> None:
 
 
 def _write_distribution(dist, out_dir: Path, bins: int) -> None:
-    write_samples_csv(dist, out_dir / "samples.csv")
-    write_summary_json(dist, out_dir / "summary.json")
-    write_histogram_csv(dist, out_dir / "histogram.csv", n_bins=bins)
+    """samples.csv, summary.json and histogram.csv of a distribution; floats as their repr."""
+    lines = ["sample_index,m_value"]
+    lines += [f"{i},{float(v)!r}" for i, v in enumerate(dist.samples)]
+    (out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
+    _write_json({f.name: getattr(dist, f.name) for f in fields(dist)[1:]}, out_dir / "summary.json")
+    lines = ["bin_center,density"]
+    lines += [f"{float(c)!r},{float(d)!r}" for c, d in zip(*histogram(dist, bins))]
+    (out_dir / "histogram.csv").write_text("\n".join(lines) + "\n")
 
 
 def run_bs_dist(config: dict, out_dir: Path) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentStateError, UnsupportedOperationError
+from .errors import InconsistentStateError
 from .streams import TWO_PI
 
 # Measured reflection coefficients of a representative PIN-diode element.
@@ -156,13 +156,3 @@ def on_mask(r: np.ndarray, on: complex, off: complex) -> np.ndarray:
         )
     return is_on
 
-
-def toggle(r: np.ndarray, index: int, constraint: LoadConstraint) -> np.ndarray:
-    """A new configuration with load index flipped to its other state; on_mask checks that
-    it takes one (sampled configurations always do)."""
-    if not constraint.discrete:
-        raise UnsupportedOperationError("toggle is undefined for continuous (UNI) loads")
-    on, off = constraint.on_value, constraint.off_value
-    out = np.array(r, dtype=complex)
-    out[index] = off if on_mask(out[index], on, off) else on
-    return out

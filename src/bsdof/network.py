@@ -18,15 +18,16 @@ batched over loads (..., N_S) and over stacked systems (ScatteringBlocks
 takes leading axes, partition cuts them out of a stack of matrices, and k
 systems take loads (k, N_S)).  resolvent forms G and its rcond,
 jacobian_factors (S_RS G, W) from G and load_jacobian J from that pair; the
-scalar APIs (coupling_resolvent, end_to_end_channel, closed_form_jacobian)
-wrap them.  Blocks carry the passivity certificate ScatteringBlocks.certified:
-where it holds no admissible load is singular, so the solves form no G or
-rcond; else they gate their mask ok of regular loads on resolvent's rcond.
-(S_RS G, W, ok) comes from factors for any loads (certified: two LU solves),
-from two_state_factors for loads each on or off (certified: a Woodbury change
-of at most N_S // 2 loads from all on or all off), and, with the toggle
-denominators that ok gates too, from toggle_factors; channel gives H.  The
-two-state entries check their loads through loads.on_mask and take their
+scalar APIs (coupling_resolvent, closed_form_jacobian) wrap them and raise
+SingularityError where a load is singular.  Blocks carry the passivity
+certificate ScatteringBlocks.certified: where it holds no admissible load is
+singular, so the solves form no G or rcond; else they gate their mask ok of
+regular loads on resolvent's rcond.  (S_RS G, W, ok) comes from factors for
+any loads (certified: two LU solves), from two_state_factors for loads each
+on or off (certified: a Woodbury change of at most N_S // 2 loads from all
+on or all off), and, with the toggle denominators that ok gates too, from
+toggle_factors; channel gives (H, ok), from resolvent's G where uncertified.
+The two-state entries check their loads through loads.on_mask and take their
 certified tables from one solve against [S_RS; S_SS].  Single-load changes
 update G and H in O(N_S^2).
 """
@@ -439,15 +440,6 @@ def coupling_resolvent(s_ss: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _channel_from_resolvent(blocks: ScatteringBlocks, g: np.ndarray, r: np.ndarray) -> np.ndarray:
     return blocks.s_rt + blocks.s_rs @ (g * r[..., None, :]) @ blocks.s_st
-
-
-def end_to_end_channel(blocks: ScatteringBlocks, r: np.ndarray) -> np.ndarray:
-    """H(r) = S_RT + S_RS G(r) diag(r) S_ST.
-
-    At r = 0 the loaded term vanishes identically and H equals S_RT.
-    """
-    r = np.asarray(r, dtype=complex)
-    return _channel_from_resolvent(blocks, coupling_resolvent(blocks.s_ss, r), r)
 
 
 def closed_form_jacobian(blocks: ScatteringBlocks, r0: np.ndarray, x: np.ndarray) -> Jacobian:

@@ -5,9 +5,9 @@ realizations (common random numbers), so every candidate illumination sees
 the same Monte-Carlo noise and the landscape is deterministic.  Members of the
 load set whose coupling resolvent is singular are redrawn before the search
 starts, through the sampler's draw loop, so a set of fewer than 99 members
-fails on its first singular draw, as a sampler run of that size does.  On a
-system whose passivity certificate (network.rcond_floor) reaches RCOND_MIN
-no member can be singular, and the gate is skipped.
+fails on its first singular draw, as a sampler run of that size does.  Where
+the passivity certificate ScatteringBlocks.certified holds, which the search's
+solves read too, no member can be singular, and the gate is skipped.
 
 The search runs L-BFGS-B in the real embedding R^{2 n_t} on the raw
 iterate.  M has degree 0 in x (it ignores the global phase and scale of the
@@ -143,15 +143,16 @@ def sample_load_set(
     """
     if n_s != np.shape(s_ss)[-1]:
         raise ValueError(f"n_s = {n_s} does not match the {np.shape(s_ss)[-1]} loads of s_ss")
-    return _gated_load_set(constraint, n_s, n_members, seed, s_ss)[0]
+    certified = rcond_floor(s_ss) >= RCOND_MIN
+    return _gated_load_set(constraint, n_members, seed, s_ss, certified)[0]
 
 
 def _gated_load_set(
-    constraint: LoadConstraint, n_s: int, n_members: int, seed: int, s_ss: np.ndarray
+    constraint: LoadConstraint, n_members: int, seed: int, s_ss: np.ndarray, certified: bool
 ) -> tuple[np.ndarray, int]:
-    """sample_load_set's members and the number of redraws they took."""
-    n_words = constraint.uniforms_per_draw(int(n_s))
-    certified = rcond_floor(s_ss) >= RCOND_MIN
+    """sample_load_set's members and the number of redraws they took; certified is
+    rcond_floor(s_ss) >= RCOND_MIN, as in ScatteringBlocks.certified."""
+    n_words = constraint.uniforms_per_draw(np.shape(s_ss)[-1])
 
     def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = loads_from_uniforms(constraint, u)
@@ -262,7 +263,7 @@ def optimize_illumination(
     blocks = extract_blocks(system)
     sign = -1.0 if config.direction == "MAX" else 1.0
     load_set, redraws = _gated_load_set(
-        constraint, blocks.n_bs, config.n_objective_samples, config.seed, blocks.s_ss
+        constraint, config.n_objective_samples, config.seed, blocks.s_ss, blocks.certified
     )
     objective = _FrozenObjective(blocks, load_set, constraint)
 

@@ -14,13 +14,12 @@ in the workers, so draw memory is per chunk.
 Evaluation is vectorized over fixed-size chunks (_chunk_m_values) through the
 batched network kernel and the Gram-form reduction of
 metrics.participation_from_jacobians, which avoids one SVD per sample.
+The module writes no files: the CLI writes a DofDistribution and its histogram.
 """
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +48,7 @@ MAX_REDRAWS_PER_SAMPLE = 1000
 # Fraction of singular draws above which the whole run is rejected.
 MAX_SINGULAR_FRACTION = 0.01
 
-# Bins of the histogram.csv written next to every distribution.
+# Bins of the histogram.csv the CLI writes next to every distribution.
 HISTOGRAM_BINS = 64
 
 _MODES = ("model", "toggle")
@@ -106,7 +105,7 @@ class DofDistribution:
         if not inside.all():
             raise ValueError(f"samples outside [1, {self.n_tilde}]")
         self.n_samples = self.samples.size
-        self.mean, self.std = summarize(self.samples)
+        self.mean, self.std = float(self.samples.mean()), float(self.samples.std())
 
 
 def illuminations_from_uniforms(u: np.ndarray) -> np.ndarray:
@@ -278,17 +277,12 @@ def sample_distribution(
     )
 
 
-def summarize(samples: np.ndarray) -> tuple[float, float]:
-    """Mean and population standard deviation (divide by n) of the samples."""
-    samples = np.asarray(samples, dtype=float)
-    return float(samples.mean()), float(samples.std())
-
-
 def histogram(dist: DofDistribution, n_bins: int = HISTOGRAM_BINS) -> tuple[np.ndarray, np.ndarray]:
     """Uniform-bin density histogram over [1, n_tilde].
 
-    Returns (bin_centers, densities); the densities integrate to 1.  For
-    the degenerate n_tilde = 1 case (every sample is exactly 1) the bins
+    Returns (bin_centers, densities); the densities integrate to 1, with the
+    samples DofDistribution admits just outside the range in the end bins.
+    For the degenerate n_tilde = 1 case (every sample is exactly 1) the bins
     cover [0.5, 1.5] instead of a zero-width interval.
     """
     if n_bins < 1:
@@ -297,26 +291,8 @@ def histogram(dist: DofDistribution, n_bins: int = HISTOGRAM_BINS) -> tuple[np.n
     if dist.n_tilde == 1:
         lo, hi = 0.5, 1.5
     edges = np.linspace(lo, hi, n_bins + 1)
-    counts, _ = np.histogram(dist.samples, bins=edges)
+    counts, _ = np.histogram(np.clip(dist.samples, lo, hi), bins=edges)
     width = (hi - lo) / n_bins
     densities = counts / (dist.samples.size * width)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, densities
-
-
-def write_samples_csv(dist: DofDistribution, path) -> None:
-    lines = ["sample_index,m_value"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(dist.samples)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_summary_json(dist: DofDistribution, path) -> None:
-    payload = {f.name: getattr(dist, f.name) for f in fields(dist)[1:]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def write_histogram_csv(dist: DofDistribution, path, n_bins: int = HISTOGRAM_BINS) -> None:
-    centers, densities = histogram(dist, n_bins)
-    lines = ["bin_center,density"]
-    lines += [f"{float(c)!r},{float(d)!r}" for c, d in zip(centers, densities)]
-    Path(path).write_text("\n".join(lines) + "\n")

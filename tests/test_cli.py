@@ -11,6 +11,7 @@ import bsdof.network
 import bsdof.sampling
 from bsdof.cli import jacobian_validation_sweep, main
 from bsdof.environment import EnvironmentSpec, synth_environment
+from bsdof.loads import LoadConstraint
 from bsdof.metrics import benchmark_eemdof
 from bsdof.network import (
     ScatteringSystem,
@@ -20,7 +21,12 @@ from bsdof.network import (
     load_system,
     save_system,
 )
-from bsdof.sampling import sample_random_illumination
+from bsdof.sampling import (
+    IlluminationPolicy,
+    histogram,
+    sample_distribution,
+    sample_random_illumination,
+)
 from bsdof.streams import substream
 
 
@@ -223,6 +229,62 @@ def test_bs_dist_worker_count_is_invisible(tmp_path, monkeypatch):
         outputs.append(out)
     for name in ("samples.csv", "summary.json", "histogram.csv"):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+def pin_rand_run(tmp_path, *flags):
+    """bs-dist PIN RAND, n = 50 at seed 11 on a (2, 2, 8) system, through main; returns the
+    output directory, the system path and the in-process distribution of the same run."""
+    path = make_system_file(tmp_path, 2, 2, 8, seed=3)
+    out = tmp_path / "dist"
+    argv = ["bs-dist", "--system", path, "--n", "50", "--seed", "11", *flags]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    policy, pin = IlluminationPolicy.rand(), LoadConstraint.pin()
+    return out, path, sample_distribution(load_system(path), policy, pin, 50, seed=11)
+
+
+def test_sample_writer_round_trips_exactly(tmp_path):
+    out, _, dist = pin_rand_run(tmp_path)
+    text = (out / "samples.csv").read_text()
+    rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(dist.samples.tolist()))
+    assert text == "sample_index,m_value\n" + rows
+    lines = text.splitlines()
+    assert len(lines) == 51
+    for i, line in enumerate(lines[1:]):
+        index, value = line.split(",")
+        assert int(index) == i
+        # repr serialization: parsing back recovers the exact float
+        assert float(value) == dist.samples[i]
+
+
+def test_summary_writer_keys(tmp_path):
+    out, path, dist = pin_rand_run(tmp_path)
+    payload = read_json(out / "summary.json")
+    assert list(payload) == [
+        "mean",
+        "std",
+        "n_samples",
+        "n_tilde",
+        "seed",
+        "redraw_count",
+        "constraint",
+        "policy",
+        "mode",
+        "system",
+    ]
+    assert payload["mean"] == dist.mean and payload["std"] == dist.std
+    assert (payload["n_samples"], payload["n_tilde"], payload["seed"]) == (50, 2, 11)
+    assert payload["constraint"] == "PIN"
+    assert payload["policy"] == "RAND"
+    assert (payload["mode"], payload["system"]) == ("model", path)
+
+
+def test_histogram_writer_header(tmp_path):
+    out, _, dist = pin_rand_run(tmp_path, "--bins", "8")
+    lines = (out / "histogram.csv").read_text().splitlines()
+    assert lines[0] == "bin_center,density"
+    assert len(lines) == 9
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert rows == list(zip(*(a.tolist() for a in histogram(dist, 8))))
 
 
 def optimize_args(path, direction, out, seed="11"):

@@ -19,7 +19,6 @@ from bsdof.network import (
     ScatteringSystem,
     channel,
     closed_form_jacobian,
-    end_to_end_channel,
     extract_blocks,
 )
 from bsdof.sampling import sample_random_illumination
@@ -231,8 +230,10 @@ def test_certified_channel_rows_equal_the_scalar_channel(shape):
     for i, blocks in enumerate(systems):
         h, ok = channel(blocks, r[i])
         assert ok.shape == (5,) and ok.all()
+        gated = ScatteringBlocks(blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st)
+        gated.certified = False  # channel from resolvent's G
         for j in range(5):
-            ref = end_to_end_channel(blocks, r[i, j])
+            ref = channel(gated, r[i, j])[0]
             for got in (h[j], mapped[i, j]):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -274,7 +275,7 @@ def test_toggle_needs_a_two_state_family():
     blocks = coupled_blocks(2, 2, 4, seed=14)
     r0 = uni_loads(4, substream(36))
     x = sample_random_illumination(2, substream(37))
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(UnsupportedOperationError, match="needs a two-state constraint"):
         discrete_toggle_jacobian(
             ChannelMap.from_blocks(blocks), r0, x, LoadConstraint.uni()
         )
@@ -283,10 +284,10 @@ def test_toggle_needs_a_two_state_family():
 def test_toggle_rejects_a_stray_load_before_calling_the_map():
     calls = []
     channel_map = ChannelMap(lambda r: calls.append(r) or np.zeros(r.shape[:-1] + (1, 1)))
-    constraint = LoadConstraint.pin()
-    r0 = np.array([constraint.on_value, 0.5, constraint.off_value])
-    with pytest.raises(InconsistentStateError):
-        discrete_toggle_jacobian(channel_map, r0, np.ones(1), constraint)
+    for constraint in (LoadConstraint.pin(), LoadConstraint.pm()):
+        r0 = np.array([constraint.on_value, 0.5, constraint.off_value])
+        with pytest.raises(InconsistentStateError, match=r"load \(1,\) value"):
+            discrete_toggle_jacobian(channel_map, r0, np.ones(1), constraint)
     assert calls == []
 
 

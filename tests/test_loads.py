@@ -1,4 +1,4 @@
-"""Load-constraint families: defaults, sampling statistics, toggling."""
+"""Load-constraint families: defaults, sampling statistics, the two-state check."""
 
 import json
 
@@ -8,14 +8,16 @@ from scipy import stats
 
 from bsdof.cli import _constraint_from_args, build_parser
 from bsdof.errors import InconsistentStateError, UnsupportedOperationError
+from bsdof.fd import ChannelMap, discrete_toggle_jacobian
 from bsdof.loads import (
     LOAD_MAG_TOL,
     PIN_OFF,
     PIN_ON,
+    PM_OFF,
+    PM_ON,
     LoadConstraint,
     on_mask,
     sample_loads,
-    toggle,
 )
 from bsdof.streams import substream
 
@@ -62,28 +64,13 @@ def test_sampling_is_stream_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_toggle_swaps_one_entry():
-    pm = LoadConstraint.pm()
-    r = np.array([1.0 + 0j, 1.0 + 0j])
-    assert np.array_equal(toggle(r, 0, pm), np.array([-1.0 + 0j, 1.0 + 0j]))
-    assert np.array_equal(toggle(toggle(r, 0, pm), 0, pm), r)
-
-    pin = LoadConstraint.pin()
-    r = sample_loads(pin, 8, substream(102))
-    flipped = toggle(r, 3, pin)
-    for i in range(8):
-        if i == 3:
-            assert flipped[i] == (PIN_OFF if r[i] == PIN_ON else PIN_ON)
-        else:
-            assert flipped[i] == r[i]
-    assert r[3] != flipped[3]  # the input array is left untouched
-
-
 def test_toggle_rejects_bad_inputs():
+    # flipping loads needs a two-state family, and every load in one of its states
+    channel_map = ChannelMap(lambda r: np.zeros(r.shape[:-1] + (1, 1)))
     with pytest.raises(UnsupportedOperationError):
-        toggle(np.array([0.5 + 0j]), 0, LoadConstraint.uni())
+        discrete_toggle_jacobian(channel_map, np.array([0.5 + 0j]), np.ones(1), LoadConstraint.uni())
     with pytest.raises(InconsistentStateError):
-        toggle(np.array([0.5 + 0j]), 0, LoadConstraint.pm())
+        discrete_toggle_jacobian(channel_map, np.array([0.5 + 0j]), np.ones(1), LoadConstraint.pm())
 
 
 def test_on_mask_names_the_first_stray_load():
@@ -93,6 +80,8 @@ def test_on_mask_names_the_first_stray_load():
     stray[1, 2] = stray[2, 0] = 0.5
     with pytest.raises(InconsistentStateError, match=r"load \(1, 2\) value"):
         on_mask(stray, PIN_ON, PIN_OFF)
+    with pytest.raises(InconsistentStateError, match=r"load \(0,\) value"):
+        on_mask(np.array([0.5 + 0j]), PM_ON, PM_OFF)
 
 
 def test_sample_loads_needs_at_least_one_load():

@@ -24,7 +24,6 @@ from bsdof.loads import (
     LoadConstraint,
     loads_from_uniforms,
     sample_loads,
-    toggle,
     validate_loads,
 )
 from bsdof.metrics import bs_eemdof_point, participation_from_jacobians
@@ -36,7 +35,6 @@ from bsdof.network import (
     channel,
     closed_form_jacobian,
     coupling_resolvent,
-    end_to_end_channel,
     extract_blocks,
     factors,
     frobenius_norm,
@@ -183,7 +181,7 @@ def test_loads_outside_the_unit_disk_are_rejected(bad):
     with pytest.raises(ValueError):
         coupling_resolvent(blocks.s_ss, r)
     with pytest.raises(ValueError):
-        end_to_end_channel(blocks, r)
+        channel(blocks, r)
     with pytest.raises(ValueError):
         closed_form_jacobian(blocks, r, x)
     # measured coefficients a rounding step above 1 stay admissible
@@ -576,18 +574,25 @@ def test_stacked_closed_form_equals_the_single_system_one():
         closed_form_jacobian(stacked, r0, x * np.array([[1.0], [1.1], [1.0]]))
 
 
+def resolvent_channel(blocks, r):
+    """H(r) from resolvent's G: channel on an uncertified copy of the blocks."""
+    gated = ScatteringBlocks(blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st)
+    gated.certified = False
+    return channel(gated, r)[0]
+
+
 def test_channel_zero_loads_is_direct_path():
     blocks = extract_blocks(coupled_system(3, 2, 5, seed=4))
-    h = end_to_end_channel(blocks, np.zeros(5))
-    assert np.array_equal(h, blocks.s_rt)
+    for h in (channel(blocks, np.zeros(5))[0], resolvent_channel(blocks, np.zeros(5))):
+        assert np.array_equal(h, blocks.s_rt)
 
 
 def test_channel_scalar_closed_form():
     r = 0.6 * np.exp(0.7j)
     blocks = scalar_blocks(0.1 + 0.2j, 0.5 - 0.1j, 0.3 + 0.1j, 0.4 - 0.2j)
-    h = end_to_end_channel(blocks, np.array([r]))
     hand = (0.1 + 0.2j) + (0.5 - 0.1j) * r * (0.4 - 0.2j) / (1 - r * (0.3 + 0.1j))
-    assert abs(h[0, 0] - hand) < 1e-14
+    for h in (channel(blocks, np.array([r]))[0], resolvent_channel(blocks, np.array([r]))):
+        assert abs(h[0, 0] - hand) < 1e-14
 
 
 def test_channel_no_coupling_reduces_to_single_bounce():
@@ -596,9 +601,9 @@ def test_channel_no_coupling_reduces_to_single_bounce():
         s_rt=blocks.s_rt, s_rs=blocks.s_rs, s_ss=np.zeros((6, 6)), s_st=blocks.s_st
     )
     r = sample_loads(LoadConstraint.uni(), 6, substream(9))
-    h = end_to_end_channel(no_mc, r)
     hand = blocks.s_rt + blocks.s_rs @ np.diag(r) @ blocks.s_st
-    assert np.allclose(h, hand, rtol=0, atol=1e-14)
+    for h in (channel(no_mc, r)[0], resolvent_channel(no_mc, r)):
+        assert np.allclose(h, hand, rtol=0, atol=1e-14)
 
 
 def test_output_wavefront():
@@ -701,7 +706,7 @@ def test_woodbury_zero_update_is_identity():
     g = coupling_resolvent(blocks.s_ss, r)
     g_new, h_new = woodbury_channel_update(blocks, g, r, 2, r[2])
     assert np.array_equal(g_new, g)
-    assert np.allclose(h_new, end_to_end_channel(blocks, r), rtol=0, atol=1e-15)
+    assert np.allclose(h_new, resolvent_channel(blocks, r), rtol=0, atol=1e-15)
 
 
 def test_woodbury_no_coupling_keeps_identity_resolvent():
@@ -715,7 +720,7 @@ def test_woodbury_no_coupling_keeps_identity_resolvent():
     r_new = r.copy()
     r_new[1] = -r[1]
     assert np.array_equal(g_new, np.eye(4))
-    assert np.allclose(h_new, end_to_end_channel(no_mc, r_new), rtol=0, atol=1e-14)
+    assert np.allclose(h_new, resolvent_channel(no_mc, r_new), rtol=0, atol=1e-14)
 
 
 def test_woodbury_matches_full_recomputation():
@@ -723,10 +728,11 @@ def test_woodbury_matches_full_recomputation():
     blocks = extract_blocks(coupled_system(2, 2, 16, seed=12))
     r0 = sample_loads(pin, 16, substream(23))
     g0 = coupling_resolvent(blocks.s_ss, r0)
-    r1 = toggle(r0, 5, pin)
+    r1 = r0.copy()
+    r1[5] = pin.off_value if r0[5] == pin.on_value else pin.on_value
     g_inc, h_inc = woodbury_channel_update(blocks, g0, r0, 5, r1[5])
     g_full = coupling_resolvent(blocks.s_ss, r1)
-    h_full = end_to_end_channel(blocks, r1)
+    h_full = resolvent_channel(blocks, r1)
     assert np.linalg.norm(g_inc - g_full) / np.linalg.norm(g_full) < 1e-10
     assert np.linalg.norm(h_inc - h_full) / np.linalg.norm(h_full) < 1e-10
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bsdof.network
 import bsdof.optimize
 import bsdof.sampling
 from bsdof.environment import EnvironmentSpec, synth_environment
@@ -397,6 +398,29 @@ def test_search_fails_when_no_start_is_finite(monkeypatch):
         optimize_illumination(system_for(2, 2, 4, seed=43), UNI, config)
     assert [start for start, _, _ in failure.value.traces] == [0, 1]
     assert all(np.isnan(final) for _, final, _ in failure.value.traces)
+
+
+def test_search_reads_the_certificate_of_its_blocks(monkeypatch):
+    """The load set's gate and the precompute's solves share blocks.certified: one S_SS SVD
+    per search, and the load set is sample_load_set's."""
+    system = system_for(2, 2, 8, seed=45)
+    expected = sample_load_set(PIN, 8, 50, 44, extract_blocks(system).s_ss)
+    calls, load_sets = [], []
+    counted = lambda s_ss: calls.append(s_ss.shape) or rcond_floor(s_ss)
+    monkeypatch.setattr(bsdof.network, "rcond_floor", counted)
+    monkeypatch.setattr(bsdof.optimize, "rcond_floor", counted)
+    gated = bsdof.optimize._gated_load_set
+
+    def kept(*args):
+        load_set, redraws = gated(*args)
+        load_sets.append(load_set)
+        return load_set, redraws
+
+    monkeypatch.setattr(bsdof.optimize, "_gated_load_set", kept)
+    config = OptimizationConfig(n_objective_samples=50, n_starts=2, max_iterations=5, seed=44)
+    optimize_illumination(system, PIN, config)
+    assert calls == [(8, 8)]
+    assert len(load_sets) == 1 and np.array_equal(load_sets[0], expected)
 
 
 # Best objectives of the multistart Nelder-Mead search that this gradient

@@ -31,10 +31,6 @@ from bsdof.sampling import (
     illuminations_from_uniforms,
     sample_distribution,
     sample_random_illumination,
-    summarize,
-    write_histogram_csv,
-    write_samples_csv,
-    write_summary_json,
 )
 from bsdof.network import (
     RCOND_MIN,
@@ -654,22 +650,25 @@ def test_mostly_singular_environment_is_rejected():
         sample_distribution(system, IlluminationPolicy.rand(), PM, 64, seed=0)
 
 
+def dist_from_samples(samples, n_tilde, seed=0):
+    return DofDistribution(samples=samples, n_tilde=n_tilde, seed=seed)
+
+
 def test_summarize_hand_values():
-    assert summarize(np.array([2.0, 2.0, 2.0])) == (2.0, 0.0)
-    assert summarize(np.array([1.0, 3.0])) == (2.0, 1.0)
+    """A distribution summarizes its samples by their mean and population std."""
+    for samples, summary in (([2.0, 2.0, 2.0], (2.0, 0.0)), ([1.0, 3.0], (2.0, 1.0))):
+        dist = dist_from_samples(np.array(samples), n_tilde=3)
+        assert (dist.mean, dist.std) == summary and dist.n_samples == len(samples)
+        assert type(dist.mean) is float and type(dist.std) is float
 
 
 def test_summarize_matches_a_two_pass_oracle():
     samples = 1.0 + 2.0 * substream(90).random(4000)
-    mean, std = summarize(samples)
+    dist = dist_from_samples(samples, n_tilde=3)
     oracle_mean = math.fsum(samples) / samples.size
     oracle_std = math.sqrt(math.fsum((s - oracle_mean) ** 2 for s in samples) / samples.size)
-    assert abs(mean - oracle_mean) < 1e-12
-    assert abs(std - oracle_std) < 1e-12
-
-
-def dist_from_samples(samples, n_tilde, seed=0):
-    return DofDistribution(samples=samples, n_tilde=n_tilde, seed=seed)
+    assert abs(dist.mean - oracle_mean) < 1e-12
+    assert abs(dist.std - oracle_std) < 1e-12
 
 
 def test_histogram_concentrates_identical_samples():
@@ -697,57 +696,19 @@ def test_histogram_widens_the_degenerate_range():
     assert abs(float(densities.sum()) * width - 1.0) < 1e-9
 
 
+def test_histogram_counts_the_admitted_slack_in_its_end_bins():
+    # DofDistribution admits samples 1e-9 outside [1, n_tilde]; rounding puts M = 1 there
+    dist = dist_from_samples(np.array([1.0 - 1e-15, 1.5, 2.0 + 1e-12]), n_tilde=2)
+    centers, densities = histogram(dist, n_bins=4)
+    width = centers[1] - centers[0]
+    assert abs(float(densities.sum()) * width - 1.0) < 1e-12
+    assert np.allclose(densities * width * 3, [1.0, 0.0, 1.0, 1.0], rtol=0.0, atol=1e-12)
+
+
 def test_histogram_rejects_empty_binning():
     dist = dist_from_samples(np.ones(4), n_tilde=2)
     with pytest.raises(ValueError):
         histogram(dist, n_bins=0)
-
-
-def test_sample_writer_round_trips_exactly(tmp_path):
-    system = system_for(2, 2, 8, seed=3)
-    dist = sample_distribution(system, IlluminationPolicy.rand(), PIN, 50, seed=11)
-    path = tmp_path / "samples.csv"
-    write_samples_csv(dist, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sample_index,m_value"
-    assert len(lines) == 51
-    for i, line in enumerate(lines[1:]):
-        index, value = line.split(",")
-        assert int(index) == i
-        # repr serialization: parsing back recovers the exact float
-        assert float(value) == dist.samples[i]
-
-
-def test_summary_writer_keys(tmp_path):
-    system = system_for(2, 2, 8, seed=3)
-    dist = sample_distribution(system, IlluminationPolicy.rand(), PIN, 50, seed=11)
-    path = tmp_path / "summary.json"
-    write_summary_json(dist, path)
-    payload = json.loads(path.read_text())
-    assert set(payload) == {
-        "mean",
-        "std",
-        "n_samples",
-        "n_tilde",
-        "seed",
-        "redraw_count",
-        "constraint",
-        "policy",
-        "mode",
-        "system",
-    }
-    assert payload["mean"] == dist.mean
-    assert payload["constraint"] == "PIN"
-    assert payload["policy"] == "RAND"
-
-
-def test_histogram_writer_header(tmp_path):
-    dist = dist_from_samples(np.linspace(1.0, 2.0, 40), n_tilde=2)
-    path = tmp_path / "hist.csv"
-    write_histogram_csv(dist, path, n_bins=8)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "bin_center,density"
-    assert len(lines) == 9
 
 
 def test_policy_validation():

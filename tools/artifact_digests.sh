@@ -21,13 +21,29 @@
 # Runs in a fresh temporary directory with relative paths, because
 # config.json and summary.json record the --system path as given.  Run it on
 # two checkouts and diff the outputs: a refactor must print the same 49 lines.
+# With --keep DIR the artifacts are written to DIR, which must be empty or
+# absent, and kept there; tools/artifact_diff.py compares two such trees
+# number by number.
 #
-#   tools/artifact_digests.sh <checkout>
+#   tools/artifact_digests.sh [--keep DIR] <checkout>
 set -eu
-[ $# -eq 1 ] || { echo "usage: $0 <checkout>" >&2; exit 2; }
+usage() { echo "usage: $0 [--keep DIR] <checkout>" >&2; exit 2; }
+keep=
+if [ "${1-}" = --keep ]; then
+    [ $# -ge 2 ] || usage
+    keep=$2
+    shift 2
+fi
+[ $# -eq 1 ] || usage
 src=$(cd "$1" && pwd)/src
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+if [ -n "$keep" ]; then
+    mkdir -p "$keep"
+    [ -z "$(ls -A "$keep")" ] || { echo "error: $keep is not empty" >&2; exit 2; }
+    work=$(cd "$keep" && pwd)
+else
+    work=$(mktemp -d)
+    trap 'rm -rf "$work"' EXIT
+fi
 cd "$work"
 bsdof() { PYTHONPATH="$src" python3 -m bsdof.cli "$@" >/dev/null; }
 
