@@ -49,18 +49,14 @@ class ChannelMap:
         """H(r) of each row through one network.channel call; rows below RCOND_MIN are NaN.
 
         Stacked blocks (..., rows, cols) map loads (..., k, n_s), each stack of k
-        rows through its own system, under blocks.certified (one SVD unless set).
+        rows through its own system, under blocks.certified (one SVD unless set):
+        the k axis goes first, so each system's blocks broadcast over its own rows.
         """
-        # each system's blocks broadcast over its own rows of loads
-        per_row = ScatteringBlocks(
-            *(b[..., None, :, :] for b in (blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st))
-        )
-        per_row.certified = blocks.certified
 
         def channels(r: np.ndarray) -> np.ndarray:
-            h, ok = channel(per_row, r)
+            h, ok = channel(blocks, np.moveaxis(r, -2, 0))
             h[~ok] = np.nan
-            return h
+            return np.moveaxis(h, 0, -3)
 
         return cls(channels)
 

@@ -11,7 +11,7 @@ import bsdof.network
 import bsdof.sampling
 from bsdof.cli import jacobian_validation_sweep, main
 from bsdof.environment import EnvironmentSpec, synth_environment
-from bsdof.loads import LoadConstraint
+from bsdof.loads import LOAD_MAG_TOL, LoadConstraint
 from bsdof.metrics import benchmark_eemdof
 from bsdof.network import (
     ScatteringSystem,
@@ -134,6 +134,19 @@ def test_benchmark_port_overrides_apply_echo_and_replay(tmp_path, capsys):
         argv = ["benchmark", "--system", path, "--rx-ports", ports]
         assert main([*argv, "--out-dir", str(tmp_path / "c")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["tx_ports", "rx_ports", "bs_ports"])
+def test_benchmark_replay_refuses_an_empty_port_list(tmp_path, capsys, key):
+    path = make_system_file(tmp_path, 1, 3, 4, seed=2)
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert main(["benchmark", "--system", path, "--out-dir", str(first)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(read_json(first / "config.json") | {key: []}))
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(bad), "--out-dir", str(again)]) == 1
+    assert capsys.readouterr().err == f"error: {key} is empty\n"
+    assert not again.exists()
 
 
 def test_bs_dist_reruns_byte_identically(tmp_path):
@@ -415,16 +428,28 @@ def test_validate_jacobian_names_a_bad_input_and_writes_nothing(
     assert not out.exists()
 
 
-def test_validate_jacobian_names_the_trial_whose_probe_leaves_the_load_disk(tmp_path, capsys):
-    # a unit step pushes every probe load past |r| = 1, so trial 0 fails first
+def test_validate_jacobian_refuses_a_step_above_the_probe_bound(tmp_path, capsys, monkeypatch):
+    # above LOAD_MAG_TOL / 4 a probe load may leave the admissible disk: step 1 pushes
+    # trial 0's probes past |r| = 1, and step 1e-4 pushes trial 205's at seed 7
+    def no_draw(*args):
+        raise AssertionError("the sweep drew before checking its step")
+
+    monkeypatch.setattr(bsdof.cli, "substream_uniforms", no_draw)
     out = tmp_path / "validation"
-    argv = ["validate-jacobian", "--trials", "5", "--seed", "0", "--step", "1"]
-    capsys.readouterr()
-    assert main([*argv, "--out-dir", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: channel map failed: load magnitudes must be finite")
-    assert err.endswith(" (trial 0)\n")
-    assert not out.exists()
+    for step in ("1", "1e-4"):
+        argv = ["validate-jacobian", "--trials", "300", "--seed", "7", "--step", step]
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        expected = f"error: step {float(step)!r} exceeds LOAD_MAG_TOL / 4 = 2.5e-05\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+
+def test_sweep_runs_through_at_the_step_bound():
+    # every probe stays admissible, and the O(step) truncation already misses the tolerance
+    report = jacobian_validation_sweep(300, 7, LOAD_MAG_TOL / 4)
+    assert report["fd_tolerance"] < report["max_fd_relative_error"] < 1e-4
+    assert report["max_column_space_residual"] < report["residual_tolerance"]
 
 
 @pytest.mark.parametrize(
@@ -651,6 +676,28 @@ def test_config_values_must_fit_their_options(tmp_path, capsys, command, flags, 
     capsys.readouterr()
     assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "again")]) == code
     assert capsys.readouterr().err.startswith("error:") == bool(code)
+
+
+@pytest.mark.parametrize(
+    "flags, option",
+    [
+        (["--n", "7"], "--n"),
+        (["--seed", "3"], "--seed"),
+        (["--on=0.5,0"], "--on"),
+        (["--off=-0.5"], "--off"),
+        (["--system", "other.json"], "--system"),
+    ],
+    ids=["n", "seed", "on", "off", "system"],
+)
+def test_config_replay_refuses_any_other_run_option(tmp_path, capsys, flags, option):
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["bs-dist", "--system", path, "--n", "20", "--out-dir", str(first)]) == 0
+    capsys.readouterr()
+    replay = ["bs-dist", "--config", str(first / "config.json"), *flags]
+    assert main([*replay, "--out-dir", str(again)]) == 1
+    assert capsys.readouterr().err == f"error: --config replays its file and takes no {option}\n"
+    assert not again.exists()
 
 
 def test_negative_real_part_takes_the_equals_form(tmp_path):

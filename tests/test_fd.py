@@ -198,6 +198,24 @@ def test_stacked_probe_failure_names_the_item():
             assert np.array_equal(h[i], channel(system, rows)[0])
 
 
+def test_channel_map_broadcasts_over_two_stacking_axes():
+    # blocks stacked (2, 3, ...) map loads (2, 3, k, n_s) as six per-system maps, on both paths
+    systems = [[coupled_blocks(2, 3, 4, seed=88 + 3 * i + j) for j in range(3)] for i in range(2)]
+    names = ("s_rt", "s_rs", "s_ss", "s_st")
+    stacked = ScatteringBlocks(
+        *(np.array([[getattr(b, k) for b in row] for row in systems]) for k in names)
+    )
+    r = np.array([uni_loads(4, substream(89, *ijl)) for ijl in np.ndindex(2, 3, 5)])
+    r = r.reshape(2, 3, 5, 4)
+    for certified in (True, False):
+        stacked.certified = certified
+        mapped = ChannelMap.from_blocks(stacked)(r)
+        assert mapped.shape == (2, 3, 5, 3, 2)
+        for i, j in np.ndindex(2, 3):
+            systems[i][j].certified = certified
+            assert np.array_equal(mapped[i, j], ChannelMap.from_blocks(systems[i][j])(r[i, j]))
+
+
 def test_channel_map_takes_the_certificate_of_its_blocks(monkeypatch):
     # a certificate the caller has set costs the map no SVD, and picks its branch
     blocks = coupled_blocks(2, 3, 4, seed=86)

@@ -5,7 +5,9 @@
 #   bs-dist toggle, n=40,000 at (3, 4, 16);
 #   optimize-x UNI MAX, optimizer seed 11, at (3, 4, 16);
 #   validate-jacobian, 1,000 trials;
-# plus bs-dist under the FIXED policy (its default illumination, UNI loads,
+# plus validate-jacobian at --step 5e-7 (300 trials, seed 7), which gates the
+# step's path from the command line to the probe,
+# bs-dist under the FIXED policy (its default illumination, UNI loads,
 # n=3,000 at (3, 4, 16), seed 2), bs-dist toggle with the custom PIN states
 # on 0.5+0.25j and off -0.5 (n=2,000 at (3, 4, 16), seed 3), optimize-x PIN
 # MAX through the certified two-state precompute (optimizer seed 5, 3 starts,
@@ -20,7 +22,7 @@
 # The resonant system file is built by the checkout's own save_system.
 # Runs in a fresh temporary directory with relative paths, because
 # config.json and summary.json record the --system path as given.  Run it on
-# two checkouts and diff the outputs: a refactor must print the same 49 lines.
+# two checkouts and diff the outputs: a refactor must print the same 51 lines.
 # With --keep DIR the artifacts are written to DIR, which must be empty or
 # absent, and kept there; tools/artifact_diff.py compares two such trees
 # number by number.
@@ -61,6 +63,7 @@ bsdof optimize-x --system env16/system.json --constraint pin --direction max --s
     --starts 3 --objective-samples 600 --final-n 2000 --out-dir opt-pin
 # exit 1 only reports a tolerance miss; its artifacts are still the result
 bsdof validate-jacobian --trials 1000 --seed 0 --out-dir validate || [ $? -eq 1 ]
+bsdof validate-jacobian --trials 300 --seed 7 --step 5e-7 --out-dir validate-step || [ $? -eq 1 ]
 PYTHONPATH="$src" python3 - <<'PY'
 import math
 
