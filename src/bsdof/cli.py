@@ -59,7 +59,7 @@ def _echo_config(config: dict, out_dir: Path) -> None:
 
 
 # Parsed options that steer the run but are not part of its configuration.
-_NOT_CONFIG = ("out_dir", "config", "func", "on", "off")
+_NOT_CONFIG = ("out_dir", "config", "func", "on", "off", "given")
 
 # Config keys whose replayed values are checked by their own validators.
 _OWN_VALIDATORS = ("constraint", "tx_ports", "rx_ports", "bs_ports", "fixed_x")
@@ -91,12 +91,11 @@ def _load_config(args) -> dict | None:
 
 
 def _check_values(config: dict, args) -> None:
-    """Reject an option given beside --config (a value off its parser default), and
-    replayed values that the subcommand's argparse actions could not parse to."""
+    """Reject an option given beside --config, even at its default, and replayed
+    values that the subcommand's argparse actions could not parse to."""
     (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
     for action in commands[args.command]._actions:
-        given = getattr(args, action.dest, action.default) != action.default
-        if given and action.dest not in ("out_dir", "config"):
+        if action.dest in args.given and action.dest not in ("out_dir", "config"):
             raise ValueError(f"--config replays its file and takes no {action.option_strings[0]}")
         if action.dest not in config or action.dest in _OWN_VALIDATORS:
             continue
@@ -398,13 +397,38 @@ def _add_constraint_args(sub) -> None:
     sub.add_argument("--off", help="custom off value as re,im; write --off=re,im if re < 0")
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that records which options the command line gave.
+
+    Each option is parsed with a suppressed default, so only given options
+    reach the namespace; parse_known_args then fills in every default, in
+    parser order, and lists the given dests under "given".
+    """
+
+    def __init__(self, **kwargs):
+        self.option_defaults = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *flags, default=None, **kwargs):
+        action = super().add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
+        if default is not argparse.SUPPRESS:
+            self.option_defaults[action.dest] = default
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        parsed, defaults = vars(parsed), self.option_defaults
+        given = [dest for dest in defaults if dest in parsed]
+        return argparse.Namespace(**defaults | parsed, given=given), extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The bsdof parser; each option's dest is its key in config.json."""
     parser = argparse.ArgumentParser(
         prog="bsdof",
         description="Degrees-of-freedom analysis of load-modulated backscatter channels",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("synth-env", help="generate a synthetic passive environment")
     p.add_argument("--nt", type=int, default=3)
@@ -412,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=int, default=64)
     p.add_argument("--eta", type=float, default=0.9)
     p.add_argument("--mc", type=float, default=1.0)
-    p.add_argument("--reciprocal", action="store_true")
+    p.add_argument("--reciprocal", action="store_true", default=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--config", default=None)

@@ -9,10 +9,14 @@ fails on its first singular draw, as a sampler run of that size does.  Where
 the passivity certificate ScatteringBlocks.certified holds, which the search's
 solves read too, no member can be singular, and the gate is skipped.
 
-The search runs L-BFGS-B in the real embedding R^{2 n_t} on the raw
-iterate.  M has degree 0 in x (it ignores the global phase and scale of the
-illumination), so the iterate needs no projection and only the winner is
-projected onto the unit sphere.
+The search runs a dense BFGS loop (_bfgs) in the real embedding R^{2 n_t}.
+M has degree 0 in x (it ignores the global phase and scale of the
+illumination), so every accepted iterate is rescaled onto the unit sphere at
+no cost to the objective, its gradient scaled to match, and the winner is
+projected onto the sphere as a complex illumination.  A start stops when a
+step lowers the minimized objective by no more than f_tolerance times the
+larger of its two values' magnitudes and 1 (L-BFGS-B's ftol rule), after
+max_iterations steps, or where no step passes the line search.
 
 Each member's M is a ratio of two quadratic forms in the lift of x, the
 n_t^2 real coordinates of x x^H in an orthonormal basis of Hermitian
@@ -38,15 +42,14 @@ Gamma_ij = (g_re,ij + i g_im,ij) / sqrt(2) for i < j; the real embedding
 takes 2 [Re; Im] of it.
 
 Maximization and minimization share one code path: MAX minimizes the
-negated objective.  The search keeps no bookkeeping of its own: per-start
-traces, the winner and the objective-evaluation count are read from the
-OptimizeResult that scipy returns for each start.
+negated objective.  Per-start traces, the winner and the objective-evaluation
+count are read from what _bfgs returns for each start.
 
 The precompute (fixed slices of sampling.CHUNK members, factored as the
 sampler factors a model-mode chunk) and the starts run on the sampler's
 worker pool.  Starts are kept in start order, so no result depends on
-BSDOF_THREADS or on which start finishes first; scipy's L-BFGS-B keeps its
-state per call, and value_and_gradient writes no instance state.
+BSDOF_THREADS or on which start finishes first; _bfgs keeps its state per
+call, and value_and_gradient writes no instance state.
 """
 
 from dataclasses import dataclass, field
@@ -81,7 +84,7 @@ _DIRECTIONS = ("MAX", "MIN")
 class OptimizationConfig:
     direction: str = "MAX"
     n_objective_samples: int = 1500
-    n_starts: int = 8  # with 3, two of the ten criterion-7 minimizations end in a worse basin
+    n_starts: int = 8  # with 3, criterion-7 MIN environments 0 and 4 end in a worse basin
     max_iterations: int = 2000
     f_tolerance: float = 1e-8
     seed: int = 0
@@ -243,23 +246,67 @@ def mean_dof_objective(
     return _FrozenObjective(blocks, load_set, constraint)(x)
 
 
+def _bfgs(
+    fun, x: np.ndarray, max_iterations: int, f_tolerance: float
+) -> tuple[np.ndarray, float, int, int]:
+    """Minimize fun(v) -> (value, gradient), a function of degree 0 on R^n, from x.
+
+    Dense BFGS on the inverse Hessian (Nocedal & Wright, Numerical Optimization,
+    2nd ed., ch. 6) with an Armijo backtracking line search (c1 = 1e-4, halving
+    the step at most 60 times).  Each accepted point is rescaled onto the unit
+    sphere and its gradient multiplied by the old norm, as g(v / c) = c g(v) at
+    degree 0; the secant pair is the raw step.  The first pair sets the initial
+    inverse Hessian to (s'y / y'y) I, and a pair with s'y <= 1e-12 |s| |y| is
+    skipped.  The search stops after max_iterations accepted steps, on a
+    decrease f_k - f_{k+1} <= f_tolerance max(|f_k|, |f_{k+1}|, 1) (L-BFGS-B's
+    ftol rule), at a line search that finds no step and at an exactly zero
+    gradient.  Returns the last point, its value, the number of accepted steps
+    and the number of evaluations.
+    """
+    f, g = fun(x)
+    inverse, nit, nfev = None, 0, 1
+    while nit < max_iterations and g.any():
+        d = -g if inverse is None else -(inverse @ g)
+        step, slope = 1.0, g @ d
+        for _ in range(60):
+            trial = x + step * d
+            f_trial, g_trial = fun(trial)
+            nfev += 1
+            if f_trial <= f + 1e-4 * step * slope:
+                break
+            step /= 2
+        else:
+            break
+        s, y = step * d, g_trial - g
+        nit, done = nit + 1, f - f_trial <= f_tolerance * max(abs(f), abs(f_trial), 1.0)
+        norm = np.linalg.norm(trial)
+        x, f, g = trial / norm, f_trial, g_trial * norm
+        sy = s @ y
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            if inverse is None:
+                inverse = sy / (y @ y) * np.eye(x.size)
+            hy, rs = inverse @ y, s / sy
+            inverse += (1.0 + y @ hy / sy) * np.outer(rs, s) - np.outer(rs, hy) - np.outer(hy, rs)
+        if done:
+            break
+    return x, f, nit, nfev
+
+
 def optimize_illumination(
     system: ScatteringSystem, constraint: LoadConstraint, config: OptimizationConfig
 ) -> OptimizationResult:
-    """Multistart L-BFGS-B with the exact gradient over the illumination.
+    """Multistart BFGS with the exact gradient over the illumination.
 
-    Each start runs scipy's L-BFGS-B on the raw embedded iterate, with the
-    objective and its gradient from one evaluation (jac=True), at most
-    max_iterations iterations and the relative function tolerance
-    f_tolerance (L-BFGS-B's ftol).  Starts are sphere-uniform from
-    per-start substreams and run concurrently; the winner is the best final
-    objective, ties going to the lowest start index in any finishing order,
-    and its point is projected onto the sphere.  The evaluation count is
-    scipy's per-start nfev plus the one re-evaluation at the winner.
+    Each start runs _bfgs on the embedded iterate, with the objective and its
+    gradient from one evaluation, for at most max_iterations accepted steps;
+    a start stops once a step lowers the minimized objective by no more than
+    f_tolerance times the larger of its two values' magnitudes and 1.  Starts
+    are sphere-uniform from per-start substreams and run concurrently; the
+    winner is the best final objective, ties going to the lowest start index in
+    any finishing order, and its point is projected onto the sphere.  The
+    evaluation count is every start's evaluations plus the one re-evaluation
+    at the winner.
     """
-    # scipy.optimize is most of the package's import time; only this search needs it
-    from scipy.optimize import minimize
-
     blocks = extract_blocks(system)
     sign = -1.0 if config.direction == "MAX" else 1.0
     load_set, redraws = _gated_load_set(
@@ -269,33 +316,32 @@ def optimize_illumination(
 
     def wrapped(v):
         if np.linalg.norm(v) < DEGENERATE_NORM:
-            return np.inf, np.zeros_like(v)  # worst case in minimize-space; never the winner
+            return np.inf, np.zeros_like(v)  # worst case in minimize-space; never accepted
         half = v.size // 2
         value, grad = objective.value_and_gradient(v[:half] + 1j * v[half:])
         return sign * value, 2.0 * sign * embed(grad)
 
-    options = {"maxiter": config.max_iterations, "ftol": config.f_tolerance}
     starts = illuminations_from_uniforms(
         substream_uniforms(config.seed, (_START_KEY,), range(config.n_starts), 2 * blocks.n_tx)
     )
 
     def run_start(start: int):
-        return minimize(wrapped, embed(starts[start]), jac=True, method="L-BFGS-B", options=options)
+        return _bfgs(wrapped, embed(starts[start]), config.max_iterations, config.f_tolerance)
 
     results = _pool_map(run_start, range(config.n_starts))
     traces = [
-        (start, float(sign * r.fun) if np.isfinite(r.fun) else np.nan, int(r.nit))
-        for start, r in enumerate(results)
+        (start, float(sign * fun) if np.isfinite(fun) else np.nan, nit)
+        for start, (_, fun, nit, _) in enumerate(results)
     ]
-    finite = [r for r in results if np.isfinite(r.fun)]
+    finite = [r for r in results if np.isfinite(r[1])]
     if not finite:
         raise OptimizationFailedError("no start produced a finite objective", traces=traces)
 
-    best_x = project(min(finite, key=lambda r: r.fun).x)
+    best_x = project(min(finite, key=lambda r: r[1])[0])
     return OptimizationResult(
         best_x=best_x,
         best_objective=float(objective(best_x)),
         per_start_trace=traces,
-        objective_evaluations=sum(int(r.nfev) for r in results) + 1,
+        objective_evaluations=sum(nfev for *_, nfev in results) + 1,
         load_set_redraws=redraws,
     )

@@ -1,7 +1,12 @@
-"""End-to-end CLI tests; every invocation goes through main() in process."""
+"""End-to-end CLI tests; every invocation goes through main(), in process except where
+a test blocks a module in a fresh interpreter."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -698,6 +703,46 @@ def test_config_replay_refuses_any_other_run_option(tmp_path, capsys, flags, opt
     assert main([*replay, "--out-dir", str(again)]) == 1
     assert capsys.readouterr().err == f"error: --config replays its file and takes no {option}\n"
     assert not again.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, option",
+    [
+        (["--seed", "0"], "--seed"),
+        (["--n", "10000"], "--n"),
+        (["--constraint", "pin"], "--constraint"),
+        (["--bins=64"], "--bins"),
+    ],
+    ids=["seed", "n", "constraint", "bins"],
+)
+def test_config_replay_refuses_an_option_restated_at_its_default(tmp_path, capsys, flags, option):
+    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = ["bs-dist", "--system", path, "--n", "20", "--seed", "3", "--out-dir", str(first)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    replay = ["bs-dist", "--config", str(first / "config.json"), *flags]
+    assert main([*replay, "--out-dir", str(again)]) == 1
+    assert capsys.readouterr().err == f"error: --config replays its file and takes no {option}\n"
+    assert not again.exists()
+
+
+def test_the_runtime_needs_no_scipy(tmp_path):
+    script = f"""
+import sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now raises
+from bsdof.cli import main
+out = {str(tmp_path)!r}
+assert main(["synth-env", "--nt", "2", "--nr", "2", "--ns", "4", "--out-dir", out + "/env"]) == 0
+system = ["--system", out + "/env/system.json"]
+assert main(["optimize-x", *system, "--constraint", "uni", "--starts", "2",
+             "--objective-samples", "50", "--final-n", "50", "--out-dir", out + "/opt"]) == 0
+assert main(["bs-dist", *system, "--n", "50", "--out-dir", out + "/dist"]) == 0
+"""
+    env = os.environ | {"PYTHONPATH": str(Path(bsdof.cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "opt" / "best_x.json").exists()
 
 
 def test_negative_real_part_takes_the_equals_form(tmp_path):

@@ -173,15 +173,13 @@ def test_two_state_load_sets_take_the_two_state_factors(monkeypatch):
 
 
 def test_starts_are_the_per_start_substream_illuminations(monkeypatch):
-    import scipy.optimize
-
     seen = []
 
-    def record(fun, x0, **kwargs):
+    def record(fun, x0, max_iterations, f_tolerance):
         seen.append(x0)
-        return scipy.optimize.OptimizeResult(x=x0, fun=0.0, nit=0, nfev=0)
+        return x0, 0.0, 0, 0
 
-    monkeypatch.setattr(scipy.optimize, "minimize", record)
+    monkeypatch.setattr(bsdof.optimize, "_bfgs", record)
     monkeypatch.setenv("BSDOF_THREADS", "1")
     for n_t in range(1, 7):
         system = system_for(n_t, 2, 4, seed=n_t)
@@ -194,6 +192,44 @@ def test_starts_are_the_per_start_substream_illuminations(monkeypatch):
                 for start in range(20)
             ]
             assert [x0.tobytes() for x0 in seen] == [x0.tobytes() for x0 in expected]
+
+
+def rayleigh_quotient(a):
+    """Negated x^H A x / x^H x on the real embedding, and its gradient there."""
+
+    def fun(v):
+        x = v[: len(a)] + 1j * v[len(a) :]
+        norm2 = np.vdot(x, x).real
+        q = np.vdot(x, a @ x).real / norm2
+        return -q, -2.0 * embed((a @ x - q * x) / norm2)
+
+    return fun
+
+
+def hermitian(n, seed):
+    z = substream(seed).standard_normal((2, n, n))
+    return (z[0] + 1j * z[1] + (z[0] + 1j * z[1]).conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n, seed", [(2, 60), (4, 61), (6, 62), (8, 65)])
+def test_bfgs_finds_the_top_eigenvalue_of_a_rayleigh_quotient(n, seed):
+    a = hermitian(n, seed)
+    x0 = embed(sample_random_illumination(n, substream(seed + 100)))
+    x, f, nit, nfev = bsdof.optimize._bfgs(rayleigh_quotient(a), x0, 200, 1e-12)
+    top = np.linalg.eigvalsh(a)[-1]
+    assert abs(-f - top) <= 1e-10 * abs(top)
+    assert abs(np.linalg.norm(x) - 1.0) < 1e-14
+    assert 1 <= nit <= 200 and nfev > nit
+    capped = bsdof.optimize._bfgs(rayleigh_quotient(a), x0, 2, 1e-8)
+    assert capped[2] == 2
+
+
+def test_a_looser_f_tolerance_takes_no_more_evaluations():
+    a, x0 = hermitian(5, 63), embed(sample_random_illumination(5, substream(64)))
+    loose = bsdof.optimize._bfgs(rayleigh_quotient(a), x0, 200, 1e-2)
+    tight = bsdof.optimize._bfgs(rayleigh_quotient(a), x0, 200, 1e-8)
+    assert loose[3] <= tight[3]
+    assert tight[1] <= loose[1]
 
 
 def test_objective_rejects_a_zero_jacobian():
