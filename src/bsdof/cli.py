@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands: synth-env, benchmark, bs-dist, optimize-x, validate-jacobian.
-Every run echoes its effective configuration (defaults included) into the
-output directory as config.json; re-running with --config pointed at that
-file reproduces all numeric artifacts bit-identically.  All randomness
-derives from the single --seed; BSDOF_THREADS only caps the sampler's and
-the optimizer's worker threads and never changes results.
+Each run_* function returns its exit code and its artifacts as texts, and
+main alone writes them, once the run has returned, into the output
+directory next to the run's effective configuration (defaults included) as
+config.json.  So a run that fails writes nothing; a validate-jacobian
+tolerance miss exits 1 and still writes its report.  Re-running with
+--config pointed at config.json reproduces all numeric artifacts
+bit-identically.  All randomness derives from the single --seed;
+BSDOF_THREADS only caps the sampler's and the optimizer's worker threads
+and never changes results.
 """
 
 import argparse
@@ -34,8 +38,8 @@ from .network import (
     pairs_to_complex,
     partition,
     require_passive,
-    save_system,
     spectral_norm,
+    system_to_dict,
 )
 from .optimize import OptimizationConfig, optimize_illumination
 from .sampling import (
@@ -49,17 +53,12 @@ from .sampling import (
 from .streams import substream_uniforms
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _echo_config(config: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(config, out_dir / "config.json")
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # Parsed options that steer the run but are not part of its configuration.
-_NOT_CONFIG = ("out_dir", "config", "func", "on", "off", "given")
+_NOT_CONFIG = ("out_dir", "config", "func", "on", "off", "given", "actions")
 
 # Config keys whose replayed values are checked by their own validators.
 _OWN_VALIDATORS = ("constraint", "tx_ports", "rx_ports", "bs_ports", "fixed_x")
@@ -93,8 +92,7 @@ def _load_config(args) -> dict | None:
 def _check_values(config: dict, args) -> None:
     """Reject an option given beside --config, even at its default, and replayed
     values that the subcommand's argparse actions could not parse to."""
-    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
-    for action in commands[args.command]._actions:
+    for action in args.actions:
         if action.dest in args.given and action.dest not in ("out_dir", "config"):
             raise ValueError(f"--config replays its file and takes no {action.option_strings[0]}")
         if action.dest not in config or action.dest in _OWN_VALIDATORS:
@@ -141,7 +139,7 @@ def _ports_arg(raw: str | None) -> list | None:
 # ---------------------------------------------------------------- synth-env
 
 
-def run_synth_env(config: dict, out_dir: Path) -> int:
+def run_synth_env(config: dict) -> tuple[int, dict]:
     spec = EnvironmentSpec(
         n_t=config["nt"],
         n_r=config["nr"],
@@ -152,35 +150,29 @@ def run_synth_env(config: dict, out_dir: Path) -> int:
         seed=config["seed"],
     )
     system = synth_environment(spec)
-    _echo_config(config, out_dir)
-    save_system(system, out_dir / "system.json")
     norm = spectral_norm(system.matrix)
     print(
-        f"wrote {out_dir / 'system.json'}: N={system.n_total} "
+        f"system: N={system.n_total} "
         f"(tx={spec.n_t}, rx={spec.n_r}, bs={spec.n_s}), spectral norm {norm:.6f}"
     )
-    return 0
+    return 0, {"system.json": json.dumps(system_to_dict(system))}
 
 
 # ---------------------------------------------------------------- benchmark
 
 
-def run_benchmark(config: dict, out_dir: Path) -> int:
+def run_benchmark(config: dict) -> tuple[int, dict]:
     ports = ("tx_ports", "rx_ports", "bs_ports")
     overrides = {k: config[k] for k in ports if config[k] is not None}
     system = replace(load_system(config["system"]), **overrides)
     result = benchmark_eemdof(extract_blocks(system))
-    _echo_config(config, out_dir)
-    _write_json(
-        {
-            "m": result.m,
-            "n_tilde": result.n_tilde,
-            "singular_values": [float(s) for s in result.singular_values],
-        },
-        out_dir / "benchmark.json",
-    )
+    report = {
+        "m": result.m,
+        "n_tilde": result.n_tilde,
+        "singular_values": [float(s) for s in result.singular_values],
+    }
     print(f"benchmark EEMDOF: {result.m:.6f} (cap {result.n_tilde})")
-    return 0
+    return 0, {"benchmark.json": _json_text(report)}
 
 
 # ------------------------------------------------------------------ bs-dist
@@ -209,18 +201,20 @@ def _check_counts(config: dict, *keys: str) -> None:
             raise ValueError(f"{key} must be at least 1, got {config[key]}")
 
 
-def _write_distribution(dist, out_dir: Path, bins: int) -> None:
+def _distribution_files(dist, bins: int) -> dict:
     """samples.csv, summary.json and histogram.csv of a distribution; floats as their repr."""
-    lines = ["sample_index,m_value"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(dist.samples)]
-    (out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
-    _write_json({f.name: getattr(dist, f.name) for f in fields(dist)[1:]}, out_dir / "summary.json")
-    lines = ["bin_center,density"]
-    lines += [f"{float(c)!r},{float(d)!r}" for c, d in zip(*histogram(dist, bins))]
-    (out_dir / "histogram.csv").write_text("\n".join(lines) + "\n")
+    samples = ["sample_index,m_value"]
+    samples += [f"{i},{float(v)!r}" for i, v in enumerate(dist.samples)]
+    densities = ["bin_center,density"]
+    densities += [f"{float(c)!r},{float(d)!r}" for c, d in zip(*histogram(dist, bins))]
+    return {
+        "samples.csv": "\n".join(samples) + "\n",
+        "summary.json": _json_text({f.name: getattr(dist, f.name) for f in fields(dist)[1:]}),
+        "histogram.csv": "\n".join(densities) + "\n",
+    }
 
 
-def run_bs_dist(config: dict, out_dir: Path) -> int:
+def run_bs_dist(config: dict) -> tuple[int, dict]:
     _check_counts(config, "bins")
     system = load_system(config["system"])
     constraint = LoadConstraint.from_dict(config["constraint"])
@@ -236,19 +230,17 @@ def run_bs_dist(config: dict, out_dir: Path) -> int:
         system_label=str(config["system"]),
     )
     elapsed = time.perf_counter() - started
-    _echo_config(config, out_dir)
-    _write_distribution(dist, out_dir, config["bins"])
     print(
         f"{dist.n_samples} samples in {elapsed:.2f}s: M = {dist.mean:.4f} "
         f"+/- {dist.std:.4f} (cap {dist.n_tilde}, {dist.redraw_count} redraws)"
     )
-    return 0
+    return 0, _distribution_files(dist, config["bins"])
 
 
 # --------------------------------------------------------------- optimize-x
 
 
-def run_optimize_x(config: dict, out_dir: Path) -> int:
+def run_optimize_x(config: dict) -> tuple[int, dict]:
     _check_counts(config, "final_n", "bins")
     system = load_system(config["system"])
     constraint = LoadConstraint.from_dict(config["constraint"])
@@ -257,26 +249,20 @@ def run_optimize_x(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
     result = optimize_illumination(system, constraint, opt_config)
     elapsed = time.perf_counter() - started
-    _echo_config(config, out_dir)
-    _write_json(
-        {
-            "best_x": complex_to_pairs(result.best_x),
-            "best_objective": result.best_objective,
-            "direction": opt_config.direction,
-            "seed": opt_config.seed,
-            "per_start_trace": [
-                {"start": s, "objective": f, "iterations": n}
-                for s, f, n in result.per_start_trace
-            ],
-            "objective_evaluations": result.objective_evaluations,
-            "load_set_redraws": result.load_set_redraws,
-            "hyperparameters": {
-                k: v for k, v in asdict(opt_config).items() if k not in ("direction", "seed")
-            },
+    report = {
+        "best_x": complex_to_pairs(result.best_x),
+        "best_objective": result.best_objective,
+        "direction": opt_config.direction,
+        "seed": opt_config.seed,
+        "per_start_trace": [
+            {"start": s, "objective": f, "iterations": n} for s, f, n in result.per_start_trace
+        ],
+        "objective_evaluations": result.objective_evaluations,
+        "load_set_redraws": result.load_set_redraws,
+        "hyperparameters": {
+            k: v for k, v in asdict(opt_config).items() if k not in ("direction", "seed")
         },
-        out_dir / "optimization.json",
-    )
-    _write_json(complex_to_pairs(result.best_x), out_dir / "best_x.json")
+    }
     # final distribution at the optimum, on a fresh seed
     final_seed = config["seed"] + 1
     dist = sample_distribution(
@@ -288,14 +274,14 @@ def run_optimize_x(config: dict, out_dir: Path) -> int:
         mode="model",
         system_label=str(config["system"]),
     )
-    _write_distribution(dist, out_dir, config["bins"])
     print(
         f"{opt_config.direction} objective {result.best_objective:.4f} "
         f"({result.objective_evaluations} evaluations, {result.load_set_redraws} load-set "
         f"redraws, {elapsed:.1f}s); "
         f"final distribution (seed {final_seed}): {dist.mean:.4f} +/- {dist.std:.4f}"
     )
-    return 0
+    files = {"optimization.json": _json_text(report), "best_x.json": _json_text(report["best_x"])}
+    return 0, files | _distribution_files(dist, config["bins"])
 
 
 # --------------------------------------------------------- validate-jacobian
@@ -367,11 +353,8 @@ def _validation_slice(seed: int, index: np.ndarray, u: np.ndarray, shape: tuple,
     return errors, column_space_residual(closed, blocks.s_rs)
 
 
-def run_validate_jacobian(config: dict, out_dir: Path | None) -> int:
+def run_validate_jacobian(config: dict) -> tuple[int, dict]:
     report = jacobian_validation_sweep(config["trials"], config["seed"], config["step"])
-    if out_dir is not None:
-        _echo_config(config, out_dir)
-        _write_json(report, out_dir / "validation.json")
     print(
         f"max closed-form vs forward-difference relative error: "
         f"{report['max_fd_relative_error']:.3e} (tolerance {report['fd_tolerance']:.0e})"
@@ -385,7 +368,8 @@ def run_validate_jacobian(config: dict, out_dir: Path | None) -> int:
         and report["max_column_space_residual"] < report["residual_tolerance"]
     )
     print("validation PASSED" if passed else "validation FAILED")
-    return 0 if passed else 1
+    # a tolerance miss exits 1, but its report is still the run's result
+    return 0 if passed else 1, {"validation.json": _json_text(report)}
 
 
 # ------------------------------------------------------------------- parser
@@ -402,7 +386,8 @@ class _Subcommand(argparse.ArgumentParser):
 
     Each option is parsed with a suppressed default, so only given options
     reach the namespace; parse_known_args then fills in every default, in
-    parser order, and lists the given dests under "given".
+    parser order, lists the given dests under "given" and hands over the
+    subcommand's own actions under "actions".
     """
 
     def __init__(self, **kwargs):
@@ -419,7 +404,7 @@ class _Subcommand(argparse.ArgumentParser):
         parsed, extras = super().parse_known_args(args, namespace)
         parsed, defaults = vars(parsed), self.option_defaults
         given = [dest for dest in defaults if dest in parsed]
-        return argparse.Namespace(**defaults | parsed, given=given), extras
+        return argparse.Namespace(**defaults | parsed, given=given, actions=self._actions), extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,7 +483,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args) or _config_from_args(args)
-        return args.func(config, args.out_dir)
+        code, files = args.func(config)
+        if args.out_dir is not None:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+            for name, text in ({"config.json": _json_text(config)} | files).items():
+                (args.out_dir / name).write_text(text)
+        return code
     except (BsdofError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

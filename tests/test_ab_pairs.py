@@ -1,4 +1,5 @@
-"""The A/B pair runner: its summary of committed runs, its run order, and failed runs."""
+"""The A/B pair runner: its summary of committed runs, its regression flags, its run order,
+and failed runs."""
 
 import importlib.util
 import json
@@ -16,8 +17,43 @@ _spec.loader.exec_module(ab_pairs)
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_summary_reproduces_every_committed_entry(path):
     record = json.loads(path.read_text())
-    better = ab_pairs.declared_directions(ROOT)
+    better = ab_pairs.declared(ROOT, "better")
     assert ab_pairs.summarize(record["runs"], better) == record["summary"]
+
+
+def hand_made_runs(parent: dict, change: dict, pairs=10) -> list:
+    """Alternated pairs whose every run reads the given end-to-end metric values, the
+    parent's setup_s spread around its value."""
+    spread = (-0.02, -0.01, -0.005, 0.0, 0.0, 0.0, 0.002, 0.01, 0.02, 0.03)
+    runs = []
+    for pair in range(1, pairs + 1):
+        for side, values in (("parent", parent), ("change", change)):
+            metrics = {name: {"value": value} for name, value in values.items()}
+            if side == "parent":
+                metrics["setup_s"]["value"] += spread[pair - 1]
+            runs.append({
+                "workload": "mc-toggle-ns16", "seed": 0, "pair": pair, "side": side,
+                "result": {"metrics": metrics}, "code": "final",
+            })
+    return runs
+
+
+@pytest.mark.parametrize(
+    "setup_rise, ops_drop, flagged",
+    [(0.256, 0.0, ["setup_s"]), (0.24, 0.0, []), (0.0, 0.03, []), (0.0, 0.26, ["ops_per_s"])],
+)
+def test_regressions_flag_only_a_median_worse_than_its_bound(setup_rise, ops_drop, flagged):
+    parent = {"setup_s": 0.178, "wall_s": 20.0, "ops_per_s": 100.0, "peak_rss_mb": 47.0}
+    change = parent | {"setup_s": 0.178 * (1 + setup_rise), "ops_per_s": 100.0 * (1 - ops_drop)}
+    better, bounds = ab_pairs.declared(ROOT, "better"), ab_pairs.declared(ROOT, "bound")
+    summary = ab_pairs.summarize(hand_made_runs(parent, change), better)
+    flags = ab_pairs.regressions(summary, better, bounds)
+    assert [flag["metric"] for flag in flags] == flagged
+    for flag in flags:
+        assert flag["worsening"] == pytest.approx(setup_rise or ops_drop)
+        assert flag["bound"] == 0.25
+        q = summary[0]["metrics"][flag["metric"]]["parent"]
+        assert flag["parent_iqr"] == (q["q3"] - q["q1"]) / q["median"]
 
 
 def test_dry_run_alternates_which_side_runs_first(capsys):

@@ -15,7 +15,7 @@ import bsdof.cli
 import bsdof.network
 import bsdof.sampling
 from bsdof.cli import jacobian_validation_sweep, main
-from bsdof.environment import EnvironmentSpec, synth_environment
+from bsdof.errors import SingularityError
 from bsdof.loads import LOAD_MAG_TOL, LoadConstraint
 from bsdof.metrics import benchmark_eemdof
 from bsdof.network import (
@@ -34,11 +34,12 @@ from bsdof.sampling import (
 )
 from bsdof.streams import substream
 
+from synthetic import system_for
+
 
 def make_system_file(tmp_path, n_t, n_r, n_s, seed, eta=0.9, mc=1.0, name="system.json"):
-    system = synth_environment(EnvironmentSpec(n_t, n_r, n_s, eta, mc, seed=seed))
     path = tmp_path / name
-    save_system(system, path)
+    save_system(system_for(n_t, n_r, n_s, seed, eta, mc), path)
     return str(path)
 
 
@@ -374,8 +375,7 @@ def test_optimize_x_rejects_a_pathological_load_set_before_searching(tmp_path, c
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
-    assert not (out / "optimization.json").exists()
-    assert not (out / "best_x.json").exists()
+    assert not out.exists()
 
 
 def test_optimize_x_rejects_a_nan_tolerance(tmp_path, capsys):
@@ -385,6 +385,19 @@ def test_optimize_x_rejects_a_nan_tolerance(tmp_path, capsys):
     capsys.readouterr()
     assert main([*argv, "--f-tol", "nan", "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == "error: f_tolerance must be positive\n"
+    assert not out.exists()
+
+
+def test_optimize_x_failing_after_its_search_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the search succeeds; the final distribution, the run's last step, raises
+    def singular(*args, **kwargs):
+        raise SingularityError("final distribution is singular")
+
+    monkeypatch.setattr(bsdof.cli, "sample_distribution", singular)
+    out = tmp_path / "opt"
+    capsys.readouterr()
+    assert main(optimize_args(make_system_file(tmp_path, 2, 2, 4, seed=1), "max", out)) == 1
+    assert capsys.readouterr().err == "error: final distribution is singular\n"
     assert not out.exists()
 
 
@@ -409,8 +422,10 @@ def test_validate_jacobian_passes_and_writes_report(tmp_path):
     assert report["max_column_space_residual"] < 1e-10
 
 
-def test_validate_jacobian_without_output_dir():
+def test_validate_jacobian_without_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(["validate-jacobian", "--trials", "3", "--seed", "2"]) == 0
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -450,9 +465,15 @@ def test_validate_jacobian_refuses_a_step_above_the_probe_bound(tmp_path, capsys
         assert not out.exists()
 
 
-def test_sweep_runs_through_at_the_step_bound():
-    # every probe stays admissible, and the O(step) truncation already misses the tolerance
-    report = jacobian_validation_sweep(300, 7, LOAD_MAG_TOL / 4)
+def test_sweep_runs_through_at_the_step_bound(tmp_path):
+    # every probe stays admissible, and the O(step) truncation already misses the tolerance;
+    # the miss exits 1 and still writes the run's config and report
+    out = tmp_path / "validation"
+    argv = ["validate-jacobian", "--trials", "300", "--seed", "7", "--step", repr(LOAD_MAG_TOL / 4)]
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "validation.json"]
+    assert read_json(out / "config.json")["step"] == LOAD_MAG_TOL / 4
+    report = read_json(out / "validation.json")
     assert report["fd_tolerance"] < report["max_fd_relative_error"] < 1e-4
     assert report["max_column_space_residual"] < report["residual_tolerance"]
 
@@ -823,7 +844,7 @@ def test_wrong_json_types_exit_with_an_error(tmp_path, capsys, target, edit):
 
 
 def zero_rx_bs_system_file(tmp_path):
-    system = synth_environment(EnvironmentSpec(2, 2, 4, 0.9, 1.0, seed=1))
+    system = system_for(2, 2, 4, seed=1)
     matrix = system.matrix.copy()
     matrix[np.ix_(system.rx_ports, system.bs_ports)] = 0.0
     # zeroing a block can raise the spectral norm, so halve the matrix to stay passive

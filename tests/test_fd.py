@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import bsdof.network
-from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import InconsistentStateError, OracleError, UnsupportedOperationError
 from bsdof.fd import (
     ChannelMap,
@@ -24,10 +23,7 @@ from bsdof.network import (
 from bsdof.sampling import sample_random_illumination
 from bsdof.streams import standard_complex_gaussian, substream
 
-
-def coupled_blocks(n_t, n_r, n_s, seed, eta=0.9, mc=1.0):
-    spec = EnvironmentSpec(n_t, n_r, n_s, eta, mc, seed=seed)
-    return extract_blocks(synth_environment(spec))
+from synthetic import blocks_for
 
 
 def uni_loads(n_s, stream):
@@ -40,7 +36,7 @@ def rel_frobenius(a, b):
 
 def test_forward_difference_is_exact_on_affine_map():
     # without load coupling the channel is affine in r, so any step works
-    blocks = coupled_blocks(2, 3, 6, seed=11, mc=0.0)
+    blocks = blocks_for(2, 3, 6, seed=11, mc=0.0)
     r0 = uni_loads(6, substream(30))
     x = sample_random_illumination(2, substream(31))
     fd = complex_step_jacobian(ChannelMap.from_blocks(blocks), r0, x, step=1e-2)
@@ -70,7 +66,7 @@ def test_scalar_hand_derivative():
 
 
 def test_forward_difference_tracks_closed_form_when_coupled():
-    blocks = coupled_blocks(4, 4, 8, seed=3)
+    blocks = blocks_for(4, 4, 8, seed=3)
     r0 = uni_loads(8, substream(50))
     x = sample_random_illumination(4, substream(51))
     fd = complex_step_jacobian(ChannelMap.from_blocks(blocks), r0, x)
@@ -79,7 +75,7 @@ def test_forward_difference_tracks_closed_form_when_coupled():
 
 
 def test_halving_the_step_halves_the_error():
-    blocks = coupled_blocks(4, 4, 8, seed=3)
+    blocks = blocks_for(4, 4, 8, seed=3)
     r0 = uni_loads(8, substream(50))
     x = sample_random_illumination(4, substream(51))
     channel_map = ChannelMap.from_blocks(blocks)
@@ -146,7 +142,7 @@ def test_stacked_probe_equals_single_row_evaluations():
         u = substream(70, trial).random(4)
         n_t, n_r, n_s = 1 + int(u[0] * 4), 1 + int(u[1] * 4), 2 + int(u[2] * 15)
         eta = (0.3, 0.6, 0.9)[int(u[3] * 3)]
-        blocks = coupled_blocks(n_t, n_r, n_s, seed=trial, eta=eta)
+        blocks = blocks_for(n_t, n_r, n_s, seed=trial, eta=eta)
         r0 = uni_loads(n_s, substream(71, trial))
         x = sample_random_illumination(n_t, substream(72, trial))
         channel_map = ChannelMap.from_blocks(blocks)
@@ -169,7 +165,7 @@ def stack_blocks(systems):
 @pytest.mark.parametrize("n_s", [2, 3, 9, 16])
 def test_stacked_probe_equals_per_system_probes(n_s):
     etas = (0.3, 0.9, 0.6)
-    systems = [coupled_blocks(3, 2, n_s, seed=80 + i, eta=eta) for i, eta in enumerate(etas)]
+    systems = [blocks_for(3, 2, n_s, seed=80 + i, eta=eta) for i, eta in enumerate(etas)]
     r0 = np.stack([uni_loads(n_s, substream(81, i)) for i in range(3)])
     x = np.stack([sample_random_illumination(3, substream(82, i)) for i in range(3)])
     fd = complex_step_jacobian(ChannelMap.from_blocks(stack_blocks(systems)), r0, x).matrix
@@ -183,7 +179,7 @@ def test_stacked_probe_failure_names_the_item():
     # item 1 sits at the resonance r = 1 of diagonal_blocks, items 0 and 2 do not;
     # the mixed stack puts it between two certified systems of the same shape
     blocks = diagonal_blocks()
-    certified = [coupled_blocks(1, 1, 2, seed=83 + i) for i in range(2)]
+    certified = [blocks_for(1, 1, 2, seed=83 + i) for i in range(2)]
     r0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]], dtype=complex)
     x = np.ones((3, 1), dtype=complex)
     rows = np.array([[0.0, 0.0], [0.5, 0.0], [0.2j, -0.3]])
@@ -200,7 +196,7 @@ def test_stacked_probe_failure_names_the_item():
 
 def test_channel_map_broadcasts_over_two_stacking_axes():
     # blocks stacked (2, 3, ...) map loads (2, 3, k, n_s) as six per-system maps, on both paths
-    systems = [[coupled_blocks(2, 3, 4, seed=88 + 3 * i + j) for j in range(3)] for i in range(2)]
+    systems = [[blocks_for(2, 3, 4, seed=88 + 3 * i + j) for j in range(3)] for i in range(2)]
     names = ("s_rt", "s_rs", "s_ss", "s_st")
     stacked = ScatteringBlocks(
         *(np.array([[getattr(b, k) for b in row] for row in systems]) for k in names)
@@ -218,7 +214,7 @@ def test_channel_map_broadcasts_over_two_stacking_axes():
 
 def test_channel_map_takes_the_certificate_of_its_blocks(monkeypatch):
     # a certificate the caller has set costs the map no SVD, and picks its branch
-    blocks = coupled_blocks(2, 3, 4, seed=86)
+    blocks = blocks_for(2, 3, 4, seed=86)
     r = np.stack([uni_loads(4, substream(87, j)) for j in range(5)])
 
     def no_svd(*args):
@@ -239,7 +235,7 @@ def test_channel_map_takes_the_certificate_of_its_blocks(monkeypatch):
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 1), (2, 3, 4), (4, 4, 16)])
 def test_certified_channel_rows_equal_the_scalar_channel(shape):
     etas = (0.3, 0.6, 0.9)
-    systems = [coupled_blocks(*shape, seed=84 + i, eta=eta) for i, eta in enumerate(etas)]
+    systems = [blocks_for(*shape, seed=84 + i, eta=eta) for i, eta in enumerate(etas)]
     stacked = stack_blocks(systems)
     assert stacked.certified
     n_s = shape[2]
@@ -257,7 +253,7 @@ def test_certified_channel_rows_equal_the_scalar_channel(shape):
 
 
 def test_toggle_secant_without_coupling_matches_closed_form():
-    blocks = coupled_blocks(2, 2, 8, seed=12, mc=0.0)
+    blocks = blocks_for(2, 2, 8, seed=12, mc=0.0)
     constraint = LoadConstraint.pin()
     r0 = sample_loads(constraint, 8, substream(32))
     x = sample_random_illumination(2, substream(33))
@@ -274,7 +270,7 @@ def test_toggle_secant_without_coupling_matches_closed_form():
 
 def test_toggle_variants_differ_by_the_state_swing_only():
     # holds with coupling too: the secant numerators are shared
-    blocks = coupled_blocks(2, 2, 8, seed=13)
+    blocks = blocks_for(2, 2, 8, seed=13)
     constraint = LoadConstraint.pin()
     r0 = sample_loads(constraint, 8, substream(34))
     x = sample_random_illumination(2, substream(35))
@@ -290,7 +286,7 @@ def test_toggle_variants_differ_by_the_state_swing_only():
 
 
 def test_toggle_needs_a_two_state_family():
-    blocks = coupled_blocks(2, 2, 4, seed=14)
+    blocks = blocks_for(2, 2, 4, seed=14)
     r0 = uni_loads(4, substream(36))
     x = sample_random_illumination(2, substream(37))
     with pytest.raises(UnsupportedOperationError, match="needs a two-state constraint"):
@@ -310,7 +306,7 @@ def test_toggle_rejects_a_stray_load_before_calling_the_map():
 
 
 def test_wrt_must_be_a_known_axis():
-    blocks = coupled_blocks(2, 2, 4, seed=14)
+    blocks = blocks_for(2, 2, 4, seed=14)
     constraint = LoadConstraint.pin()
     r0 = sample_loads(constraint, 4, substream(38))
     x = sample_random_illumination(2, substream(39))
@@ -324,7 +320,7 @@ def test_secant_dof_stays_near_tangent_dof():
     """Toggle secants average the model over a finite state swing, so their
     participation number drifts from the tangent value; on a moderately
     coupled 16-element array the drift stays well under half a mode."""
-    blocks = coupled_blocks(2, 2, 16, seed=5)
+    blocks = blocks_for(2, 2, 16, seed=5)
     constraint = LoadConstraint.pin()
     r0 = sample_loads(constraint, 16, substream(40))
     x = sample_random_illumination(2, substream(41))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import DegenerateInputError
 from bsdof.fd import ChannelMap, complex_step_jacobian
 from bsdof.loads import LoadConstraint, sample_loads
@@ -14,13 +13,11 @@ from bsdof.metrics import (
     participation_from_singular_values,
     participation_number,
 )
-from bsdof.network import ScatteringBlocks, closed_form_jacobian, extract_blocks
+from bsdof.network import ScatteringBlocks, closed_form_jacobian
 from bsdof.sampling import sample_random_illumination
 from bsdof.streams import standard_complex_gaussian, substream
 
-
-def blocks_for(n_t, n_r, n_s, seed, eta=0.9):
-    return extract_blocks(synth_environment(EnvironmentSpec(n_t, n_r, n_s, eta, 1.0, seed=seed)))
+from synthetic import blocks_for
 
 
 def test_equal_singular_values_attain_cap():
@@ -123,8 +120,7 @@ def test_benchmark_eemdof_uses_receive_coupling_block():
 def test_benchmark_near_cap_in_rich_environments():
     # 64 loads against 4 rx ports: an i.i.d. draw is far from rank deficient
     for seed in range(10):
-        spec = EnvironmentSpec(3, 4, 64, 0.9, 1.0, seed=seed)
-        result = benchmark_eemdof(extract_blocks(synth_environment(spec)))
+        result = benchmark_eemdof(blocks_for(3, 4, 64, seed=seed))
         assert result.n_tilde == 4
         assert result.m >= 0.85 * 4
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import bsdof.network
-from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import (
     InconsistentStateError,
     PartitionError,
@@ -65,6 +64,8 @@ from bsdof.sampling import (
 )
 from bsdof.streams import standard_complex_gaussian, substream, substream_uniforms
 
+from synthetic import blocks_for, system_for
+
 
 def incident_map(blocks, r):
     """W(r) from the scalar resolvent and the factor kernel."""
@@ -75,10 +76,6 @@ def load_factor(blocks, r0, x):
     """B = G(r0) diag(W(r0) x), the load-side factor of J = S_RS B."""
     g = coupling_resolvent(blocks.s_ss, r0)
     return g * incident_drive(jacobian_factors(blocks, g, r0)[1], x)[None, :]
-
-
-def coupled_system(n_t, n_r, n_s, seed, eta=0.9):
-    return synth_environment(EnvironmentSpec(n_t, n_r, n_s, eta, 1.0, seed=seed))
 
 
 def scalar_blocks(s_rt, s_rs, s_ss, s_st):
@@ -120,7 +117,7 @@ def test_resolvent_scalar_hand_value():
 
 
 def test_resolvent_inverse_identity():
-    system = coupled_system(2, 2, 12, seed=3)
+    system = system_for(2, 2, 12, seed=3)
     blocks = extract_blocks(system)
     r = sample_loads(LoadConstraint.uni(), 12, substream(8))
     g = coupling_resolvent(blocks.s_ss, r)
@@ -137,7 +134,7 @@ def test_resolvent_singular_loop_fails_fast():
 
 
 def test_batched_resolvent_matches_the_scalar_one_per_configuration():
-    blocks = extract_blocks(coupled_system(2, 2, 6, seed=21))
+    blocks = blocks_for(2, 2, 6, seed=21)
     gen = substream(22)
     r = np.stack([sample_loads(LoadConstraint.uni(), 6, gen) for _ in range(6)]).reshape(2, 3, 6)
     g, rcond = resolvent(blocks.s_ss, r)
@@ -175,7 +172,7 @@ def test_stacked_coupling_with_a_singular_member_solves_the_others_alone():
 
 @pytest.mark.parametrize("bad", [1.01, np.nan])
 def test_loads_outside_the_unit_disk_are_rejected(bad):
-    blocks = extract_blocks(coupled_system(2, 2, 3, seed=23))
+    blocks = blocks_for(2, 2, 3, seed=23)
     x = sample_random_illumination(2, substream(24))
     r = np.array([0.2, bad, -0.4j], dtype=complex)
     with pytest.raises(ValueError):
@@ -191,7 +188,7 @@ def test_loads_outside_the_unit_disk_are_rejected(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf])
 def test_non_finite_illuminations_are_rejected(bad):
-    blocks = extract_blocks(coupled_system(3, 2, 3, seed=23))
+    blocks = blocks_for(3, 2, 3, seed=23)
     r = sample_loads(LoadConstraint.uni(), 3, substream(24))
     x = np.array([bad, 1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="not 1"):
@@ -270,7 +267,7 @@ def test_passivity_certificate_is_void_at_the_lossless_limit():
 
 
 def test_blocks_certify_every_stacked_system_with_one_svd(monkeypatch):
-    systems = [coupled_system(2, 3, 4, seed=67 + i, eta=eta) for i, eta in enumerate((0.3, 0.9))]
+    systems = [system_for(2, 3, 4, seed=67 + i, eta=eta) for i, eta in enumerate((0.3, 0.9))]
     ports = (systems[0].tx_ports, systems[0].rx_ports, systems[0].bs_ports)
     stack = partition(np.stack([s.matrix for s in systems]), *ports)
     floors = rcond_floor(stack.s_ss)
@@ -313,7 +310,7 @@ def test_stack_with_one_non_passive_matrix_is_rejected():
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
 def test_solved_factors_equal_the_resolvent_ones(stacked):
-    blocks = extract_blocks(coupled_system(3, 4, 7, seed=61))
+    blocks = blocks_for(3, 4, 7, seed=61)
     gen = substream(62)
     stack = np.array([sample_loads(LoadConstraint.uni(), 7, gen) for _ in range(5)])
     r = stack if stacked else stack[0]
@@ -338,7 +335,7 @@ def test_solved_factors_equal_the_resolvent_ones(stacked):
     ids=["1.01", "nan", "width"],
 )
 def test_solved_factors_reject_inadmissible_loads(bad, message):
-    blocks = extract_blocks(coupled_system(2, 2, 3, seed=63))
+    blocks = blocks_for(2, 2, 3, seed=63)
     for certified, solve in itertools.product((True, False), (factors, channel)):
         blocks.certified = certified  # the gated branch too, on the same blocks
         with pytest.raises(ValueError, match=message):
@@ -346,7 +343,7 @@ def test_solved_factors_reject_inadmissible_loads(bad, message):
 
 
 def test_each_solve_validates_its_loads_once(monkeypatch):
-    blocks = extract_blocks(coupled_system(2, 2, 3, seed=63))
+    blocks = blocks_for(2, 2, 3, seed=63)
     calls = []
     counted = lambda r, n_s: calls.append(n_s) or validate_loads(r, n_s)
     monkeypatch.setattr(bsdof.network, "validate_loads", counted)
@@ -377,7 +374,7 @@ def test_uncertified_factors_gate_on_the_exact_rcond():
 
 def toggle_draws(dims, constraint, seed):
     """Certified blocks of an environment at dims, 256 two-state draws and their toggle steps."""
-    blocks = extract_blocks(coupled_system(*dims, seed=seed))
+    blocks = blocks_for(*dims, seed=seed)
     n_words = constraint.uniforms_per_draw(dims[2])
     r = loads_from_uniforms(constraint, substream_uniforms(seed, (), range(256), n_words))
     on, off = constraint.on_value, constraint.off_value
@@ -458,7 +455,7 @@ TWO_STATES = {
 
 def two_state_draws(dims, constraint, seed, eta=0.9):
     """Certified blocks at dims and 256 draws of the constraint, led by all on and all off."""
-    blocks = extract_blocks(coupled_system(*dims, seed=seed, eta=eta))
+    blocks = blocks_for(*dims, seed=seed, eta=eta)
     u = substream_uniforms(seed, (), range(254), dims[2])
     states = np.repeat([[constraint.on_value], [constraint.off_value]], dims[2], axis=1)
     return blocks, np.concatenate([states, loads_from_uniforms(constraint, u)])
@@ -520,7 +517,7 @@ def test_two_state_factors_reject_loads_off_the_two_states():
 @pytest.mark.parametrize("kind, certified", [("uni", True), ("uni", False), ("pin", False)])
 def test_solved_factor_samples_keep_their_bits(kind, certified, monkeypatch):
     # UNI draws and uncertified blocks sample through factors, chunk by chunk
-    system = coupled_system(3, 4, 8, seed=69)
+    system = system_for(3, 4, 8, seed=69)
     constraint = LoadConstraint.from_dict({"kind": kind.upper()})
     if not certified:
         monkeypatch.setattr(ScatteringBlocks, "certified", False)
@@ -559,7 +556,7 @@ def test_stacked_blocks_with_mismatched_trailing_shapes_are_rejected(name, shape
 
 
 def test_stacked_closed_form_equals_the_single_system_one():
-    systems = [extract_blocks(coupled_system(2, 3, 4, seed=s)) for s in (66, 67, 68)]
+    systems = [blocks_for(2, 3, 4, seed=s) for s in (66, 67, 68)]
     stacked = ScatteringBlocks(
         *(np.stack([getattr(b, k) for b in systems]) for k in ("s_rt", "s_rs", "s_ss", "s_st"))
     )
@@ -582,7 +579,7 @@ def resolvent_channel(blocks, r):
 
 
 def test_channel_zero_loads_is_direct_path():
-    blocks = extract_blocks(coupled_system(3, 2, 5, seed=4))
+    blocks = blocks_for(3, 2, 5, seed=4)
     for h in (channel(blocks, np.zeros(5))[0], resolvent_channel(blocks, np.zeros(5))):
         assert np.array_equal(h, blocks.s_rt)
 
@@ -596,7 +593,7 @@ def test_channel_scalar_closed_form():
 
 
 def test_channel_no_coupling_reduces_to_single_bounce():
-    blocks = extract_blocks(coupled_system(2, 3, 6, seed=5))
+    blocks = blocks_for(2, 3, 6, seed=5)
     no_mc = ScatteringBlocks(
         s_rt=blocks.s_rt, s_rs=blocks.s_rs, s_ss=np.zeros((6, 6)), s_st=blocks.s_st
     )
@@ -623,7 +620,7 @@ def test_output_wavefront():
 
 
 def test_illumination_matrix_trivial_limits_and_scalar_form():
-    blocks = extract_blocks(coupled_system(2, 2, 4, seed=6))
+    blocks = blocks_for(2, 2, 4, seed=6)
     no_mc = ScatteringBlocks(
         s_rt=blocks.s_rt, s_rs=blocks.s_rs, s_ss=np.zeros((4, 4)), s_st=blocks.s_st
     )
@@ -657,7 +654,7 @@ def test_jacobian_spectrum_is_computed_on_first_use():
 
 def test_jacobian_without_coupling_ignores_operating_point():
     """With no element-to-element coupling the map is affine in the loads."""
-    blocks = extract_blocks(coupled_system(2, 3, 5, seed=7))
+    blocks = blocks_for(2, 3, 5, seed=7)
     no_mc = ScatteringBlocks(
         s_rt=blocks.s_rt, s_rs=blocks.s_rs, s_ss=np.zeros((5, 5)), s_st=blocks.s_st
     )
@@ -674,7 +671,7 @@ def test_jacobian_without_coupling_ignores_operating_point():
 
 
 def test_b_factor_reconstructs_jacobian():
-    blocks = extract_blocks(coupled_system(3, 4, 9, seed=8))
+    blocks = blocks_for(3, 4, 9, seed=8)
     r0 = sample_loads(LoadConstraint.uni(), 9, substream(18))
     x = sample_random_illumination(3, substream(19))
     jac = closed_form_jacobian(blocks, r0, x)
@@ -684,7 +681,7 @@ def test_b_factor_reconstructs_jacobian():
 
 
 def test_b_factor_limits():
-    blocks = extract_blocks(coupled_system(2, 2, 4, seed=9))
+    blocks = blocks_for(2, 2, 4, seed=9)
     no_mc = ScatteringBlocks(
         s_rt=blocks.s_rt, s_rs=blocks.s_rs, s_ss=np.zeros((4, 4)), s_st=blocks.s_st
     )
@@ -701,7 +698,7 @@ def test_b_factor_limits():
 
 
 def test_woodbury_zero_update_is_identity():
-    blocks = extract_blocks(coupled_system(2, 2, 6, seed=10))
+    blocks = blocks_for(2, 2, 6, seed=10)
     r = sample_loads(LoadConstraint.uni(), 6, substream(21))
     g = coupling_resolvent(blocks.s_ss, r)
     g_new, h_new = woodbury_channel_update(blocks, g, r, 2, r[2])
@@ -710,7 +707,7 @@ def test_woodbury_zero_update_is_identity():
 
 
 def test_woodbury_no_coupling_keeps_identity_resolvent():
-    blocks = extract_blocks(coupled_system(2, 2, 4, seed=11))
+    blocks = blocks_for(2, 2, 4, seed=11)
     no_mc = ScatteringBlocks(
         s_rt=blocks.s_rt, s_rs=blocks.s_rs, s_ss=np.zeros((4, 4)), s_st=blocks.s_st
     )
@@ -725,7 +722,7 @@ def test_woodbury_no_coupling_keeps_identity_resolvent():
 
 def test_woodbury_matches_full_recomputation():
     pin = LoadConstraint.pin()
-    blocks = extract_blocks(coupled_system(2, 2, 16, seed=12))
+    blocks = blocks_for(2, 2, 16, seed=12)
     r0 = sample_loads(pin, 16, substream(23))
     g0 = coupling_resolvent(blocks.s_ss, r0)
     r1 = r0.copy()
@@ -741,7 +738,7 @@ def test_woodbury_gray_code_walk_tracks_every_pin_configuration():
     """One rank-1 update per step through all 2^10 PIN configurations, in Gray-code order
     from all off, stays on the batched resolvent and channel of each configuration."""
     pin = LoadConstraint.pin()
-    blocks = extract_blocks(coupled_system(3, 4, 10, seed=0, eta=0.9))
+    blocks = blocks_for(3, 4, 10, seed=0, eta=0.9)
     codes = np.arange(1024) ^ (np.arange(1024) >> 1)
     is_on = (codes[:, None] >> np.arange(10)) & 1 == 1
     configs = np.where(is_on, pin.on_value, pin.off_value)
@@ -770,7 +767,7 @@ def test_woodbury_singular_denominator():
     ids=["nan", "1.01", "5", "nan-base"],
 )
 def test_woodbury_rejects_inadmissible_loads(base, new):
-    blocks = extract_blocks(coupled_system(2, 2, 4, seed=13))
+    blocks = blocks_for(2, 2, 4, seed=13)
     r = np.array([0.2, base, -0.4j, 0.5])
     g = coupling_resolvent(blocks.s_ss, np.nan_to_num(r))
     with pytest.raises(ValueError, match="finite and at most 1"):
@@ -778,7 +775,7 @@ def test_woodbury_rejects_inadmissible_loads(base, new):
 
 
 def test_serialization_roundtrip(tmp_path):
-    system = coupled_system(2, 3, 4, seed=13)
+    system = system_for(2, 3, 4, seed=13)
     clone = system_from_dict(system_to_dict(system))
     assert np.array_equal(clone.matrix, system.matrix)
     assert clone.tx_ports == system.tx_ports

@@ -6,7 +6,6 @@ import pytest
 import bsdof.network
 import bsdof.optimize
 import bsdof.sampling
-from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import (
     DegenerateInputError,
     InconsistentStateError,
@@ -39,13 +38,11 @@ from bsdof.optimize import (
 from bsdof.sampling import sample_random_illumination
 from bsdof.streams import substream
 
+from synthetic import blocks_for, system_for
+
 UNI = LoadConstraint.uni()
 PIN = LoadConstraint.pin()
 PM = LoadConstraint.pm()
-
-
-def system_for(n_t, n_r, n_s, seed, eta=0.9):
-    return synth_environment(EnvironmentSpec(n_t, n_r, n_s, eta, 1.0, seed=seed))
 
 
 def test_embedding_round_trip():
@@ -88,7 +85,7 @@ def test_objective_is_the_average_of_point_metrics():
 
 @pytest.mark.parametrize("n_r, n_s", [(1, 5), (4, 3), (4, 16), (2, 9)])
 def test_basis_objective_equals_the_jacobian_form(n_r, n_s):
-    blocks = extract_blocks(system_for(3, n_r, n_s, seed=n_s))
+    blocks = blocks_for(3, n_r, n_s, seed=n_s)
     load_set = sample_load_set(UNI, n_s, 200, seed=n_s + 1, s_ss=blocks.s_ss)
     x = sample_random_illumination(3, substream(n_s + 2))
     rx, w = jacobian_factors(blocks, coupling_resolvent(blocks.s_ss, load_set), load_set)
@@ -148,7 +145,7 @@ def test_lifted_objective_matches_the_jacobian_reference(dims, constraint):
 
 
 def test_two_state_load_sets_take_the_two_state_factors(monkeypatch):
-    blocks = extract_blocks(system_for(3, 4, 16, seed=49))
+    blocks = blocks_for(3, 4, 16, seed=49)
     assert blocks.certified
     x = sample_random_illumination(3, substream(50))
     load_sets = [sample_load_set(c, 16, 300, seed=51, s_ss=blocks.s_ss) for c in (PIN, PM, UNI)]
@@ -233,7 +230,7 @@ def test_a_looser_f_tolerance_takes_no_more_evaluations():
 
 
 def test_objective_rejects_a_zero_jacobian():
-    blocks = extract_blocks(system_for(2, 2, 4, seed=29))
+    blocks = blocks_for(2, 2, 4, seed=29)
     blocks.s_rs = np.zeros_like(blocks.s_rs)
     load_set = sample_load_set(PIN, 4, 8, seed=30, s_ss=blocks.s_ss)
     with pytest.raises(DegenerateInputError):
@@ -269,7 +266,7 @@ def test_objective_rejects_active_loads():
     ids=["zero", "underflow", "nan", "short"],
 )
 def test_objective_rejects_a_degenerate_illumination(x, error):
-    blocks = extract_blocks(system_for(3, 2, 4, seed=29))
+    blocks = blocks_for(3, 2, 4, seed=29)
     load_set = sample_load_set(PIN, 4, 8, seed=30, s_ss=blocks.s_ss)
     with pytest.raises(error):
         mean_dof_objective(blocks, x, PIN, load_set)
@@ -299,7 +296,7 @@ def test_load_set_rejects_a_load_count_that_disagrees_with_the_coupling():
 
 
 def test_objective_rejects_an_empty_load_set():
-    blocks = extract_blocks(system_for(3, 2, 4, seed=29))
+    blocks = blocks_for(3, 2, 4, seed=29)
     with pytest.raises(ValueError, match="load set is empty"):
         mean_dof_objective(blocks, np.ones(3), UNI, np.empty((0, 4)))
 
@@ -345,7 +342,7 @@ def test_flat_resonant_coupling_is_uncertified():
 )
 def test_gradient_matches_central_differences(dims, constraint, seed):
     n_t, n_r, n_s = dims
-    blocks = extract_blocks(system_for(n_t, n_r, n_s, seed=seed))
+    blocks = blocks_for(n_t, n_r, n_s, seed=seed)
     load_set = sample_load_set(constraint, n_s, 500, seed=seed + 1, s_ss=blocks.s_ss)
     objective = _FrozenObjective(blocks, load_set, constraint)
     # a raw iterate off the unit sphere: M has degree 0 in x

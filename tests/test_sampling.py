@@ -12,7 +12,7 @@ import bsdof.network
 import bsdof.optimize
 import bsdof.sampling
 from bsdof.cli import main
-from bsdof.environment import EnvironmentSpec, synth_environment, zero_mc
+from bsdof.environment import zero_mc
 from bsdof.errors import DegenerateInputError, SingularityError, UnsupportedOperationError
 from bsdof.fd import ChannelMap, discrete_toggle_jacobian
 from bsdof.loads import LOAD_MAG_TOL, LoadConstraint, loads_from_uniforms, sample_loads
@@ -48,12 +48,10 @@ from bsdof.network import (
 )
 from bsdof.streams import substream, substream_uniforms
 
+from synthetic import blocks_for, system_for
+
 PIN = LoadConstraint.pin()
 PM = LoadConstraint.pm()
-
-
-def system_for(n_t, n_r, n_s, seed, eta=0.9, mc=1.0):
-    return synth_environment(EnvironmentSpec(n_t, n_r, n_s, eta, mc, seed=seed))
 
 
 def resonant_system(u, w):
@@ -458,7 +456,7 @@ def test_certified_load_set_forms_no_resolvent(monkeypatch):
         raise RuntimeError("resolvent called")
 
     monkeypatch.setattr(bsdof.optimize, "resolvent", no_resolvent)
-    s_ss = extract_blocks(system_for(2, 2, 8, seed=3)).s_ss
+    s_ss = blocks_for(2, 2, 8, seed=3).s_ss
     members = sample_load_set(PM, 8, 300, seed=34, s_ss=s_ss)
     words = substream_uniforms(34, (0,), range(300), PM.uniforms_per_draw(8))
     assert np.array_equal(members, loads_from_uniforms(PM, words))
@@ -654,7 +652,7 @@ def dist_from_samples(samples, n_tilde, seed=0):
     return DofDistribution(samples=samples, n_tilde=n_tilde, seed=seed)
 
 
-def test_summarize_hand_values():
+def test_distribution_summary_hand_values():
     """A distribution summarizes its samples by their mean and population std."""
     for samples, summary in (([2.0, 2.0, 2.0], (2.0, 0.0)), ([1.0, 3.0], (2.0, 1.0))):
         dist = dist_from_samples(np.array(samples), n_tilde=3)
@@ -662,7 +660,7 @@ def test_summarize_hand_values():
         assert type(dist.mean) is float and type(dist.std) is float
 
 
-def test_summarize_matches_a_two_pass_oracle():
+def test_distribution_summary_matches_a_two_pass_oracle():
     samples = 1.0 + 2.0 * substream(90).random(4000)
     dist = dist_from_samples(samples, n_tilde=3)
     oracle_mean = math.fsum(samples) / samples.size

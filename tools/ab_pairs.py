@@ -21,7 +21,12 @@ The file's "summary" is a pure function of its "runs" (summarize()): per
 workload, seed and code, each side's quartiles of every end-to-end metric
 (statistics.quantiles, inclusive method, which is linear interpolation) and
 the number of pairs the change wins, ties counting for neither.  Metric
-names and directions come from the change checkout's BENCHMARK.json.
+names, directions and bounds come from the change checkout's BENCHMARK.json.
+Its "regressions" (regressions()) flag every metric whose change median is
+worse than the parent median by more than the metric's bound, with the
+parent's interquartile range relative to its median, and each flag is
+printed: a flagged metric breaks the benchmark's no-regression bound, and a
+range wider than the bound says the metric spreads that far on its own.
 """
 
 import argparse
@@ -46,10 +51,11 @@ SOFTWARE = (
 )
 
 
-def declared_directions(checkout: Path) -> dict:
-    """End-to-end metric name -> "lower" or "higher", in BENCHMARK.json order."""
-    declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in declared["end_to_end"]}
+def declared(checkout: Path, key: str) -> dict:
+    """End-to-end metric name -> its BENCHMARK.json entry's key ("better" gives "lower" or
+    "higher", "bound" the allowed relative worsening), in BENCHMARK.json order."""
+    benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m[key] for m in benchmark["end_to_end"]}
 
 
 def summarize(runs: list, better: dict) -> list:
@@ -79,6 +85,27 @@ def summarize(runs: list, better: dict) -> list:
             {"workload": workload, "seed": seed, "code": code, "pairs": len(pairs), "metrics": metrics}
         )
     return summary
+
+
+def regressions(summary: list, better: dict, bounds: dict) -> list:
+    """Each summarized metric whose change median is worse than the parent median by
+    more than its bound, the worsening taken relative to the parent median."""
+    flags = []
+    for entry in summary:
+        for name, metric in entry["metrics"].items():
+            parent, change = metric["parent"], metric["change"]
+            if parent["median"] == 0:  # no relative change to take
+                continue
+            worse = (change["median"] - parent["median"]) / abs(parent["median"])
+            if better[name] == "higher":
+                worse = -worse
+            if worse > bounds[name]:
+                flags.append({
+                    "workload": entry["workload"], "seed": entry["seed"], "code": entry["code"],
+                    "metric": name, "worsening": worse, "bound": bounds[name],
+                    "parent_iqr": (parent["q3"] - parent["q1"]) / abs(parent["median"]),
+                })
+    return flags
 
 
 def run_order(workloads, seeds, pairs):
@@ -186,6 +213,15 @@ def main(argv=None) -> int:
                     **{name: m["value"] for name, m in result["metrics"].items()},
                 }
 
+    better = declared(checkouts["change"], "better")
+    summary = summarize(runs, better)
+    flags = regressions(summary, better, declared(checkouts["change"], "bound"))
+    for flag in flags:
+        print(
+            f"regression: {flag['workload']} seed {flag['seed']} {flag['metric']} is "
+            f"{flag['worsening']:+.1%} worse than the parent median (bound {flag['bound']:.0%}; "
+            f"parent IQR {flag['parent_iqr']:.1%} of its median)"
+        )
     record = {
         "tag": args.tag,
         "change": args.describe,
@@ -194,7 +230,8 @@ def main(argv=None) -> int:
         "method": METHOD,
         "host": {"vcpus": os.cpu_count(), "shared": True, "frequency_pinned": False},
         "software": software,
-        "summary": summarize(runs, declared_directions(checkouts["change"])),
+        "summary": summary,
+        "regressions": flags,
         "trace_check": trace_check,
         "runs": runs,
     }
