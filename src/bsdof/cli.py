@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Subcommands: synth-env, benchmark, bs-dist, optimize-x, validate-jacobian.
+Run subcommands: synth-env, benchmark, bs-dist, optimize-x, validate-jacobian.
 Each run_* function returns its exit code and its artifacts as texts, and
 main alone writes them, once the run has returned, into the output
 directory next to the run's effective configuration (defaults included) as
 config.json.  So a run that fails writes nothing; a validate-jacobian
-tolerance miss exits 1 and still writes its report.  Re-running with
---config pointed at config.json reproduces all numeric artifacts
-bit-identically.  All randomness derives from the single --seed;
+tolerance miss exits 1 and still writes its report.  `bsdof replay FILE
+[--out-dir DIR]` re-runs the subcommand that a config.json names and
+reproduces all its artifacts, config.json included, bit-identically; any
+other option beside FILE is argparse's error (exit 2), as is a missing
+--system, and a file naming no run subcommand exits 1.  Without --out-dir a
+replay writes nothing.  All randomness derives from the single --seed;
 BSDOF_THREADS only caps the sampler's and the optimizer's worker threads
 and never changes results.
 """
@@ -57,45 +60,37 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-# Parsed options that steer the run but are not part of its configuration.
-_NOT_CONFIG = ("out_dir", "config", "func", "on", "off", "given", "actions")
+# Parser dests that are not part of a run's configuration.
+_NOT_CONFIG = ("help", "out_dir", "func", "on", "off")
 
 # Config keys whose replayed values are checked by their own validators.
 _OWN_VALIDATORS = ("constraint", "tx_ports", "rx_ports", "bs_ports", "fixed_x")
 
 
-def _config_keys(args) -> list:
-    """The keys of the subcommand's config.json: its argparse dests, in parser order."""
-    return [key for key in vars(args) if key not in _NOT_CONFIG]
-
-
-def _load_config(args) -> dict | None:
-    if args.config is None:
-        return None
-    config = json.loads(Path(args.config).read_text())
+def _load_config(path: Path, runs: dict) -> tuple:
+    """The config.json at path and the run_* of the subcommand it names, its keys and
+    values checked against that subcommand's argparse actions."""
+    config = json.loads(path.read_text())
     if not isinstance(config, dict):
-        raise ValueError(f"config file {args.config} does not hold a JSON object")
-    if config.get("command") != args.command:
-        raise ValueError(
-            f"config file is for {config.get('command')!r}, not {args.command!r}"
-        )
-    expected = set(_config_keys(args))
+        raise ValueError(f"config file {path} does not hold a JSON object")
+    command = config.get("command")
+    if not isinstance(command, str) or command not in runs:
+        raise ValueError(f"config file {path} names no run subcommand: command={command!r}")
+    actions = [a for a in runs[command]._actions if a.dest not in _NOT_CONFIG]
+    expected = {"command"} | {a.dest for a in actions}
     if set(config) != expected:
         raise ValueError(
-            f"config file {args.config} is missing {sorted(expected - set(config))} "
+            f"config file {path} is missing {sorted(expected - set(config))} "
             f"and has unexpected {sorted(set(config) - expected)}"
         )
-    _check_values(config, args)
-    return config
+    _check_values(config, actions)
+    return config, runs[command].get_default("func")
 
 
-def _check_values(config: dict, args) -> None:
-    """Reject an option given beside --config, even at its default, and replayed
-    values that the subcommand's argparse actions could not parse to."""
-    for action in args.actions:
-        if action.dest in args.given and action.dest not in ("out_dir", "config"):
-            raise ValueError(f"--config replays its file and takes no {action.option_strings[0]}")
-        if action.dest not in config or action.dest in _OWN_VALIDATORS:
+def _check_values(config: dict, actions: list) -> None:
+    """Reject replayed values that the subcommand's argparse actions could not parse to."""
+    for action in actions:
+        if action.dest in _OWN_VALIDATORS:
             continue
         value, kind = config[action.dest], bool if action.nargs == 0 else action.type or str
         number = kind is float and isinstance(value, int)
@@ -106,10 +101,8 @@ def _check_values(config: dict, args) -> None:
 
 
 def _config_from_args(args) -> dict:
-    """The run's configuration from its command line, in config.json key order."""
-    config = {key: getattr(args, key) for key in _config_keys(args)}
-    if "system" in config and config["system"] is None:
-        raise ValueError("--system is required when no --config is given")
+    """The run's configuration from its command line: its argparse dests, in parser order."""
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
     if "constraint" in config:
         config["constraint"] = _constraint_from_args(args)
     for key in ("tx_ports", "rx_ports", "bs_ports"):
@@ -295,13 +288,14 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
     illumination, then compares the closed form against the forward-difference
     probe (fd.complex_step_jacobian) and measures the column-space residual.
 
-    Trial t reads at most 44 words of substream(seed, 4, t): 4 shape words,
-    2 n_s load words, then 2 n_t illumination words, turned into loads and an
-    illumination by the sampler's own formulas.  No trial is ever redrawn, so
-    the sweep reads all 44 words of every trial itself, over windows of CHUNK
-    trials, and the trials are grouped by their port counts (n_t, n_r, n_s);
-    each group then runs in slices of at most CHUNK // (n_s + 1) trials, so
-    that a slice's oracle stack holds at most CHUNK load rows.  A slice takes
+    Trial t reads at most 4 + 2 * 16 + 2 * 4 = 44 words of substream(seed, 4, t):
+    4 shape words, 2 n_s load words, then 2 n_t illumination words, turned into
+    loads and an illumination by the sampler's own formulas.  No trial is ever
+    redrawn, so the sweep reads the words of the largest shape for every trial
+    itself, over windows of CHUNK trials, and the trials are grouped by their
+    port counts (n_t, n_r, n_s); each group then runs in slices of at most
+    CHUNK // (n_s + 1) trials, so that a slice's oracle stack holds at most
+    CHUNK load rows.  A slice takes
     its trials' word rows, draws their environments and runs every formula
     once, batched over its trials.  A finite step above LOAD_MAG_TOL / 4 is
     refused before any draw: below it, each probe of a UNI load |r0| < 1 has
@@ -312,10 +306,10 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
     if np.isfinite(step) and step > LOAD_MAG_TOL / 4:
         raise ValueError(f"step {step!r} exceeds LOAD_MAG_TOL / 4 = {LOAD_MAG_TOL / 4!r}")
     windows = np.split(np.arange(trials), range(CHUNK, trials, CHUNK))
-    words = np.concatenate([substream_uniforms(seed, (4,), w, 44) for w in windows])
-    shapes, group = np.unique(
-        1 + (words[:, :3] * (4, 4, 16)).astype(int), axis=0, return_inverse=True
-    )
+    maxima = (4, 4, 16)  # the largest (n_t, n_r, n_s)
+    width = 4 + 2 * maxima[2] + 2 * maxima[0]
+    words = np.concatenate([substream_uniforms(seed, (4,), w, width) for w in windows])
+    shapes, group = np.unique(1 + (words[:, :3] * maxima).astype(int), axis=0, return_inverse=True)
     fd_errors = np.empty(trials)
     residuals = np.empty(trials)
     for g in range(len(shapes)):
@@ -381,39 +375,13 @@ def _add_constraint_args(sub) -> None:
     sub.add_argument("--off", help="custom off value as re,im; write --off=re,im if re < 0")
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that records which options the command line gave.
-
-    Each option is parsed with a suppressed default, so only given options
-    reach the namespace; parse_known_args then fills in every default, in
-    parser order, lists the given dests under "given" and hands over the
-    subcommand's own actions under "actions".
-    """
-
-    def __init__(self, **kwargs):
-        self.option_defaults = {}
-        super().__init__(**kwargs)
-
-    def add_argument(self, *flags, default=None, **kwargs):
-        action = super().add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
-        if default is not argparse.SUPPRESS:
-            self.option_defaults[action.dest] = default
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        parsed, extras = super().parse_known_args(args, namespace)
-        parsed, defaults = vars(parsed), self.option_defaults
-        given = [dest for dest in defaults if dest in parsed]
-        return argparse.Namespace(**defaults | parsed, given=given, actions=self._actions), extras
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The bsdof parser; each option's dest is its key in config.json."""
     parser = argparse.ArgumentParser(
         prog="bsdof",
         description="Degrees-of-freedom analysis of load-modulated backscatter channels",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-env", help="generate a synthetic passive environment")
     p.add_argument("--nt", type=int, default=3)
@@ -424,20 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reciprocal", action="store_true", default=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=run_synth_env)
 
     p = sub.add_parser("benchmark", help="conventional EEMDOF benchmark of a system")
-    p.add_argument("--system", required=False)
+    p.add_argument("--system", required=True)
     p.add_argument("--tx-ports", default=None, help="comma-separated override")
     p.add_argument("--rx-ports", default=None, help="comma-separated override")
     p.add_argument("--bs-ports", default=None, help="comma-separated override")
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=run_benchmark)
 
     p = sub.add_parser("bs-dist", help="Monte-Carlo distribution of the DOF metric")
-    p.add_argument("--system", required=False)
+    p.add_argument("--system", required=True)
     _add_constraint_args(p)
     p.add_argument("--policy", choices=("rand", "fixed"), default="rand")
     p.add_argument("--fixed-x", default=None, help="JSON file of [re,im] pairs")
@@ -446,12 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("model", "toggle"), default="model")
     p.add_argument("--bins", type=int, default=HISTOGRAM_BINS)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=run_bs_dist)
 
     search = OptimizationConfig()
     p = sub.add_parser("optimize-x", help="optimize the illumination for mean DOF")
-    p.add_argument("--system", required=False)
+    p.add_argument("--system", required=True)
     _add_constraint_args(p)
     p.add_argument("--direction", choices=("max", "min"), default=search.direction.lower())
     p.add_argument(
@@ -465,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--final-n", type=int, default=10000)
     p.add_argument("--bins", type=int, default=HISTOGRAM_BINS)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=run_optimize_x)
 
     p = sub.add_parser("validate-jacobian", help="cross-check Jacobian oracles")
@@ -473,8 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--out-dir", type=Path, default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=run_validate_jacobian)
+
+    runs = dict(sub.choices)
+    p = sub.add_parser("replay", help="re-run the subcommand a config.json names")
+    p.add_argument("config", type=Path, help="a config.json written by a run")
+    p.add_argument("--out-dir", type=Path, default=None)
+    p.set_defaults(runs=runs)
 
     return parser
 
@@ -482,8 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args) or _config_from_args(args)
-        code, files = args.func(config)
+        if args.command == "replay":
+            config, run = _load_config(args.config, args.runs)
+        else:
+            config, run = _config_from_args(args), args.func
+        code, files = run(config)
         if args.out_dir is not None:
             args.out_dir.mkdir(parents=True, exist_ok=True)
             for name, text in ({"config.json": _json_text(config)} | files).items():

@@ -3,6 +3,8 @@ a test blocks a module in a fresh interpreter."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,7 +16,7 @@ import pytest
 import bsdof.cli
 import bsdof.network
 import bsdof.sampling
-from bsdof.cli import jacobian_validation_sweep, main
+from bsdof.cli import build_parser, jacobian_validation_sweep, main
 from bsdof.errors import SingularityError
 from bsdof.loads import LOAD_MAG_TOL, LoadConstraint
 from bsdof.metrics import benchmark_eemdof
@@ -47,6 +49,14 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def exit_code(argv):
+    """main's exit code, argparse's own exits included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_synth_env_defaults(tmp_path):
     out = tmp_path / "env"
     assert main(["synth-env", "--out-dir", str(out)]) == 0
@@ -73,8 +83,48 @@ def test_synth_env_config_replay_is_byte_identical(tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
     args = ["synth-env", "--nt", "2", "--nr", "3", "--ns", "8", "--seed", "5"]
     assert main(args + ["--out-dir", str(first)]) == 0
-    assert main(["synth-env", "--config", str(first / "config.json"), "--out-dir", str(second)]) == 0
-    assert (first / "system.json").read_bytes() == (second / "system.json").read_bytes()
+    assert main(["replay", str(first / "config.json"), "--out-dir", str(second)]) == 0
+    for name in ("config.json", "system.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("synth-env", ["--nt", "2", "--nr", "3", "--ns", "4", "--seed", "5"]),
+        ("benchmark", ["--rx-ports", "3"]),
+        ("bs-dist", ["--policy", "fixed", "--mode", "toggle", "--n", "50", "--seed", "2"]),
+        ("optimize-x", ["--starts", "1", "--objective-samples", "20", "--final-n", "20"]),
+        ("validate-jacobian", ["--trials", "20"]),
+    ],
+)
+def test_every_subcommand_replays_byte_for_byte(tmp_path, monkeypatch, command, flags):
+    if command not in ("synth-env", "validate-jacobian"):
+        flags = ["--system", make_system_file(tmp_path, 2, 2, 4, seed=1), *flags]
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main([command, *flags, "--out-dir", str(first)]) == 0
+    assert main(["replay", str(first / "config.json"), "--out-dir", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert "config.json" in names and len(names) > 1
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    # without --out-dir a replay runs and writes nothing
+    monkeypatch.chdir(tmp_path)
+    written = sorted(tmp_path.rglob("*"))
+    assert main(["replay", str(first / "config.json")]) == 0
+    assert sorted(tmp_path.rglob("*")) == written
+
+
+def test_readme_cli_examples_parse():
+    """Every `bsdof ...` line of README's sh blocks parses, and each subcommand has one."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("bsdof ")]
+    parser = build_parser()
+    commands = {parser.parse_args(argv).command for argv in examples}
+    assert commands == {"replay", *parser.parse_args(["replay", "config.json"]).runs}
 
 
 def orthonormal_rows_system(tmp_path):
@@ -130,8 +180,7 @@ def test_benchmark_port_overrides_apply_echo_and_replay(tmp_path, capsys):
         "singular_values": [float(s) for s in expected.singular_values],
     }
     assert read_json(first / "config.json")["rx_ports"] == [2, 3]
-    replay = ["benchmark", "--config", str(first / "config.json"), "--out-dir", str(second)]
-    assert main(replay) == 0
+    assert main(["replay", str(first / "config.json"), "--out-dir", str(second)]) == 0
     for name in ("config.json", "benchmark.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
     # 0 is the transmit port, and a port index must be an integer
@@ -150,7 +199,7 @@ def test_benchmark_replay_refuses_an_empty_port_list(tmp_path, capsys, key):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(read_json(first / "config.json") | {key: []}))
     capsys.readouterr()
-    assert main(["benchmark", "--config", str(bad), "--out-dir", str(again)]) == 1
+    assert main(["replay", str(bad), "--out-dir", str(again)]) == 1
     assert capsys.readouterr().err == f"error: {key} is empty\n"
     assert not again.exists()
 
@@ -181,9 +230,9 @@ def test_bs_dist_materializes_the_default_fixed_illumination(tmp_path):
     # drawn once from the seed's (3, 0) substream, echoed for replay
     expected = complex_to_pairs(sample_random_illumination(3, substream(9, 3, 0)))
     assert config["fixed_x"] == expected
-    rc = main(["bs-dist", "--config", str(first / "config.json"), "--out-dir", str(second)])
-    assert rc == 0
-    assert (first / "samples.csv").read_bytes() == (second / "samples.csv").read_bytes()
+    assert main(["replay", str(first / "config.json"), "--out-dir", str(second)]) == 0
+    for name in ("config.json", "samples.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 
@@ -200,11 +249,11 @@ def test_rand_policy_rejects_a_fixed_illumination(tmp_path, capsys, monkeypatch)
         raise AssertionError("the run drew before checking its policy")
 
     monkeypatch.setattr(bsdof.cli, "sample_distribution", no_draw)
-    flag = ["--system", path, "--policy", "rand", "--fixed-x", str(x_path)]
-    for source in (flag, ["--config", str(replay)]):
+    flag = ["bs-dist", "--system", path, "--policy", "rand", "--fixed-x", str(x_path)]
+    for source in (flag, ["replay", str(replay)]):
         out = tmp_path / "again"
         capsys.readouterr()
-        assert main(["bs-dist", *source, "--out-dir", str(out)]) == 1
+        assert main([*source, "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: fixed_x")
         assert not out.exists()
 
@@ -608,25 +657,46 @@ def test_a_count_below_one_is_named_before_any_draw(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["bs-dist", "--n", "10", "--out-dir", "OUT"],  # no system
-        ["synth-env", "--eta", "1.5", "--out-dir", "OUT"],
-        ["benchmark", "--system", "no-such-file.json", "--out-dir", "OUT"],
+        pytest.param(["bs-dist", "--n", "10", "--out-dir", "OUT"], 2, id="argv0"),  # no system
+        pytest.param(["synth-env", "--eta", "1.5", "--out-dir", "OUT"], 1, id="argv1"),
+        pytest.param(["benchmark", "--system", "no-such.json", "--out-dir", "OUT"], 1, id="argv2"),
+        # replaying is the replay subcommand's job
+        pytest.param(["validate-jacobian", "--config", "c", "--out-dir", "OUT"], 2, id="argv3"),
     ],
 )
-def test_bad_invocations_exit_nonzero(tmp_path, argv):
-    argv = [a if a != "OUT" else str(tmp_path / "out") for a in argv]
-    assert main(argv) == 1
+def test_bad_invocations_exit_nonzero(tmp_path, argv, code):
+    out = tmp_path / "out"
+    assert exit_code([a if a != "OUT" else str(out) for a in argv]) == code
+    assert not out.exists()
 
 
-def test_config_command_mismatch_exits_nonzero(tmp_path):
+@pytest.mark.parametrize("command", ["benchmark", "bs-dist", "optimize-x"])
+def test_a_missing_system_is_an_argparse_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert exit_code([command, "--out-dir", str(out)]) == 2
+    assert "the following arguments are required: --system" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_command_mismatch_exits_nonzero(tmp_path, capsys):
+    # replay runs the subcommand its file names; a file naming none is refused
     out = tmp_path / "env"
     assert main(["synth-env", "--nt", "1", "--nr", "1", "--ns", "2", "--out-dir", str(out)]) == 0
-    rc = main(
-        ["bs-dist", "--config", str(out / "config.json"), "--out-dir", str(tmp_path / "d")]
-    )
-    assert rc == 1
+    config = read_json(out / "config.json")
+    for command in ("replay", "bs_dist", None, ["synth-env"]):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config | {"command": command}))
+        capsys.readouterr()
+        assert main(["replay", str(bad), "--out-dir", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config file {bad} names no run subcommand: command={command!r}\n"
+        assert not (tmp_path / "d").exists()
+    bad.write_text(json.dumps({k: v for k, v in config.items() if k != "command"}))
+    assert main(["replay", str(bad), "--out-dir", str(tmp_path / "d")]) == 1
+    assert not (tmp_path / "d").exists()
 
 
 def test_config_keys_and_order_are_pinned(tmp_path):
@@ -674,7 +744,7 @@ def test_config_keys_and_order_are_pinned(tmp_path):
 def test_malformed_config_exits_nonzero(tmp_path, capsys, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
-    rc = main(["validate-jacobian", "--config", str(path), "--out-dir", str(tmp_path / "v")])
+    rc = main(["replay", str(path), "--out-dir", str(tmp_path / "v")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
 
@@ -700,52 +770,39 @@ def test_config_values_must_fit_their_options(tmp_path, capsys, command, flags, 
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     capsys.readouterr()
-    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "again")]) == code
+    assert main(["replay", str(path), "--out-dir", str(tmp_path / "again")]) == code
     assert capsys.readouterr().err.startswith("error:") == bool(code)
 
 
-@pytest.mark.parametrize(
-    "flags, option",
-    [
-        (["--n", "7"], "--n"),
-        (["--seed", "3"], "--seed"),
-        (["--on=0.5,0"], "--on"),
-        (["--off=-0.5"], "--off"),
-        (["--system", "other.json"], "--system"),
-    ],
-    ids=["n", "seed", "on", "off", "system"],
-)
-def test_config_replay_refuses_any_other_run_option(tmp_path, capsys, flags, option):
+def refuses_replay_options(tmp_path, capsys, flags, *run_flags):
+    """replay with flags beside its file is argparse's error: exit 2, no output directory."""
     path = make_system_file(tmp_path, 2, 2, 4, seed=1)
     first, again = tmp_path / "first", tmp_path / "again"
-    assert main(["bs-dist", "--system", path, "--n", "20", "--out-dir", str(first)]) == 0
-    capsys.readouterr()
-    replay = ["bs-dist", "--config", str(first / "config.json"), *flags]
-    assert main([*replay, "--out-dir", str(again)]) == 1
-    assert capsys.readouterr().err == f"error: --config replays its file and takes no {option}\n"
-    assert not again.exists()
-
-
-@pytest.mark.parametrize(
-    "flags, option",
-    [
-        (["--seed", "0"], "--seed"),
-        (["--n", "10000"], "--n"),
-        (["--constraint", "pin"], "--constraint"),
-        (["--bins=64"], "--bins"),
-    ],
-    ids=["seed", "n", "constraint", "bins"],
-)
-def test_config_replay_refuses_an_option_restated_at_its_default(tmp_path, capsys, flags, option):
-    path = make_system_file(tmp_path, 2, 2, 4, seed=1)
-    first, again = tmp_path / "first", tmp_path / "again"
-    argv = ["bs-dist", "--system", path, "--n", "20", "--seed", "3", "--out-dir", str(first)]
+    argv = ["bs-dist", "--system", path, "--n", "20", *run_flags, "--out-dir", str(first)]
     assert main(argv) == 0
     capsys.readouterr()
-    replay = ["bs-dist", "--config", str(first / "config.json"), *flags]
-    assert main([*replay, "--out-dir", str(again)]) == 1
-    assert capsys.readouterr().err == f"error: --config replays its file and takes no {option}\n"
+    replay = ["replay", str(first / "config.json"), *flags]
+    assert exit_code([*replay, "--out-dir", str(again)]) == 2
+    assert f"error: unrecognized arguments: {' '.join(flags)}\n" in capsys.readouterr().err
     assert not again.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "7"], ["--seed", "3"], ["--on=0.5,0"], ["--off=-0.5"], ["--system", "other.json"]],
+    ids=["n", "seed", "on", "off", "system"],
+)
+def test_config_replay_refuses_any_other_run_option(tmp_path, capsys, flags):
+    refuses_replay_options(tmp_path, capsys, flags)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "0"], ["--n", "10000"], ["--constraint", "pin"], ["--bins=64"]],
+    ids=["seed", "n", "constraint", "bins"],
+)
+def test_config_replay_refuses_an_option_restated_at_its_default(tmp_path, capsys, flags):
+    refuses_replay_options(tmp_path, capsys, flags, "--seed", "3")
 
 
 def test_the_runtime_needs_no_scipy(tmp_path):
@@ -793,7 +850,7 @@ def test_real_only_state_replays(tmp_path):
     argv = ["bs-dist", "--system", path, "--on", "0.5", "--n", "20", "--out-dir", str(first)]
     assert main(argv) == 0
     assert read_json(first / "config.json")["constraint"]["on"] == [0.5]
-    assert main(["bs-dist", "--config", str(first / "config.json"), "--out-dir", str(second)]) == 0
+    assert main(["replay", str(first / "config.json"), "--out-dir", str(second)]) == 0
     assert (first / "samples.csv").read_bytes() == (second / "samples.csv").read_bytes()
 
 
@@ -837,8 +894,9 @@ def test_wrong_json_types_exit_with_an_error(tmp_path, capsys, target, edit):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(edit(read_json(source))))
     capsys.readouterr()
-    flag = ["--config", str(bad)] if target == "config" else ["--system", str(bad), "--n", "20"]
-    assert main(["bs-dist", *flag, "--out-dir", str(tmp_path / "again")]) == 1
+    run = ["bs-dist", "--system", str(bad), "--n", "20"]
+    argv = ["replay", str(bad)] if target == "config" else run
+    assert main([*argv, "--out-dir", str(tmp_path / "again")]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "again").exists()
 

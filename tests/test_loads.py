@@ -136,7 +136,7 @@ def test_dict_roundtrip():
         ),
     ]
     for kind, states, expected, constraint in cases:
-        argv = ["bs-dist", "--out-dir", "-", "--constraint", kind, *states]
+        argv = ["bs-dist", "--system", "s.json", "--out-dir", "-", "--constraint", kind, *states]
         payload = json.loads(json.dumps(_constraint_from_args(build_parser().parse_args(argv))))
         assert payload == expected
         assert LoadConstraint.from_dict(payload) == constraint

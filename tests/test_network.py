@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bsdof.network
+from bsdof.environment import EnvironmentSpec, synth_environment
 from bsdof.errors import (
     InconsistentStateError,
     PartitionError,
@@ -619,7 +620,7 @@ def test_output_wavefront():
         incident_drive(h, sample_random_illumination(2, substream(14)))
 
 
-def test_illumination_matrix_trivial_limits_and_scalar_form():
+def test_incident_map_limits_and_scalar_form():
     blocks = blocks_for(2, 2, 4, seed=6)
     no_mc = ScatteringBlocks(
         s_rt=blocks.s_rt, s_rs=blocks.s_rs, s_ss=np.zeros((4, 4)), s_st=blocks.s_st
@@ -670,7 +671,7 @@ def test_jacobian_without_coupling_ignores_operating_point():
         assert np.allclose(j1.matrix[:, i], no_mc.s_rs[:, i] * drive[i], rtol=0, atol=1e-15)
 
 
-def test_b_factor_reconstructs_jacobian():
+def test_rx_factor_times_load_factor_is_the_jacobian():
     blocks = blocks_for(3, 4, 9, seed=8)
     r0 = sample_loads(LoadConstraint.uni(), 9, substream(18))
     x = sample_random_illumination(3, substream(19))
@@ -680,7 +681,7 @@ def test_b_factor_reconstructs_jacobian():
     assert rel < 1e-12
 
 
-def test_b_factor_limits():
+def test_load_factor_without_coupling_and_its_column_scaling():
     blocks = blocks_for(2, 2, 4, seed=9)
     no_mc = ScatteringBlocks(
         s_rt=blocks.s_rt, s_rs=blocks.s_rs, s_ss=np.zeros((4, 4)), s_st=blocks.s_st
@@ -695,6 +696,39 @@ def test_b_factor_limits():
     wx = incident_map(blocks, r0) @ x
     for i in range(4):
         assert np.allclose(b[:, i], g[:, i] * wx[i], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 16), (3, 4, 64)])
+@pytest.mark.parametrize("certified", [True, False])
+def test_reciprocal_role_swap_transposes_the_factors_and_the_channel(dims, certified):
+    """For S = S^T, the reverse link (tx and rx roles swapped) has the factor pair
+    (W^T, (S_RS G)^T) of the forward link and the channel H^T: a symmetric S_SS makes
+    (I - S_SS diag(r))^-1 = G^T, so W = G^T S_ST and W_rev = G^T S_RS^T."""
+    n_t, n_r, n_s = dims
+    system = synth_environment(EnvironmentSpec(n_t, n_r, n_s, 0.9, 1.0, reciprocal=True, seed=5))
+    forward = extract_blocks(system)
+    reverse = partition(system.matrix, system.rx_ports, system.tx_ports, system.bs_ports)
+    assert forward.certified and reverse.certified
+    if not certified:
+        forward, reverse = (
+            ScatteringBlocks(b.s_rt, b.s_rs, b.s_ss, b.s_st) for b in (forward, reverse)
+        )
+        forward.certified = reverse.certified = False
+    u = substream_uniforms(5, (1,), np.arange(64), 2 * n_s)
+    uni = loads_from_uniforms(LoadConstraint.uni(), u)
+    pin = LoadConstraint.pin()
+    two_state = loads_from_uniforms(pin, u[:, :n_s])
+    states = pin.on_value, pin.off_value
+    for solve in (lambda b: factors(b, uni), lambda b: two_state_factors(b, two_state, *states)):
+        (rx, w, ok), (rx_rev, w_rev, ok_rev) = solve(forward), solve(reverse)
+        assert ok.all() and ok_rev.all()
+        for value, expected in ((rx_rev, w.swapaxes(1, 2)), (w_rev, rx.swapaxes(1, 2))):
+            assert value.shape == expected.shape
+            assert (frobenius_norm(value - expected) <= 1e-14 * frobenius_norm(expected)).all()
+    for r in (uni, two_state):
+        h, h_rev = channel(forward, r)[0], channel(reverse, r)[0]
+        expected = h.swapaxes(1, 2)
+        assert (frobenius_norm(h_rev - expected) <= 1e-14 * frobenius_norm(expected)).all()
 
 
 def test_woodbury_zero_update_is_identity():
