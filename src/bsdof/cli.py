@@ -10,9 +10,10 @@ tolerance miss exits 1 and still writes its report.  `bsdof replay FILE
 reproduces all its artifacts, config.json included, bit-identically; any
 other option beside FILE is argparse's error (exit 2), as is a missing
 --system, and a file naming no run subcommand exits 1.  Without --out-dir a
-replay writes nothing.  All randomness derives from the single --seed;
-BSDOF_THREADS only caps the sampler's and the optimizer's worker threads
-and never changes results.
+replay writes nothing; it opens a relative system path from its own working
+directory, not the first run's.  All randomness derives from the single
+--seed; BSDOF_THREADS only caps the sampler's and the optimizer's worker
+threads and never changes results.
 """
 
 import argparse
@@ -53,7 +54,7 @@ from .sampling import (
     illuminations_from_uniforms,
     sample_distribution,
 )
-from .streams import substream_uniforms
+from .streams import FIXED_X, SWEEP, substream_uniforms
 
 
 def _json_text(payload) -> str:
@@ -179,9 +180,8 @@ def _policy_from_config(config: dict, system: ScatteringSystem) -> IlluminationP
         return IlluminationPolicy.rand()
     if pairs is None:
         # deterministic default: one illumination drawn from the run seed
-        # (2-level key so it never touches a per-sample stream)
-        n_t = len(system.tx_ports)
-        x = illuminations_from_uniforms(substream_uniforms(config["seed"], (3,), [0], 2 * n_t))[0]
+        u = substream_uniforms(config["seed"], (FIXED_X,), [0], 2 * len(system.tx_ports))
+        x = illuminations_from_uniforms(u)[0]
         config["fixed_x"] = complex_to_pairs(x)
         return IlluminationPolicy.fixed(x)
     return IlluminationPolicy.fixed(pairs_to_complex(pairs))
@@ -288,27 +288,27 @@ def jacobian_validation_sweep(trials: int, seed: int, step: float = DEFAULT_STEP
     illumination, then compares the closed form against the forward-difference
     probe (fd.complex_step_jacobian) and measures the column-space residual.
 
-    Trial t reads at most 4 + 2 * 16 + 2 * 4 = 44 words of substream(seed, 4, t):
-    4 shape words, 2 n_s load words, then 2 n_t illumination words, turned into
-    loads and an illumination by the sampler's own formulas.  No trial is ever
-    redrawn, so the sweep reads the words of the largest shape for every trial
-    itself, over windows of CHUNK trials, and the trials are grouped by their
-    port counts (n_t, n_r, n_s); each group then runs in slices of at most
-    CHUNK // (n_s + 1) trials, so that a slice's oracle stack holds at most
-    CHUNK load rows.  A slice takes
-    its trials' word rows, draws their environments and runs every formula
-    once, batched over its trials.  A finite step above LOAD_MAG_TOL / 4 is
-    refused before any draw: below it, each probe of a UNI load |r0| < 1 has
+    Trial t reads at most 4 + 2 * 16 + 2 * 4 = 44 words of substream(seed, SWEEP, t):
+    4 shape words, 2 n_s load words, then 2 n_t illumination words, turned into loads
+    and an illumination by the sampler's own formulas.  No trial is ever redrawn, so
+    the sweep reads the words of the largest shape for every trial itself, over
+    windows of CHUNK trials, and the trials are grouped by their port counts
+    (n_t, n_r, n_s); each group then runs in slices of at most CHUNK // (n_s + 1)
+    trials, so that a slice's oracle stack holds at most CHUNK load rows.  A slice
+    takes its trials' word rows, draws their environments and runs every formula
+    once, batched over its trials.  A step outside (0, LOAD_MAG_TOL / 4] is refused
+    before any draw: inside it, each probe of a UNI load |r0| < 1 has
     |r0 + h| < 1 + LOAD_MAG_TOL / 2, inside the certified disk, so no slice fails.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if np.isfinite(step) and step > LOAD_MAG_TOL / 4:
-        raise ValueError(f"step {step!r} exceeds LOAD_MAG_TOL / 4 = {LOAD_MAG_TOL / 4!r}")
+    if not 0 < step <= LOAD_MAG_TOL / 4:
+        bound = f"(0, LOAD_MAG_TOL / 4 = {LOAD_MAG_TOL / 4!r}]"
+        raise ValueError(f"step must lie in {bound}, got {step!r}")
     windows = np.split(np.arange(trials), range(CHUNK, trials, CHUNK))
     maxima = (4, 4, 16)  # the largest (n_t, n_r, n_s)
     width = 4 + 2 * maxima[2] + 2 * maxima[0]
-    words = np.concatenate([substream_uniforms(seed, (4,), w, width) for w in windows])
+    words = np.concatenate([substream_uniforms(seed, (SWEEP,), w, width) for w in windows])
     shapes, group = np.unique(1 + (words[:, :3] * maxima).astype(int), axis=0, return_inverse=True)
     fd_errors = np.empty(trials)
     residuals = np.empty(trials)

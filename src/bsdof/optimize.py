@@ -68,11 +68,7 @@ from .network import (
     validate_illumination,
 )
 from .sampling import CHUNK, _draw_members, _model_factors, _pool_map, illuminations_from_uniforms
-from .streams import substream_uniforms
-
-# Substream key namespaces under the optimization seed.
-_LOADSET_KEY = 0
-_START_KEY = 1
+from .streams import LOAD_SET, STARTS, substream_uniforms
 
 # Raw iterates shorter than this cannot be projected onto the sphere.
 DEGENERATE_NORM = 1e-30
@@ -164,7 +160,7 @@ def _gated_load_set(
         return r, resolvent(s_ss, r)[1] >= RCOND_MIN
 
     label = "load-set member"
-    return _draw_members(seed, (_LOADSET_KEY,), int(n_members), n_words, evaluate, label)
+    return _draw_members(seed, (LOAD_SET,), int(n_members), n_words, evaluate, label)
 
 
 def _lift(v: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -322,7 +318,7 @@ def optimize_illumination(
         return sign * value, 2.0 * sign * embed(grad)
 
     starts = illuminations_from_uniforms(
-        substream_uniforms(config.seed, (_START_KEY,), range(config.n_starts), 2 * blocks.n_tx)
+        substream_uniforms(config.seed, (STARTS,), range(config.n_starts), 2 * blocks.n_tx)
     )
 
     def run_start(start: int):

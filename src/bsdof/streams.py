@@ -3,8 +3,8 @@
 Every random draw in the package flows through a stream derived from an
 integer seed and a key path, so results are reproducible across platforms,
 thread counts, and scheduling order.  Philox is counter-based; SeedSequence
-spawn keys give non-colliding substreams for distinct key paths (tuples of
-different lengths never collide).
+spawn keys give distinct substreams for distinct key paths while the seed is
+below 2**128 and every key entry below 2**32, so that each fills its own words.
 
 substream_uniforms draws a window of uniforms of many substreams at once.
 It reimplements, in numpy uint64 arithmetic, SeedSequence's hash mixing, the
@@ -40,6 +40,10 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+
+# The draw namespaces under a run's seed.  Sample i of a sampler run reads (seed, i),
+# every other draw (seed, namespace, i), and an environment substream(env_seed).
+LOAD_SET, STARTS, FIXED_X, SWEEP = 0, 1, 3, 4
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -21,10 +21,10 @@ def test_summary_reproduces_every_committed_entry(path):
     assert ab_pairs.summarize(record["runs"], better) == record["summary"]
 
 
-def hand_made_runs(parent: dict, change: dict, pairs=10) -> list:
+def hand_made_runs(parent: dict, change: dict, pairs=10, widen=1.0) -> list:
     """Alternated pairs whose every run reads the given end-to-end metric values, the
-    parent's setup_s spread around its value."""
-    spread = (-0.02, -0.01, -0.005, 0.0, 0.0, 0.0, 0.002, 0.01, 0.02, 0.03)
+    parent's setup_s spread around its value, widen times as far as by default."""
+    spread = [widen * s for s in (-0.02, -0.01, -0.005, 0.0, 0.0, 0.0, 0.002, 0.01, 0.02, 0.03)]
     runs = []
     for pair in range(1, pairs + 1):
         for side, values in (("parent", parent), ("change", change)):
@@ -54,6 +54,23 @@ def test_regressions_flag_only_a_median_worse_than_its_bound(setup_rise, ops_dro
         assert flag["bound"] == 0.25
         q = summary[0]["metrics"][flag["metric"]]["parent"]
         assert flag["parent_iqr"] == (q["q3"] - q["q1"]) / q["median"]
+
+
+@pytest.mark.parametrize("widen, unresolved", [(1.0, False), (5.0, True)])
+def test_a_flag_is_unresolved_where_the_parent_spreads_past_the_bound(widen, unresolved):
+    # the parent's setup_s quartiles lie 0.01175 s apart by default: 6.6% of its median,
+    # and 33% widened fivefold
+    parent = {"setup_s": 0.178, "wall_s": 20.0, "ops_per_s": 100.0, "peak_rss_mb": 47.0}
+    change = parent | {"setup_s": 0.178 * 1.3}
+    better, bounds = ab_pairs.declared(ROOT, "better"), ab_pairs.declared(ROOT, "bound")
+    summary = ab_pairs.summarize(hand_made_runs(parent, change, widen=widen), better)
+    [flag] = ab_pairs.regressions(summary, better, bounds)
+    assert flag["metric"] == "setup_s" and flag["worsening"] == pytest.approx(0.3)
+    assert flag["parent_iqr"] == pytest.approx(widen * 0.01175 / 0.178)
+    assert flag["unresolved"] is unresolved
+    line = ab_pairs.regression_line(flag)
+    assert line.startswith("regression: mc-toggle-ns16 seed 0 setup_s is +30.0% worse")
+    assert line.endswith(", unresolved)" if unresolved else "of its median)")
 
 
 def test_dry_run_alternates_which_side_runs_first(capsys):

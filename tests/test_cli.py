@@ -34,7 +34,7 @@ from bsdof.sampling import (
     sample_distribution,
     sample_random_illumination,
 )
-from bsdof.streams import substream
+from bsdof.streams import FIXED_X, SWEEP, substream
 
 from synthetic import system_for
 
@@ -114,6 +114,25 @@ def test_every_subcommand_replays_byte_for_byte(tmp_path, monkeypatch, command, 
     written = sorted(tmp_path.rglob("*"))
     assert main(["replay", str(first / "config.json")]) == 0
     assert sorted(tmp_path.rglob("*")) == written
+
+
+def test_replay_opens_a_relative_system_path_from_its_own_directory(tmp_path, capsys, monkeypatch):
+    # config.json records --system as given, so only the first run's directory resolves it
+    first = tmp_path / "first"
+    first.mkdir()
+    monkeypatch.chdir(first)
+    assert main(["synth-env", "--nt", "2", "--nr", "2", "--ns", "4", "--out-dir", "env"]) == 0
+    assert main(["bs-dist", "--system", "env/system.json", "--n", "50", "--out-dir", "d"]) == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["replay", "first/d/config.json", "--out-dir", "again"]) == 1
+    missing = "error: [Errno 2] No such file or directory: 'env/system.json'\n"
+    assert capsys.readouterr().err == missing
+    assert not (tmp_path / "again").exists()
+    monkeypatch.chdir(first)
+    assert main(["replay", "d/config.json", "--out-dir", "again"]) == 0
+    for name in ("config.json", "samples.csv", "summary.json", "histogram.csv"):
+        assert (first / "again" / name).read_bytes() == (first / "d" / name).read_bytes(), name
 
 
 def test_readme_cli_examples_parse():
@@ -227,8 +246,8 @@ def test_bs_dist_materializes_the_default_fixed_illumination(tmp_path):
     )
     assert rc == 0
     config = read_json(first / "config.json")
-    # drawn once from the seed's (3, 0) substream, echoed for replay
-    expected = complex_to_pairs(sample_random_illumination(3, substream(9, 3, 0)))
+    # drawn once from the seed's (FIXED_X, 0) substream, echoed for replay
+    expected = complex_to_pairs(sample_random_illumination(3, substream(9, FIXED_X, 0)))
     assert config["fixed_x"] == expected
     assert main(["replay", str(first / "config.json"), "--out-dir", str(second)]) == 0
     for name in ("config.json", "samples.csv"):
@@ -477,39 +496,47 @@ def test_validate_jacobian_without_output_dir(tmp_path, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+STEP_BOUND = "(0, LOAD_MAG_TOL / 4 = 2.5e-05]"
+
+
+def no_sweep_draw(*args):
+    raise AssertionError("the sweep drew before checking its inputs")
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [
         ("--trials", "0", "error: trials must be at least 1, got 0"),
         ("--trials", "-1", "error: trials must be at least 1, got -1"),
-        ("--step", "nan", "error: step must be finite and positive, got nan"),
-        ("--step", "inf", "error: step must be finite and positive, got inf"),
+        ("--step", "nan", f"error: step must lie in {STEP_BOUND}, got nan"),
+        ("--step", "inf", f"error: step must lie in {STEP_BOUND}, got inf"),
+        ("--step", "0", f"error: step must lie in {STEP_BOUND}, got 0.0"),
+        ("--step", "-1e-6", f"error: step must lie in {STEP_BOUND}, got -1e-06"),
     ],
 )
 def test_validate_jacobian_names_a_bad_input_and_writes_nothing(
-    tmp_path, capsys, option, value, message
+    tmp_path, capsys, monkeypatch, option, value, message
 ):
+    monkeypatch.setattr(bsdof.cli, "substream_uniforms", no_sweep_draw)
     out = tmp_path / "validation"
-    argv = ["validate-jacobian", "--trials", "2", "--seed", "0", option, value]
+    # the equals form lets argparse read a negative step as a value
+    argv = ["validate-jacobian", "--trials", "300", "--seed", "0", f"{option}={value}"]
     capsys.readouterr()
     assert main([*argv, "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(message)
+    assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
 
 
 def test_validate_jacobian_refuses_a_step_above_the_probe_bound(tmp_path, capsys, monkeypatch):
     # above LOAD_MAG_TOL / 4 a probe load may leave the admissible disk: step 1 pushes
     # trial 0's probes past |r| = 1, and step 1e-4 pushes trial 205's at seed 7
-    def no_draw(*args):
-        raise AssertionError("the sweep drew before checking its step")
-
-    monkeypatch.setattr(bsdof.cli, "substream_uniforms", no_draw)
+    monkeypatch.setattr(bsdof.cli, "substream_uniforms", no_sweep_draw)
     out = tmp_path / "validation"
     for step in ("1", "1e-4"):
         argv = ["validate-jacobian", "--trials", "300", "--seed", "7", "--step", step]
         capsys.readouterr()
         assert main([*argv, "--out-dir", str(out)]) == 1
-        expected = f"error: step {float(step)!r} exceeds LOAD_MAG_TOL / 4 = 2.5e-05\n"
+        expected = f"error: step must lie in {STEP_BOUND}, got {float(step)!r}\n"
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
@@ -561,7 +588,7 @@ def test_sweep_reads_its_trial_words_without_the_draw_loop(monkeypatch):
     assert jacobian_validation_sweep(300, 2)["max_fd_relative_error"] == 5.899583439422721e-07
     assert sorted(rows) == list(range(300))
     for t in (0, 1, 255, 256, 299):  # both sides of the first window boundary
-        assert np.array_equal(rows[t], substream(2, 4, t).random(44))
+        assert np.array_equal(rows[t], substream(2, SWEEP, t).random(44))
 
 
 def test_sweep_certifies_its_systems_from_their_norms(monkeypatch):
@@ -612,7 +639,7 @@ def test_sweep_runs_through_an_all_zero_magnitude_row(monkeypatch):
             u[row, 4 + 2 * n_s : 4 + 2 * n_s + n_t] = 0.0
         return u
 
-    words = substream(2, 4, 257).random(44)
+    words = substream(2, SWEEP, 257).random(44)
     n_t, n_s = 1 + int(words[0] * 4), 1 + int(words[2] * 16)
     phases = words[4 + 2 * n_s + n_t : 4 + 2 * n_s + 2 * n_t]
     x_257 = np.exp(2j * np.pi * phases) / np.sqrt(n_t)

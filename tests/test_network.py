@@ -731,6 +731,44 @@ def test_reciprocal_role_swap_transposes_the_factors_and_the_channel(dims, certi
         assert (frobenius_norm(h_rev - expected) <= 1e-14 * frobenius_norm(expected)).all()
 
 
+@pytest.mark.parametrize("certified", [True, False])
+def test_permuting_the_loaded_ports_permutes_the_factors(certified):
+    """Permuting the loaded ports and the loads alike permutes the columns of S_RS G, the
+    rows of W and the toggle denominators alike, within 1e-14 relative per draw (measured
+    at most 5.0e-16).  two_state_factors picks its Woodbury loads by port index, so the
+    permuted system picks them in another order."""
+    system = system_for(3, 4, 64, seed=2)
+    perm = substream(2, 7).permutation(64)
+    bs_ports = np.asarray(system.bs_ports)[perm]
+    blocks = extract_blocks(system)
+    permuted = partition(system.matrix, system.tx_ports, system.rx_ports, bs_ports)
+    assert blocks.certified and permuted.certified
+    if not certified:
+        blocks, permuted = (
+            ScatteringBlocks(b.s_rt, b.s_rs, b.s_ss, b.s_st) for b in (blocks, permuted)
+        )
+        blocks.certified = permuted.certified = False
+    pin = LoadConstraint.pin()
+    r = loads_from_uniforms(pin, substream_uniforms(2, (), range(256), 64))
+    states = pin.on_value, pin.off_value
+
+    def close(value, expected, axes):
+        error, scale = frobenius_norm(value - expected, axes), frobenius_norm(expected, axes)
+        return value.shape == expected.shape and (error <= 1e-14 * scale).all()
+
+    solves = (
+        factors,
+        lambda b, r: two_state_factors(b, r, *states),
+        lambda b, r: toggle_factors(b, r, *states),
+    )
+    for solve in solves:
+        rx, w, *denom, ok = solve(blocks, r)
+        rx_p, w_p, *denom_p, ok_p = solve(permuted, r[:, perm])
+        assert ok.all() and ok_p.all()
+        assert close(rx_p, rx[:, :, perm], 2) and close(w_p, w[:, perm], 2)
+        assert all(close(d_p, d[:, perm], 1) for d, d_p in zip(denom, denom_p))
+
+
 def test_woodbury_zero_update_is_identity():
     blocks = blocks_for(2, 2, 6, seed=10)
     r = sample_loads(LoadConstraint.uni(), 6, substream(21))

@@ -36,7 +36,7 @@ from bsdof.optimize import (
     sample_load_set,
 )
 from bsdof.sampling import sample_random_illumination
-from bsdof.streams import substream
+from bsdof.streams import STARTS, substream
 
 from synthetic import blocks_for, system_for
 
@@ -185,7 +185,7 @@ def test_starts_are_the_per_start_substream_illuminations(monkeypatch):
             config = OptimizationConfig(n_objective_samples=4, n_starts=20, seed=seed)
             optimize_illumination(system, UNI, config)
             expected = [
-                embed(sample_random_illumination(n_t, substream(seed, 1, start)))
+                embed(sample_random_illumination(n_t, substream(seed, STARTS, start)))
                 for start in range(20)
             ]
             assert [x0.tobytes() for x0 in seen] == [x0.tobytes() for x0 in expected]

@@ -46,9 +46,15 @@ from bsdof.network import (
     spectral_norm,
     toggle_factors,
 )
-from bsdof.streams import substream, substream_uniforms
+from bsdof.streams import (
+    FIXED_X,
+    LOAD_SET,
+    standard_complex_gaussian,
+    substream,
+    substream_uniforms,
+)
 
-from synthetic import blocks_for, system_for
+from synthetic import blocks_for, flat_resonant_rank2_system, system_for
 
 PIN = LoadConstraint.pin()
 PM = LoadConstraint.pm()
@@ -242,7 +248,7 @@ def test_sampler_matches_the_exact_two_state_distribution(n_s, env_seed, constra
     system = system_for(3, 4, n_s, seed=env_seed)
     blocks = extract_blocks(system)
     blocks.certified = False
-    x = illuminations_from_uniforms(substream_uniforms(9, (3,), [0], 6))[0]
+    x = illuminations_from_uniforms(substream_uniforms(9, (FIXED_X,), [0], 6))[0]
     on, off = constraint.on_value, constraint.off_value
     r = np.where((np.arange(2**n_s)[:, None] >> np.arange(n_s)) & 1 == 1, on, off)
     rx, w, ok = factors(blocks, r)
@@ -282,6 +288,27 @@ def test_toggle_mode_equals_model_mode_without_coupling():
     assert np.allclose(by_model.samples, by_toggle.samples, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("certified", [True, False])
+@pytest.mark.parametrize("mode", ["model", "toggle"])
+def test_a_receive_side_unitary_leaves_every_m_unchanged(mode, certified):
+    """M reads J only through J J^H, and U J J^H U^H has its trace and Frobenius norm:
+    replacing S_RS and S_RT by U S_RS and U S_RT moves no M of a chunk beyond 1e-13
+    relative (measured at most 1.4e-15)."""
+    blocks = blocks_for(3, 4, 64, seed=2)
+    u = np.linalg.qr(standard_complex_gaussian(substream(8), (4, 4)))[0]
+    rotated = ScatteringBlocks(u @ blocks.s_rt, u @ blocks.s_rs, blocks.s_ss, blocks.s_st)
+    assert blocks.certified and rotated.certified
+    if not certified:
+        blocks = ScatteringBlocks(blocks.s_rt, blocks.s_rs, blocks.s_ss, blocks.s_st)
+        blocks.certified = rotated.certified = False
+    words = substream_uniforms(8, (), range(CHUNK), 64 + 6)
+    r, x = loads_from_uniforms(PIN, words[:, :64]), illuminations_from_uniforms(words[:, 64:])
+    values, ok = _chunk_m_values(blocks, r, x, mode, PIN)
+    rotated_values, rotated_ok = _chunk_m_values(rotated, r, x, mode, PIN)
+    assert ok.all() and rotated_ok.all()
+    assert np.allclose(rotated_values, values, rtol=1e-13, atol=0.0)
+
+
 def test_toggle_mode_rejects_continuous_loads():
     system = system_for(2, 2, 8, seed=2)
     with pytest.raises(UnsupportedOperationError):
@@ -304,21 +331,6 @@ def test_singular_draws_are_redrawn_from_the_same_stream():
     again = sample_distribution(system, IlluminationPolicy.rand(), PM, 2000, seed=0)
     assert np.array_equal(dist.samples, again.samples)
     assert again.redraw_count == dist.redraw_count
-
-
-def flat_resonant_rank2_system():
-    """PM all-ON resonates, as in the flat resonant_system, but two receive
-    rows orthogonal to the coupling make M vary between samples."""
-    n = 11
-    u = np.ones(8) / math.sqrt(8.0)
-    rows = np.zeros((2, 8))
-    rows[0, :2] = rows[1, 2:4] = [1.0, -1.0]
-    matrix = np.zeros((n, n), dtype=complex)
-    tx, rx, bs = (0,), (1, 2), tuple(range(3, 11))
-    matrix[np.ix_(bs, tx)] = 0.25 * (rows[0] + rows[1])[:, None]
-    matrix[np.ix_(rx, bs)] = np.diag([0.3, 0.4]) @ rows / math.sqrt(2.0)
-    matrix[np.ix_(bs, bs)] = (1.0 - 1e-13) * np.outer(u, u)
-    return ScatteringSystem(n_total=n, matrix=matrix, tx_ports=tx, rx_ports=rx, bs_ports=bs)
 
 
 def test_redrawn_samples_continue_their_own_stream():
@@ -353,7 +365,7 @@ def test_redrawn_load_set_members_continue_their_own_stream():
     members = sample_load_set(PM, 8, 200, seed=33, s_ss=s_ss)
     redrawn = []
     for i in range(200):
-        gen = substream(33, 0, i)
+        gen = substream(33, LOAD_SET, i)
         for attempt in range(1000):
             r = sample_loads(PM, 8, gen)
             try:
@@ -370,7 +382,7 @@ def test_redrawn_load_set_members_continue_their_own_stream():
 def test_search_reports_its_load_set_redraws():
     # the resonant optimize-x run of tools/artifact_digests.sh redraws members 6, 30 and 174
     system = flat_resonant_rank2_system()
-    words = substream_uniforms(0, (0,), range(400), PM.uniforms_per_draw(8))
+    words = substream_uniforms(0, (LOAD_SET,), range(400), PM.uniforms_per_draw(8))
     first = loads_from_uniforms(PM, words)
     members = sample_load_set(PM, 8, 400, seed=0, s_ss=extract_blocks(system).s_ss)
     assert np.flatnonzero((first != members).any(axis=1)).tolist() == [6, 30, 174]
@@ -458,7 +470,7 @@ def test_certified_load_set_forms_no_resolvent(monkeypatch):
     monkeypatch.setattr(bsdof.optimize, "resolvent", no_resolvent)
     s_ss = blocks_for(2, 2, 8, seed=3).s_ss
     members = sample_load_set(PM, 8, 300, seed=34, s_ss=s_ss)
-    words = substream_uniforms(34, (0,), range(300), PM.uniforms_per_draw(8))
+    words = substream_uniforms(34, (LOAD_SET,), range(300), PM.uniforms_per_draw(8))
     assert np.array_equal(members, loads_from_uniforms(PM, words))
     # an uncertified coupling still gates every member
     with pytest.raises(RuntimeError, match="resolvent called"):
@@ -476,7 +488,7 @@ def test_redraw_cap_is_shared_by_samples_and_load_sets(monkeypatch):
         return np.flatnonzero(rcond < RCOND_MIN)[0]
 
     sample = first_singular(0, (), 2000, 8 + 2)  # 8 load words, then 1 magnitude and 1 phase
-    member = first_singular(33, (0,), 200, 8)
+    member = first_singular(33, (LOAD_SET,), 200, 8)
     monkeypatch.setattr(bsdof.sampling, "MAX_REDRAWS_PER_SAMPLE", 0)
     with pytest.raises(SingularityError, match=f"^sample {sample} still singular after 0 redraws"):
         sample_distribution(system, IlluminationPolicy.rand(), PM, 2000, seed=0)

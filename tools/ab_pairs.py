@@ -25,8 +25,10 @@ names, directions and bounds come from the change checkout's BENCHMARK.json.
 Its "regressions" (regressions()) flag every metric whose change median is
 worse than the parent median by more than the metric's bound, with the
 parent's interquartile range relative to its median, and each flag is
-printed: a flagged metric breaks the benchmark's no-regression bound, and a
-range wider than the bound says the metric spreads that far on its own.
+printed: a flagged metric breaks the benchmark's no-regression bound.  A flag
+is "unresolved" when that range is wider than the bound: the metric spreads
+past its bound on unchanged code, so the pairs cannot tell a regression from
+the spread.
 """
 
 import argparse
@@ -89,7 +91,9 @@ def summarize(runs: list, better: dict) -> list:
 
 def regressions(summary: list, better: dict, bounds: dict) -> list:
     """Each summarized metric whose change median is worse than the parent median by
-    more than its bound, the worsening taken relative to the parent median."""
+    more than its bound, the worsening taken relative to the parent median; a flag is
+    unresolved where the parent's interquartile range, relative to its median, exceeds
+    the bound."""
     flags = []
     for entry in summary:
         for name, metric in entry["metrics"].items():
@@ -100,12 +104,23 @@ def regressions(summary: list, better: dict, bounds: dict) -> list:
             if better[name] == "higher":
                 worse = -worse
             if worse > bounds[name]:
+                iqr = (parent["q3"] - parent["q1"]) / abs(parent["median"])
                 flags.append({
                     "workload": entry["workload"], "seed": entry["seed"], "code": entry["code"],
                     "metric": name, "worsening": worse, "bound": bounds[name],
-                    "parent_iqr": (parent["q3"] - parent["q1"]) / abs(parent["median"]),
+                    "parent_iqr": iqr, "unresolved": iqr > bounds[name],
                 })
     return flags
+
+
+def regression_line(flag: dict) -> str:
+    """The printed line of one regressions() flag."""
+    return (
+        f"regression: {flag['workload']} seed {flag['seed']} {flag['metric']} is "
+        f"{flag['worsening']:+.1%} worse than the parent median (bound {flag['bound']:.0%}; "
+        f"parent IQR {flag['parent_iqr']:.1%} of its median"
+        + (", unresolved)" if flag["unresolved"] else ")")
+    )
 
 
 def run_order(workloads, seeds, pairs):
@@ -217,11 +232,7 @@ def main(argv=None) -> int:
     summary = summarize(runs, better)
     flags = regressions(summary, better, declared(checkouts["change"], "bound"))
     for flag in flags:
-        print(
-            f"regression: {flag['workload']} seed {flag['seed']} {flag['metric']} is "
-            f"{flag['worsening']:+.1%} worse than the parent median (bound {flag['bound']:.0%}; "
-            f"parent IQR {flag['parent_iqr']:.1%} of its median)"
-        )
+        print(regression_line(flag))
     record = {
         "tag": args.tag,
         "change": args.describe,

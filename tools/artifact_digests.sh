@@ -13,7 +13,7 @@
 # MAX through the certified two-state precompute (optimizer seed 5, 3 starts,
 # 600 objective samples, final n=2,000 at (3, 4, 16)), and three runs on an
 # 8-load system whose flat rank-1 coupling resonates when every load is ON
-# (tests/test_sampling.py::flat_resonant_rank2_system), so it is uncertified:
+# (tests/synthetic.py::flat_resonant_rank2_system), so it is uncertified:
 #   bs-dist model with PM loads, n=2,000, seed 0 (5 redraws);
 #   optimize-x with PM loads, 2 starts, 400 objective samples, final n=2,000,
 #   seed 0 (load-set members 6, 30 and 174 redrawn, 5 final redraws);
